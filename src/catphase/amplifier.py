@@ -12,8 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gendelta import delta_kernel
-from .quasiprob import IMAG_RESIDUE_TOL, PTerm, p_cat_terms, q_function
-from .states import coherent_overlap
+from .quasiprob import _hermitian_sum, gaussian_terms, p_cat_terms, q_function
 
 
 def sigma_of_gain(g):
@@ -44,45 +43,19 @@ def amplify_q(spec, gain, alpha):
     return q_function(spec, np.asarray(alpha, dtype=complex) / g) / (g * g)
 
 
-def _amplified_p_term(kappa, beta, gamma, g, alpha):
-    """One Gaussian term of the amplified P-function:
-
-        kappa <beta|gamma> / (pi (g^2 - 1)) *
-            e^{-(|alpha|^2 + g^2 conj(beta) gamma
-                 - g (conj(beta) alpha + conj(alpha) gamma)) / (g^2 - 1)}.
-    """
-    alpha = np.asarray(alpha, dtype=complex)
-    bc = np.conj(beta)
-    g_sq_m1 = g * g - 1.0
-    expo = -(np.abs(alpha) ** 2 + g * g * bc * gamma
-             - g * (bc * alpha + np.conj(alpha) * gamma)) / g_sq_m1
-    return kappa * coherent_overlap(beta, gamma) * np.exp(expo) / (math.pi * g_sq_m1)
-
-
 def amplified_p(spec, gain, alpha):
-    """Smooth P-function of the amplified cat state (g > 1 strictly).
+    """Smooth P-function of the amplified cat state (g > 1 strictly):
+    the t = g^2 - 1 row of the quasiprob table, centres scaled by g.
 
-    The four Gaussian terms are individually complex; only their
-    Hermitian sum is real, and the imaginary residue is asserted below
-    1e-12 before being discarded.
+    Near unit gain on separated cats the terms grow past what double
+    precision can cancel; quasiprob's guard then raises FloatingPointError.
     """
     g = gain.g
     if g <= 1.0:
         raise ValueError(
             "P-function is singular at g = 1; use p_cat_terms / p_regularized_eval "
             "for the unamplified representation")
-    a_sq = spec.norm_A ** 2
-    z = spec.zeta
-    total = (_amplified_p_term(a_sq, spec.alpha1, spec.alpha1, g, alpha)
-             + _amplified_p_term(a_sq * abs(z) ** 2, spec.alpha2, spec.alpha2, g, alpha)
-             + _amplified_p_term(a_sq * z, spec.alpha1, spec.alpha2, g, alpha)
-             + _amplified_p_term(a_sq * np.conj(z), spec.alpha2, spec.alpha1, g, alpha))
-    residue = float(np.max(np.abs(np.imag(total))))
-    if residue > IMAG_RESIDUE_TOL:
-        raise AssertionError(
-            f"amplified P imaginary residue {residue:.3e} > {IMAG_RESIDUE_TOL}")
-    out = np.real(total)
-    return out if out.shape else float(out)
+    return _hermitian_sum(p_cat_terms(spec), alpha, g * g - 1.0, g, "amplified P")
 
 
 def amplified_p_factored(term, gain, alpha):
@@ -108,5 +81,4 @@ def amplified_p_factored(term, gain, alpha):
 def amplified_p_terms(spec, gain, alpha):
     """Per-term amplified P values in the order of p_cat_terms(spec)."""
     g = gain.g
-    return [_amplified_p_term(t.kappa, t.beta, t.gamma, g, alpha)
-            for t in p_cat_terms(spec).terms]
+    return [values for values, _ in gaussian_terms(p_cat_terms(spec), alpha, g * g - 1.0, g)]

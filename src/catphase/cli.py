@@ -155,6 +155,16 @@ def _emit_grid(grid, args, meta):
             stream.close()
 
 
+def _amplified_p_values(spec, gain, alpha):
+    """Amplified P at `gain`; a singular (unit) gain trips the numeric guard."""
+    if gain <= 1.0:
+        raise FloatingPointError(
+            f"P-function is singular at gain {gain} (sigma_of_gain({gain}) = "
+            f"{sigma_of_gain(max(gain, 1.0))}); it cannot be sampled on a grid -- "
+            "use grid --field p_regularized with an explicit sigma instead")
+    return amplified_p(spec, AmplifierGain(gain), alpha).astype(complex)
+
+
 def cmd_grid(args):
     _require(args, ["field"])
     field = args.field
@@ -178,13 +188,7 @@ def cmd_grid(args):
             meta["sigma"] = args.sigma
         elif field == "p_amplified":
             _require(args, ["gain"])
-            if args.gain <= 1.0:
-                print(f"error: P-function is singular at gain {args.gain} "
-                      f"(sigma_of_gain({args.gain}) = {sigma_of_gain(max(args.gain, 1.0))}); "
-                      "it cannot be sampled on a grid -- use p_regularized with an "
-                      "explicit sigma instead", file=sys.stderr)
-                return EXIT_NUMERIC
-            grid.values = amplified_p(spec, AmplifierGain(args.gain), alpha).astype(complex)
+            grid.values = _amplified_p_values(spec, args.gain, alpha)
             meta["gain"] = args.gain
     _emit_grid(grid, args, meta)
     return EXIT_OK
@@ -200,12 +204,7 @@ def cmd_amplify(args):
     if args.field == "q":
         grid.values = amplify_q(spec, gain, alpha).astype(complex)
     else:
-        if args.gain <= 1.0:
-            print(f"error: sigma_of_gain({args.gain}) = 0; the amplified P-function "
-                  "degenerates into the singular representation at unit gain",
-                  file=sys.stderr)
-            return EXIT_NUMERIC
-        grid.values = amplified_p(spec, gain, alpha).astype(complex)
+        grid.values = _amplified_p_values(spec, args.gain, alpha)
     meta = {"field": args.field, "gain": args.gain, "sigma": gain.sigma,
             "alpha1": spec.alpha1, "alpha2": spec.alpha2, "zeta": spec.zeta,
             "axes": "alpha"}

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import HERMITE_N_MAX, log_factorial, quad_real_line
+from .numerics import HERMITE_N_MAX, log_factorial, quad_real_line, trapezoid_weights
 
 # exp() overflows double precision just above e^709
 OVERFLOW_EXPONENT = 700.0
@@ -230,14 +230,7 @@ def delta2_sift(f, z, sigma, quad):
             "window truncates the regularized delta", stacklevel=2)
     xr = np.linspace(z.real - quad.halfwidth, z.real + quad.halfwidth, quad.node_count)
     xi = np.linspace(z.imag - quad.halfwidth, z.imag + quad.halfwidth, quad.node_count)
-    wr = np.real(delta_kernel(xr - z.real, sigma)) * _trap_weights(xr)
-    wi = np.real(delta_kernel(xi - z.imag, sigma)) * _trap_weights(xi)
+    wr = np.real(delta_kernel(xr - z.real, sigma)) * trapezoid_weights(xr.size, xr[1] - xr[0])
+    wi = np.real(delta_kernel(xi - z.imag, sigma)) * trapezoid_weights(xi.size, xi[1] - xi[0])
     vals = np.asarray(f(xr[:, None], xi[None, :]), dtype=complex)
     return complex(wr @ vals @ wi)
-
-
-def _trap_weights(x):
-    dx = x[1] - x[0]
-    w = np.full(x.size, dx)
-    w[0] = w[-1] = 0.5 * dx
-    return w

@@ -37,10 +37,14 @@ class QuadratureSpec:
 
     @property
     def weights(self):
-        dx = 2.0 * self.halfwidth / (self.node_count - 1)
-        w = np.full(self.node_count, dx)
-        w[0] = w[-1] = 0.5 * dx
-        return w
+        return trapezoid_weights(self.node_count, 2.0 * self.halfwidth / (self.node_count - 1))
+
+
+def trapezoid_weights(n, h):
+    """Composite trapezoid weights for n uniform nodes of spacing h."""
+    w = np.full(n, h)
+    w[0] = w[-1] = 0.5 * h
+    return w
 
 
 def hermite_poly(n, x):

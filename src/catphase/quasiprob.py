@@ -6,19 +6,29 @@ Convention: the coherent amplitude relates to the quadratures by
 alpha = (x + i p) / sqrt(2).  Every cross-representation comparison in
 the package goes through `alpha_from_xp` / `xp_from_alpha` so the sqrt(2)
 appears in exactly one place.
+
+Every term kappa |gamma><beta| is one Gaussian with complex centres
+(Cahill and Glauber's s-ordered family), evaluated by `gaussian_terms`:
+
+    kappa <beta|gamma> / (pi t) e^{-(alpha - g gamma)(conj(alpha) - g conj(beta)) / t}.
+
+The fields differ only in its width t and centre scale g:
+
+    Q-function                      t = 1            g = 1
+    regularized P of width sigma    t = 2 sigma^2    g = 1
+    amplified P at gain g           t = g^2 - 1      g
 """
 
-import io
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .gendelta import delta_kernel
-from .numerics import hermite_poly, log_factorial
-from .states import CatStateSpec, coherent_overlap
+from .gendelta import min_safe_sigma
+from .numerics import hermite_poly, log_factorial, trapezoid_weights
+from .states import coherent_overlap
 
 IMAG_RESIDUE_TOL = 1e-12
 
@@ -95,33 +105,69 @@ def p_cat_terms(spec):
     return PRepresentation(terms=tuple(t for t in terms if t.kappa != 0))
 
 
-def _q_term(kappa, beta, gamma, alpha):
-    """General Q-function term (kappa / pi) <beta|gamma>
-    e^{-(|alpha|^2 + conj(beta) gamma - (conj(beta) alpha + conj(alpha) gamma))}."""
+def gaussian_terms(rep, alpha, t, g=1.0):
+    """Each term of `rep` as the complex-centred Gaussian of width t and
+    centre scale g (module docstring), yielded in order as (values, peak)
+    pairs; peak = max |values| is read off the largest real exponent.
+    """
     alpha = np.asarray(alpha, dtype=complex)
-    bc = np.conj(beta)
-    expo = -(np.abs(alpha) ** 2 + bc * gamma - (bc * alpha + np.conj(alpha) * gamma))
-    return kappa * coherent_overlap(beta, gamma) * np.exp(expo) / math.pi
+    alpha_c = np.conj(alpha)
+    mod_sq = alpha.real ** 2 + alpha.imag ** 2
+    for term in rep.terms:
+        bc = np.conj(term.beta)
+        # Expanded, each product a partner-shared scalar times an array, so
+        # conjugate partners come out as exact conjugates; numpy may fuse an
+        # array-by-array complex product differently for the two orders.
+        expo = (g * bc * alpha + g * term.gamma * alpha_c - mod_sq
+                - g * g * (bc * term.gamma)) / t
+        scale = term.weight / (math.pi * t)
+        peak = abs(scale) * np.exp(np.max(expo.real, initial=-np.inf))
+        yield scale * np.exp(expo), float(peak)
+
+
+def _sum_terms(rep, alpha, t, g=1.0):
+    """Sum of gaussian_terms and the sum of their peaks."""
+    total = np.zeros(np.shape(alpha), dtype=complex)
+    peaks = 0.0
+    for values, peak in gaussian_terms(rep, alpha, t, g):
+        total += values
+        peaks += peak
+    return total, peaks
+
+
+def _require_finite(values, what):
+    bad = np.size(values) - np.count_nonzero(np.isfinite(values))
+    if bad:
+        raise FloatingPointError(f"{what}: {bad} of {np.size(values)} values are not finite")
+
+
+def _hermitian_sum(rep, alpha, t, g, what):
+    """Real field of a Hermitian `rep`: the sum of its gaussian_terms,
+    behind the one numeric guard of the real fields.  Partner terms cancel
+    each other's imaginary parts exactly, so the residue cannot show lost
+    digits; eps times the sum of the term peaks bounds the rounding.  Raises
+    FloatingPointError when that bound or the residue exceeds
+    IMAG_RESIDUE_TOL, or a value is not finite.
+    """
+    total, peaks = _sum_terms(rep, alpha, t, g)
+    rounding = np.finfo(float).eps * peaks
+    residue = np.max(np.abs(total.imag), initial=0.0)
+    if not (rounding <= IMAG_RESIDUE_TOL and residue <= IMAG_RESIDUE_TOL):
+        raise FloatingPointError(
+            f"{what}: term peaks sum to {peaks:.3e}, so rounding reaches {rounding:.3e} "
+            f"(imaginary residue {residue:.3e}); tolerance {IMAG_RESIDUE_TOL}")
+    out = total.real
+    _require_finite(out, what)
+    return out if out.shape else float(out)
 
 
 def q_function(spec, alpha):
     """Husimi Q-function (1/pi) <alpha|rho|alpha> of a cat state.
 
     Accepts a complex scalar or array; the result is real and
-    nonnegative (the four-term sum's imaginary residue is asserted below
-    1e-12 and discarded).
+    nonnegative, guarded by _hermitian_sum.
     """
-    a_sq = spec.norm_A ** 2
-    z = spec.zeta
-    total = (_q_term(a_sq, spec.alpha1, spec.alpha1, alpha)
-             + _q_term(a_sq * abs(z) ** 2, spec.alpha2, spec.alpha2, alpha)
-             + _q_term(a_sq * z, spec.alpha1, spec.alpha2, alpha)
-             + _q_term(a_sq * np.conj(z), spec.alpha2, spec.alpha1, alpha))
-    residue = float(np.max(np.abs(np.imag(total))))
-    if residue > IMAG_RESIDUE_TOL:
-        raise AssertionError(f"Q-function imaginary residue {residue:.3e} > {IMAG_RESIDUE_TOL}")
-    out = np.real(total)
-    return out if out.shape else float(out)
+    return _hermitian_sum(p_cat_terms(spec), alpha, 1.0, 1.0, "Q-function")
 
 
 def q_fourier_term(term, xi):
@@ -141,16 +187,16 @@ def q_fourier_term(term, xi):
 
 def p_regularized_eval(rep, sigma, alpha):
     """Regularized P-function: each term contributes its weight times a
-    product of two width-sigma kernels in the real and imaginary parts of
-    alpha, centered at the term's (possibly complex) centers.  Complex-
-    valued in general for off-diagonal terms.
+    width-sigma Gaussian at the term's (possibly complex) centers, the
+    t = 2 sigma^2 row of the module table.  Complex-valued in general for
+    off-diagonal terms; raises FloatingPointError when a value overflows.
     """
-    alpha = np.asarray(alpha, dtype=complex)
-    total = np.zeros(alpha.shape, dtype=complex)
-    for term in rep.terms:
-        total = total + term.weight * (
-            delta_kernel(alpha.real - term.center_r, sigma)
-            * delta_kernel(alpha.imag - term.center_i, sigma))
+    if sigma <= 0:
+        raise ValueError(f"sigma must be positive, got {sigma}")
+    total, _ = _sum_terms(rep, alpha, 2.0 * sigma * sigma)
+    need = max((min_safe_sigma(c) for term in rep.terms
+                for c in (term.center_r, term.center_i)), default=0.0)
+    _require_finite(total, f"regularized P at sigma = {sigma} (need sigma >= {need:.6g})")
     return total if total.shape else complex(total)
 
 
@@ -222,8 +268,8 @@ class Grid2D:
 
     def integrate(self):
         """2D trapezoid integral of the field over the rectangle."""
-        wx = _trap_weights_1d(self.nx, self.dx)
-        wy = _trap_weights_1d(self.ny, self.dy)
+        wx = trapezoid_weights(self.nx, self.dx)
+        wy = trapezoid_weights(self.ny, self.dy)
         return complex(wx @ self.values @ wy)
 
     # -- serialization ------------------------------------------------------
@@ -267,6 +313,8 @@ class Grid2D:
                 stream.close()
         xs = sorted({r[0] for r in rows})
         ys = sorted({r[1] for r in rows})
+        if len(rows) != len(xs) * len(ys):
+            raise ValueError(f"{len(rows)} rows do not fill a {len(xs)} x {len(ys)} grid")
         grid = cls(xs[0], xs[-1], ys[0], ys[-1], len(xs), len(ys),
                    axis_semantics=axis_semantics)
         xi = {v: i for i, v in enumerate(xs)}
@@ -296,12 +344,6 @@ class Grid2D:
                    axis_semantics=ax.get("semantics", "alpha"))
 
 
-def _trap_weights_1d(n, h):
-    w = np.full(n, h)
-    w[0] = w[-1] = 0.5 * h
-    return w
-
-
 # ---------------------------------------------------------------------------
 # Wigner functions
 
@@ -326,7 +368,7 @@ def wigner_fock(n, grid, q_halfwidth=10.0, q_nodes=2001):
         warnings.warn(f"grid extent below the recommended |x|,|p| >= {reach:.2f} "
                       f"for n = {n}", stacklevel=2)
     q = np.linspace(-q_halfwidth, q_halfwidth, q_nodes)
-    wq = _trap_weights_1d(q_nodes, q[1] - q[0])
+    wq = trapezoid_weights(q_nodes, q[1] - q[0])
     xs, ps = grid.xs, grid.ys
     # rows: integrand psi(x+q) psi(x-q) per x; columns contracted against e^{-2ipq}
     c = fock_wavefunction(n, xs[:, None] + q[None, :]) * \
@@ -349,8 +391,8 @@ def _gaussian_convolve(src, out_grid, method="separable"):
     factors into two matrix products; the `direct` method performs the
     same sum without factoring and exists as a cross-check.
     """
-    wx = _trap_weights_1d(src.nx, src.dx)
-    wy = _trap_weights_1d(src.ny, src.dy)
+    wx = trapezoid_weights(src.nx, src.dx)
+    wy = trapezoid_weights(src.ny, src.dy)
     dx_out = np.subtract.outer(out_grid.xs, src.xs)
     dy_out = np.subtract.outer(out_grid.ys, src.ys)
     if method == "separable":

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gendelta import OVERFLOW_EXPONENT, delta_kernel
-from .numerics import log_factorial
+from .numerics import log_factorial, trapezoid_weights
 from .states import FockDensityMatrix, cat_density_matrix, coherent_fock_coeffs
 from .quasiprob import p_cat_terms
 
@@ -80,8 +80,8 @@ def reconstruct_rho_numeric(rep, sigma, n_max, quad):
                          np.real(term.center_r) + quad.halfwidth, quad.node_count)
         xi = np.linspace(np.real(term.center_i) - quad.halfwidth,
                          np.real(term.center_i) + quad.halfwidth, quad.node_count)
-        wr = delta_kernel(xr - term.center_r, sigma) * _trap_w(xr)
-        wi = delta_kernel(xi - term.center_i, sigma) * _trap_w(xi)
+        wr = delta_kernel(xr - term.center_r, sigma) * trapezoid_weights(xr.size, xr[1] - xr[0])
+        wi = delta_kernel(xi - term.center_i, sigma) * trapezoid_weights(xi.size, xi[1] - xi[0])
         # coherent-projector kernel e^{-(x^2+y^2)} (x+iy)^j (x-iy)^k / sqrt(j!k!)
         u = xr[:, None] + 1j * xi[None, :]
         envelope = np.exp(-(xr[:, None] ** 2 + xi[None, :] ** 2))
@@ -91,13 +91,6 @@ def reconstruct_rho_numeric(rep, sigma, n_max, quad):
         g = (u_pows * weighted[None, :]) @ v_pows.T
         total = total + term.weight * g * np.outer(inv_sqrt_fact, inv_sqrt_fact)
     return FockDensityMatrix(n_max=n_max, entries=total)
-
-
-def _trap_w(x):
-    h = x[1] - x[0]
-    w = np.full(x.size, h)
-    w[0] = w[-1] = 0.5 * h
-    return w
 
 
 @dataclass(frozen=True)

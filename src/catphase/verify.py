@@ -3,15 +3,16 @@ a pass flag and the measured values, so the CLI can print one line per
 criterion and the test suite can assert on the same code path.
 """
 
+import functools
 import math
 
 import numpy as np
 
-from .amplifier import AmplifierGain, _amplified_p_term, amplified_p, \
-    amplified_p_factored, amplify_q, sigma_of_gain
+from .amplifier import AmplifierGain, amplified_p, amplified_p_factored, \
+    amplified_p_terms, amplify_q, sigma_of_gain
 from .gendelta import AnalyticTestFunction, cancellation_factor, delta_moment, sift, \
     sift_shifted_line
-from .numerics import QuadratureSpec
+from .numerics import QuadratureSpec, trapezoid_weights
 from .quasiprob import Grid2D, _gaussian_convolve, fock_wavefunction, p_cat_terms, \
     q_function, wigner_fock
 from .reconstruct import roundtrip_report, rho_from_pterm
@@ -91,36 +92,32 @@ def check_roundtrip():
                           f"per-term structure checks {'pass' if terms_ok else 'FAIL'}")
 
 
-def _wigner_grids(n_values, bound=6.0, n_pts=201):
-    grids = {}
-    for n in n_values:
-        grid = Grid2D(-bound, bound, -bound, bound, n_pts, n_pts, axis_semantics="xp")
-        grids[n] = wigner_fock(n, grid)
-    return grids
+@functools.lru_cache(maxsize=None)
+def _wigner_grid(n):
+    """Read-only W of |n> on [-6, 6]^2 at 201^2, shared by both Wigner criteria."""
+    return wigner_fock(n, Grid2D(-6.0, 6.0, -6.0, 6.0, 201, 201, axis_semantics="xp"))
 
 
-def check_wigner_marginal(_cache={}):
+del _wigner_grid.__wrapped__  # resets that unwrap decorators must find cache_clear
+
+
+def check_wigner_marginal():
     """Integrating the Fock-state Wigner function over p recovers
     |psi_n(x)|^2 per grid column, n = 0, 1, 2."""
-    if not _cache:
-        _cache.update(_wigner_grids((0, 1, 2)))
     worst = 0.0
-    for n, w in _cache.items():
-        wy = np.full(w.ny, w.dy)
-        wy[0] = wy[-1] = 0.5 * w.dy
-        marginal = np.real(w.values) @ wy
+    for n in (0, 1, 2):
+        w = _wigner_grid(n)
+        marginal = np.real(w.values) @ trapezoid_weights(w.ny, w.dy)
         target = fock_wavefunction(n, w.xs) ** 2
         worst = max(worst, float(np.max(np.abs(marginal - target))))
     return worst <= 1e-6, f"max marginal deviation = {worst:.2e}"
 
 
-def check_wigner_negativity(_cache={}):
+def check_wigner_negativity():
     """The two-photon Wigner function is negative somewhere on the grid
     and equals 1/pi at the origin (Laguerre closed form gives
     (-1)^2 L_2(0) / pi = 1/pi there)."""
-    if not _cache:
-        _cache.update(_wigner_grids((2,)))
-    w = _cache[2]
+    w = _wigner_grid(2)
     w_min = float(np.min(np.real(w.values)))
     i0 = w.nx // 2
     origin_dev = abs(float(np.real(w.values[i0, i0])) - 1.0 / math.pi)
@@ -156,8 +153,8 @@ def check_factorization():
     worst = 0.0
     for g in (1.1, 2.0, 5.0):
         gain = AmplifierGain(g)
-        for term in p_cat_terms(spec).terms:
-            direct = _amplified_p_term(term.kappa, term.beta, term.gamma, g, alphas)
+        for term, direct in zip(p_cat_terms(spec).terms,
+                                amplified_p_terms(spec, gain, alphas)):
             factored = amplified_p_factored(term, gain, alphas)
             worst = max(worst, float(np.max(np.abs(direct - factored))))
     sigma_dev = abs(sigma_of_gain(math.sqrt(3.0)) - 1.0)
@@ -174,8 +171,7 @@ def check_weak_convergence():
     term = p_cat_terms(spec).terms[2]
     target = rho_from_pterm(term, 0).entries[0, 0]
     xs = np.linspace(-5.0, 5.0, 501)
-    w = np.full(xs.size, xs[1] - xs[0])
-    w[0] = w[-1] = 0.5 * (xs[1] - xs[0])
+    w = trapezoid_weights(xs.size, xs[1] - xs[0])
     f_vals = np.exp(-(xs[:, None] ** 2 + xs[None, :] ** 2))
     alpha = xs[:, None] + 1j * xs[None, :]
     errors = []

@@ -105,6 +105,23 @@ class TestAmplifiedP:
         np.testing.assert_allclose(total.real, amplified_p(CAT, gain, alphas),
                                    rtol=0, atol=1e-14)
 
+    @pytest.mark.parametrize("spec", [CatStateSpec(3.0 + 0.5j, -3.0, 1.0),
+                                      CatStateSpec(3.0, -3.0, 1.0)])
+    def test_cancellation_beyond_double_precision_raises(self, spec):
+        # near unit gain the terms of a separated cat reach ~1e34 and cancel
+        # to O(1); the first spec used to fail an assert on its imaginary
+        # residue, the second (exactly conjugate terms) returned the garbage
+        gx, gy = field_grid(6.0, 41).meshgrid()
+        with pytest.raises(FloatingPointError, match="amplified P"):
+            amplified_p(spec, AmplifierGain(1.05), gx + 1j * gy)
+
+    def test_overflow_raises_instead_of_returning_non_finite(self):
+        spec = CatStateSpec(alpha1=12.0, alpha2=-12.0, zeta=1.0)
+        gx, gy = field_grid(15.0, 201).meshgrid()
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(FloatingPointError, match="amplified P"):
+            amplified_p(spec, AmplifierGain(1.05), gx + 1j * gy)
+
     def test_factored_centers_scale_with_gain(self):
         # each factored term peaks (in magnitude) at g times the term centers
         term = p_cat_terms(CAT).terms[0]

@@ -46,6 +46,15 @@ class TestGridCommand:
         assert code == EXIT_NUMERIC
         assert "singular" in err and "sigma" in err
 
+    def test_regularized_p_below_safe_sigma_is_numeric_error(self, capsys):
+        # min_safe_sigma of the +-1.5 cat's off-diagonal centres is 0.04
+        code, out, err = run_cli(
+            ["grid", "--field", "p_regularized", "--sigma", "0.01", *STATE, *BOUNDS,
+             "--nx", "41"], capsys)
+        assert code == EXIT_NUMERIC
+        assert out == ""
+        assert "numeric guard" in err and "need sigma >=" in err
+
     def test_missing_field_is_usage_error(self, capsys):
         code, _, err = run_cli(["grid", *STATE, *BOUNDS], capsys)
         assert code == EXIT_USAGE
@@ -82,6 +91,15 @@ class TestAmplifyCommand:
             ["amplify", "--field", "p", "--gain", "1.0", *STATE, *BOUNDS], capsys)
         assert code == EXIT_NUMERIC
         assert "sigma_of_gain" in err
+
+
+    def test_cancellation_guard_exits_numeric(self, capsys):
+        code, out, err = run_cli(
+            ["amplify", "--field", "p", "--gain", "1.05", "--alpha1", "3", "0.5",
+             "--alpha2", "-3", "0", "--zeta", "1", "0", *BOUNDS, "--nx", "41"], capsys)
+        assert code == EXIT_NUMERIC
+        assert out == ""
+        assert "numeric guard" in err
 
 
 class TestRoundtripCommand:

@@ -3,17 +3,27 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, reject, settings
+from hypothesis import strategies as st
 from scipy.special import eval_laguerre
 
 from catphase.quasiprob import Grid2D, PRepresentation, PTerm, alpha_from_xp, \
-    fock_wavefunction, p_cat_terms, p_regularized_eval, p_representation_grid, \
-    q_fourier_term, q_from_wigner, q_function, wigner_fock, wigner_from_p, \
-    xp_from_alpha
+    fock_wavefunction, gaussian_terms, p_cat_terms, p_regularized_eval, \
+    p_representation_grid, q_fourier_term, q_from_wigner, q_function, wigner_fock, \
+    wigner_from_p, xp_from_alpha
 from catphase.states import CatStateSpec, cat_density_matrix, coherent_fock_coeffs, \
     coherent_overlap
 
 EVEN_CAT = CatStateSpec(alpha1=1.5, alpha2=-1.5, zeta=1.0)
 SKEW_CAT = CatStateSpec(alpha1=1.0 + 0.5j, alpha2=-1.0 + 0.3j, zeta=0.6 - 0.4j)
+
+
+def complex_in(half):
+    part = st.floats(-half, half)
+    return st.builds(complex, part, part)
+
+
+COMPLEX_2, COMPLEX_3 = complex_in(2.0), complex_in(3.0)
 
 
 def alpha_grid(half=6.0, n=201):
@@ -88,6 +98,24 @@ class TestQFunction:
             want = np.real(np.conj(v) @ rho @ v) / math.pi
             assert q_function(spec, alpha) == pytest.approx(want, abs=1e-10)
 
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(a1=COMPLEX_2, a2=COMPLEX_2, zeta=COMPLEX_2, alpha=COMPLEX_3)
+    def test_matches_number_basis_expectation_for_random_specs(self, a1, a2, zeta, alpha):
+        try:
+            spec = CatStateSpec(a1, a2, zeta)
+        except ValueError:
+            reject()
+        # nearly cancelling components blow A up, and every rounding error with it
+        assume(spec.norm_A <= 5.0)
+        rho = cat_density_matrix(spec, n_max=50).entries
+        v = coherent_fock_coeffs(alpha, 50)
+        want = np.real(np.conj(v) @ rho @ v) / math.pi
+        assert q_function(spec, alpha) == pytest.approx(want, abs=1e-10)
+
+    def test_non_finite_point_raises(self):
+        with pytest.raises(FloatingPointError, match="Q-function"):
+            q_function(EVEN_CAT, np.array([0.0, complex("nan")]))
+
     def test_nonnegative_on_grid(self):
         grid = alpha_grid()
         gx, gy = grid.meshgrid()
@@ -102,6 +130,21 @@ class TestQFunction:
 
     def test_scalar_in_scalar_out(self):
         assert isinstance(q_function(EVEN_CAT, 0.3 + 0.1j), float)
+
+
+class TestGaussianTerms:
+    @pytest.mark.parametrize("t, g", [(1.0, 1.0), (0.5, 1.0), (1.1025 - 1.0, 1.05)])
+    def test_conjugate_partners_are_exact_conjugates(self, t, g):
+        # the imaginary residue of a Hermitian sum is exactly zero, which is
+        # why the field guard bounds rounding by the term peaks instead
+        gx, gy = alpha_grid(n=61).meshgrid()
+        values = [v for v, _ in gaussian_terms(p_cat_terms(SKEW_CAT), gx + 1j * gy, t, g)]
+        np.testing.assert_array_equal(values[3], np.conj(values[2]))
+
+    def test_peak_is_largest_modulus(self):
+        alpha = np.array([0.0, 1.0 - 0.5j, 2.0 + 1.0j, -3.0j])
+        for values, peak in gaussian_terms(p_cat_terms(SKEW_CAT), alpha, 0.3, 1.2):
+            assert peak == pytest.approx(np.max(np.abs(values)), rel=1e-13)
 
 
 class TestQFourierTerm:
@@ -167,6 +210,14 @@ class TestGrid2D:
         assert back.nx == 5 and back.ny == 7
         assert back.xs == pytest.approx(grid.xs)
         np.testing.assert_allclose(back.values, grid.values, rtol=0, atol=0)
+
+    def test_csv_missing_row_rejected(self):
+        buf = io.StringIO()
+        Grid2D(-1.0, 1.0, -1.0, 1.0, 3, 3).to_csv(buf)
+        lines = buf.getvalue().splitlines()
+        del lines[5]  # one interior point of the 3 x 3 grid
+        with pytest.raises(ValueError, match="8 rows do not fill a 3 x 3 grid"):
+            Grid2D.from_csv(io.StringIO("\n".join(lines)))
 
     def test_json_roundtrip(self):
         grid = Grid2D(-3.0, 3.0, -3.0, 3.0, 4, 4)
