@@ -32,6 +32,13 @@ class UsageError(Exception):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a parse failure as UsageError (exit 1), not argparse's exit 2."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
 def _add_state_args(parser):
     parser.add_argument("--alpha1", nargs=2, type=float, metavar=("RE", "IM"),
                         help="first coherent amplitude")
@@ -44,16 +51,16 @@ def _add_state_args(parser):
 def _add_grid_args(parser):
     parser.add_argument("--bounds", nargs=4, type=float,
                         metavar=("XMIN", "XMAX", "YMIN", "YMAX"))
-    parser.add_argument("--nx", type=int)
-    parser.add_argument("--ny", type=int)
-    parser.add_argument("--format", choices=("csv", "json"))
+    parser.add_argument("--nx", type=int, default=201)
+    parser.add_argument("--ny", type=int, help="default: --nx")
+    parser.add_argument("--format", choices=("csv", "json"), default="csv")
     parser.add_argument("--out", help="output path; '-' or absent = stdout")
     parser.add_argument("--timestamp",
                         help="metadata timestamp string; omitted from output unless given")
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="catphase",
         description="Phase-space toolkit for Schrodinger cat states")
     parser.add_argument("--config",
@@ -78,38 +85,50 @@ def build_parser():
 
     p_rt = sub.add_parser("roundtrip", help="density-matrix round-trip report")
     _add_state_args(p_rt)
-    p_rt.add_argument("--n-max", type=int)
+    p_rt.add_argument("--n-max", type=int, default=30)
 
     p_sift = sub.add_parser("sift", help="sifting study over a sigma schedule")
     p_sift.add_argument("--z0", nargs=2, type=float, metavar=("RE", "IM"))
     p_sift.add_argument("--sigma0", type=float)
-    p_sift.add_argument("--levels", type=int,
+    p_sift.add_argument("--levels", type=int, default=4,
                         help="number of sigma halvings in the schedule")
     p_sift.add_argument("--monomial", type=int,
                         help="test function x^N (mutually exclusive with the envelope)")
     p_sift.add_argument("--envelope-scale", type=float)
-    p_sift.add_argument("--envelope-coeffs", nargs="+", type=float,
+    p_sift.add_argument("--envelope-coeffs", nargs="+", type=float, default=[1.0],
                         help="polynomial coefficients, lowest degree first")
-    p_sift.add_argument("--halfwidth", type=float)
-    p_sift.add_argument("--nodes", type=int)
+    p_sift.add_argument("--halfwidth", type=float, default=12.0)
+    p_sift.add_argument("--nodes", type=int, default=8001)
     p_sift.add_argument("--out")
 
     sub.add_parser("verify", help="run every verification criterion")
     return parser
 
 
-def _apply_config(args):
-    if not args.config:
-        return args
+def _splice_config(args, argv):
+    """argv with the entries of the --config file spliced in as flags right
+    after the command name, so they pass the parser's checks and explicit
+    flags, which come later, win."""
     with open(args.config) as fh:
         cfg = json.load(fh)
+    if not isinstance(cfg, dict):
+        raise UsageError(f"config {args.config} is not a JSON object")
+    flags = []
     for key, value in cfg.items():
         dest = key.replace("-", "_")
-        if not hasattr(args, dest):
+        if dest in ("config", "command") or not hasattr(args, dest):
             raise UsageError(f"unknown config key: {key}")
-        if getattr(args, dest) is None:
-            setattr(args, dest, value)
-    return args
+        values = value if isinstance(value, list) else [value]
+        if not all(isinstance(v, (str, int, float)) and not isinstance(v, bool)
+                   for v in values):
+            raise UsageError(f"config key {key}: {value!r} is not a flag value")
+        flag = "--" + dest.replace("_", "-")
+        flags += [flag, *map(str, values)] if isinstance(value, list) else [f"{flag}={value}"]
+    # before the command name come only --config and its value
+    i = 0
+    while argv[i].startswith("-"):
+        i += 1 if "=" in argv[i] else 2
+    return [*argv[:i + 1], *flags, *argv[i + 1:]]
 
 
 def _require(args, names):
@@ -125,21 +144,19 @@ def _spec_from(args):
 
 def _grid_from(args, semantics):
     _require(args, ["bounds"])
-    nx = args.nx or 201
-    ny = args.ny or nx
+    ny = args.nx if args.ny is None else args.ny
     x0, x1, y0, y1 = args.bounds
-    return Grid2D(x0, x1, y0, y1, nx, ny, axis_semantics=semantics)
+    return Grid2D(x0, x1, y0, y1, args.nx, ny, axis_semantics=semantics)
 
 
 def _emit_grid(grid, args, meta):
-    fmt = args.format or "csv"
     if args.timestamp is not None:
         meta["timestamp"] = args.timestamp
     # complex amplitudes serialize as "re+imj" strings in both formats
     meta = {k: (str(v) if isinstance(v, complex) else v) for k, v in meta.items()}
     stream = sys.stdout if args.out in (None, "-") else open(args.out, "w")
     try:
-        if fmt == "json":
+        if args.format == "json":
             stream.write(grid.to_json(meta=meta))
             stream.write("\n")
         else:
@@ -214,7 +231,7 @@ def cmd_amplify(args):
 
 def cmd_roundtrip(args):
     spec = _spec_from(args)
-    report = roundtrip_report(spec, args.n_max or 30)
+    report = roundtrip_report(spec, args.n_max)
     print(report.to_json())
     if report.max_abs_deviation > ROUNDTRIP_FAIL_THRESHOLD:
         return EXIT_VERIFY
@@ -228,15 +245,13 @@ def cmd_sift(args):
         f_desc = {"family": "monomial", "degree": args.monomial}
     else:
         _require(args, ["envelope-scale"])
-        coeffs = args.envelope_coeffs or [1.0]
+        coeffs = args.envelope_coeffs
         f = AnalyticTestFunction.gaussian_envelope(args.envelope_scale, coeffs)
         f_desc = {"family": "gaussian_envelope", "scale": args.envelope_scale,
                   "coeffs": coeffs}
     z0 = complex(*args.z0)
-    levels = args.levels or 4
-    sigmas = [args.sigma0 * 2.0 ** (-k) for k in range(levels)]
-    quad = QuadratureSpec(center=z0.real, halfwidth=args.halfwidth or 12.0,
-                          node_count=args.nodes or 8001)
+    sigmas = [args.sigma0 * 2.0 ** (-k) for k in range(args.levels)]
+    quad = QuadratureSpec(center=z0.real, halfwidth=args.halfwidth, node_count=args.nodes)
     record = {
         "z0": [z0.real, z0.imag],
         "function": f_desc,
@@ -285,23 +300,23 @@ COMMANDS = {
 
 
 def main(argv=None):
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command is None:
-        parser.print_usage(sys.stderr)
-        return EXIT_USAGE
     try:
-        args = _apply_config(args)
+        args = parser.parse_args(argv)
+        if args.command is None:
+            parser.print_usage(sys.stderr)
+            return EXIT_USAGE
+        if args.config:
+            args = parser.parse_args(_splice_config(args, argv))
         return COMMANDS[args.command](args)
-    except UsageError as exc:
+    except (UsageError, ValueError, OSError) as exc:
+        # unparsable flags, config values and paths
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (OverflowError, FloatingPointError) as exc:
         print(f"numeric guard: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except ValueError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -214,23 +214,29 @@ def sift_shifted_line(f, z0, sigma, quad):
     return quad_real_line(lambda x: f(x + 1j * b) * delta_kernel(x - a, sigma), quad)
 
 
+def sifting_axis(center, sigma, quad):
+    """Nodes and weights of one sifting axis: `quad`'s halfwidth and node count
+    centered at Re center (not at quad.center), each trapezoid weight times
+    delta_kernel(x - center, sigma)."""
+    a = np.real(center)
+    x = np.linspace(a - quad.halfwidth, a + quad.halfwidth, quad.node_count)
+    return x, delta_kernel(x - center, sigma) * trapezoid_weights(x.size, x[1] - x[0])
+
+
 def delta2_sift(f, z, sigma, quad):
     """Sifting against the regularized two-dimensional delta: the double
     integral of f(zeta_r, zeta_i) times a product of two real Gaussians
     of width sigma centered at (Re z, Im z).  f is a callable of two real
     array arguments; converges to f(Re z, Im z) as sigma -> 0.
 
-    The quadrature windows reuse the halfwidth and node count of `quad`,
-    centered on the two center coordinates.
+    Both axes come from sifting_axis, at the two center coordinates.
     """
     z = complex(z)
     if quad.halfwidth < 8.0 * sigma:
         warnings.warn(
             f"quadrature halfwidth {quad.halfwidth} < 8 sigma = {8 * sigma}; "
             "window truncates the regularized delta", stacklevel=2)
-    xr = np.linspace(z.real - quad.halfwidth, z.real + quad.halfwidth, quad.node_count)
-    xi = np.linspace(z.imag - quad.halfwidth, z.imag + quad.halfwidth, quad.node_count)
-    wr = np.real(delta_kernel(xr - z.real, sigma)) * trapezoid_weights(xr.size, xr[1] - xr[0])
-    wi = np.real(delta_kernel(xi - z.imag, sigma)) * trapezoid_weights(xi.size, xi[1] - xi[0])
+    xr, wr = sifting_axis(z.real, sigma, quad)
+    xi, wi = sifting_axis(z.imag, sigma, quad)
     vals = np.asarray(f(xr[:, None], xi[None, :]), dtype=complex)
     return complex(wr @ vals @ wi)

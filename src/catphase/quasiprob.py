@@ -129,9 +129,12 @@ def _sum_terms(rep, alpha, t, g=1.0):
     """Sum of gaussian_terms and the sum of their peaks."""
     total = np.zeros(np.shape(alpha), dtype=complex)
     peaks = 0.0
-    for values, peak in gaussian_terms(rep, alpha, t, g):
-        total += values
-        peaks += peak
+    # overflow reaches the callers' guards as non-finite values; the errstate
+    # stays out of the generator, where it would leak while it is suspended
+    with np.errstate(over="ignore", invalid="ignore"):
+        for values, peak in gaussian_terms(rep, alpha, t, g):
+            total += values
+            peaks += peak
     return total, peaks
 
 
@@ -313,14 +316,18 @@ class Grid2D:
                 stream.close()
         xs = sorted({r[0] for r in rows})
         ys = sorted({r[1] for r in rows})
-        if len(rows) != len(xs) * len(ys):
-            raise ValueError(f"{len(rows)} rows do not fill a {len(xs)} x {len(ys)} grid")
         grid = cls(xs[0], xs[-1], ys[0], ys[-1], len(xs), len(ys),
                    axis_semantics=axis_semantics)
         xi = {v: i for i, v in enumerate(xs)}
         yi = {v: i for i, v in enumerate(ys)}
+        filled = np.zeros((grid.nx, grid.ny), dtype=bool)
         for x, y, re, im in rows:
-            grid.values[xi[x], yi[y]] = complex(re, im)
+            i, j = xi[x], yi[y]
+            grid.values[i, j] = complex(re, im)
+            filled[i, j] = True
+        # a missing or repeated (x, y) would leave a cell a silent zero
+        if len(rows) != filled.size or not filled.all():
+            raise ValueError(f"{len(rows)} rows do not fill a {len(xs)} x {len(ys)} grid")
         return grid
 
     def to_json(self, meta=None):

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gendelta import OVERFLOW_EXPONENT, delta_kernel
-from .numerics import log_factorial, trapezoid_weights
+from .gendelta import cancellation_factor, sifting_axis
+from .numerics import log_factorial
 from .states import FockDensityMatrix, cat_density_matrix, coherent_fock_coeffs
 from .quasiprob import p_cat_terms
 
@@ -51,8 +51,8 @@ def reconstruct_rho(rep, n_max):
 def reconstruct_rho_numeric(rep, sigma, n_max, quad):
     """Reconstruction by iterated quadrature against the regularized
     P-function: for each term, the real-part axis is sifted first, then
-    the imaginary-part axis, both over windows of `quad`'s halfwidth and
-    node count centered at the real parts of the term's centers.
+    the imaginary-part axis, both on sifting_axis windows, summed one
+    real-part node at a time so memory stays (n_max + 1) x node_count.
 
     Raises when e^{|Im center|^2 / 2 sigma^2} exceeds the amplification
     guard, and warns when matrix elements beyond j + k = 12 are requested
@@ -63,10 +63,8 @@ def reconstruct_rho_numeric(rep, sigma, n_max, quad):
             f"numeric path is only certified for j + k <= {NUMERIC_MOMENT_ORDER_MAX}; "
             f"higher-order entries of n_max = {n_max} carry larger quadrature error",
             stacklevel=2)
-    worst = max(max(abs(np.imag(t.center_r)), abs(np.imag(t.center_i)))
-                for t in rep.terms)
-    expo = worst * worst / (2.0 * sigma * sigma)
-    factor = math.inf if expo > OVERFLOW_EXPONENT else math.exp(expo)
+    factor = max(cancellation_factor(c, sigma)
+                 for t in rep.terms for c in (t.center_r, t.center_i))
     if factor > NUMERIC_AMPLIFICATION_GUARD:
         raise OverflowError(
             f"regularization too small: cancellation factor {factor:.3e} exceeds "
@@ -76,19 +74,15 @@ def reconstruct_rho_numeric(rep, sigma, n_max, quad):
     inv_sqrt_fact = np.exp(-0.5 * np.array([log_factorial(k) for k in n]))
     total = np.zeros((n_max + 1, n_max + 1), dtype=complex)
     for term in rep.terms:
-        xr = np.linspace(np.real(term.center_r) - quad.halfwidth,
-                         np.real(term.center_r) + quad.halfwidth, quad.node_count)
-        xi = np.linspace(np.real(term.center_i) - quad.halfwidth,
-                         np.real(term.center_i) + quad.halfwidth, quad.node_count)
-        wr = delta_kernel(xr - term.center_r, sigma) * trapezoid_weights(xr.size, xr[1] - xr[0])
-        wi = delta_kernel(xi - term.center_i, sigma) * trapezoid_weights(xi.size, xi[1] - xi[0])
-        # coherent-projector kernel e^{-(x^2+y^2)} (x+iy)^j (x-iy)^k / sqrt(j!k!)
-        u = xr[:, None] + 1j * xi[None, :]
-        envelope = np.exp(-(xr[:, None] ** 2 + xi[None, :] ** 2))
-        weighted = (envelope * np.outer(wr, wi)).ravel()
-        u_pows = np.stack([(u.ravel()) ** j for j in n])
-        v_pows = np.stack([(u.conj().ravel()) ** k for k in n])
-        g = (u_pows * weighted[None, :]) @ v_pows.T
+        xr, wr = sifting_axis(term.center_r, sigma, quad)
+        xi, wi = sifting_axis(term.center_i, sigma, quad)
+        # coherent-projector kernel e^{-x^2} e^{-y^2} (x+iy)^j (x-iy)^k / sqrt(j!k!)
+        wr = wr * np.exp(-xr * xr)
+        wi = wi * np.exp(-xi * xi)
+        g = np.zeros_like(total)
+        for x, w in zip(xr, wr):
+            u_pow = np.vander(x + 1j * xi, n.size, increasing=True)  # (x+iy)^j
+            g += w * ((u_pow.T * wi) @ u_pow.conj())
         total = total + term.weight * g * np.outer(inv_sqrt_fact, inv_sqrt_fact)
     return FockDensityMatrix(n_max=n_max, entries=total)
 

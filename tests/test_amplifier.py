@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -121,6 +122,15 @@ class TestAmplifiedP:
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(FloatingPointError, match="amplified P"):
             amplified_p(spec, AmplifierGain(1.05), gx + 1j * gy)
+
+    def test_overflow_raises_before_any_numpy_warning(self):
+        # the guard's message is the only report; no RuntimeWarning precedes it
+        spec = CatStateSpec(alpha1=12.0, alpha2=-12.0, zeta=1.0)
+        gx, gy = field_grid(15.0, 201).meshgrid()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FloatingPointError, match="amplified P"):
+                amplified_p(spec, AmplifierGain(1.05), gx + 1j * gy)
 
     def test_factored_centers_scale_with_gain(self):
         # each factored term peaks (in magnitude) at g times the term centers

@@ -111,6 +111,11 @@ class TestRoundtripCommand:
         assert data["max_abs_deviation"] < 1e-10
         assert data["per_term_checks"] == [[i, True] for i in range(4)]
 
+    def test_explicit_zero_n_max_is_used(self, capsys):
+        code, out, _ = run_cli(["roundtrip", *STATE, "--n-max", "0"], capsys)
+        assert code == EXIT_OK
+        assert json.loads(out)["n_max"] == 0
+
 
 class TestSiftCommand:
     def test_record_structure(self, capsys):
@@ -140,6 +145,13 @@ class TestSiftCommand:
         code, _, err = run_cli(["sift", "--z0", "1", "0"], capsys)
         assert code == EXIT_USAGE
         assert "sigma0" in err
+
+    def test_explicit_zero_levels_is_used(self, capsys):
+        code, out, _ = run_cli(
+            ["sift", "--z0", "1.0", "0.4", "--sigma0", "0.4", "--levels", "0",
+             "--envelope-scale", "1.4"], capsys)
+        assert code == EXIT_OK
+        assert json.loads(out)["sigma_schedule"] == []
 
 
 class TestVerifyCommand:
@@ -171,6 +183,48 @@ class TestConfigAndDeterminism:
         code, _, err = run_cli(["--config", str(cfg), "roundtrip", *STATE], capsys)
         assert code == EXIT_USAGE
         assert "unknown config key" in err
+
+    def test_config_values_parsed_like_flags(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"nx": "41", "field": "q"}))
+        code, out, _ = run_cli(["--config", str(cfg), "grid", *STATE, *BOUNDS], capsys)
+        assert code == EXIT_OK
+        assert Grid2D.from_csv(io.StringIO(out)).nx == 41
+
+    @pytest.mark.parametrize("cfg", [{"field": "bogus"}, {"nx": "abc"}, {"nx": 41.5},
+                                     {"out": None}, ["nx", 41]])
+    def test_bad_config_value_is_usage_error(self, cfg, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        code, out, err = run_cli(
+            ["--config", str(path), "grid", "--field", "q", *STATE, *BOUNDS], capsys)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("usage error") and err.count("\n") == 1
+
+    def test_missing_config_file_is_usage_error(self, tmp_path, capsys):
+        code, _, err = run_cli(
+            ["--config", str(tmp_path / "none.json"), "roundtrip", *STATE], capsys)
+        assert code == EXIT_USAGE
+        assert "none.json" in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [["grid", "--field", "bogus"], ["grid", "--nx", "abc"],
+                                      ["grid", "--field", "q", *STATE, *BOUNDS, "--nx", "0"],
+                                      ["bogus"]])
+    def test_unparsable_or_invalid_flag_is_usage_error(self, argv, capsys):
+        code, out, err = run_cli(argv, capsys)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("usage error") and err.count("\n") == 1
+
+    def test_output_into_missing_directory_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "missing" / "f.csv"
+        code, out, err = run_cli(
+            ["grid", "--field", "q", *STATE, *BOUNDS, "--nx", "21", "--out", str(path)],
+            capsys)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert str(path) in err and err.count("\n") == 1
 
     def test_byte_identical_reruns(self, capsys):
         argv = ["grid", "--field", "q", *STATE, *BOUNDS, "--nx", "41"]

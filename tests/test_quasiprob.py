@@ -219,6 +219,14 @@ class TestGrid2D:
         with pytest.raises(ValueError, match="8 rows do not fill a 3 x 3 grid"):
             Grid2D.from_csv(io.StringIO("\n".join(lines)))
 
+    def test_csv_duplicated_cell_rejected(self):
+        buf = io.StringIO()
+        Grid2D(-1.0, 1.0, -1.0, 1.0, 3, 3).to_csv(buf)
+        lines = buf.getvalue().splitlines()
+        lines[5] = lines[4]  # the row count still fills the 3 x 3 grid
+        with pytest.raises(ValueError, match="9 rows do not fill a 3 x 3 grid"):
+            Grid2D.from_csv(io.StringIO("\n".join(lines)))
+
     def test_json_roundtrip(self):
         grid = Grid2D(-3.0, 3.0, -3.0, 3.0, 4, 4)
         grid.values[1, 2] = 0.5 - 0.25j

@@ -1,10 +1,12 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from catphase.numerics import QuadratureSpec
+from catphase.gendelta import delta_kernel
+from catphase.numerics import QuadratureSpec, trapezoid_weights
 from catphase.quasiprob import PRepresentation, PTerm, p_cat_terms
 from catphase.reconstruct import NUMERIC_AMPLIFICATION_GUARD, reconstruct_rho, \
     reconstruct_rho_numeric, rho_from_pterm, roundtrip_report
@@ -95,6 +97,39 @@ class TestNumericReconstruction:
         quad = QuadratureSpec(center=0.0, halfwidth=4.0, node_count=101)
         with pytest.warns(UserWarning, match="certified"):
             reconstruct_rho_numeric(rep, 0.3, 14, quad)
+
+    def test_matches_two_dimensional_trapezoid_sum(self):
+        # reference: the same trapezoid rule summed over the full node grid
+        rep = p_cat_terms(CatStateSpec(alpha1=0.8 + 0.3j, alpha2=-0.6, zeta=0.5 + 0.5j))
+        sigma, n_max, nodes = 0.3, 6, 61
+        want = np.zeros((n_max + 1, n_max + 1), dtype=complex)
+        for t in rep.terms:
+            axes = []
+            for c in (t.center_r, t.center_i):
+                v = np.linspace(np.real(c) - 3.0, np.real(c) + 3.0, nodes)
+                axes.append((v, delta_kernel(v - c, sigma) * trapezoid_weights(nodes, v[1] - v[0])))
+            (x, wx), (y, wy) = axes
+            u = x[:, None] + 1j * y[None, :]
+            w = np.outer(wx, wy) * np.exp(-(x[:, None] ** 2 + y[None, :] ** 2))
+            for j in range(n_max + 1):
+                for k in range(n_max + 1):
+                    want[j, k] += t.weight * np.sum(w * u ** j * np.conj(u) ** k) \
+                        / math.sqrt(math.factorial(j) * math.factorial(k))
+        quad = QuadratureSpec(center=0.0, halfwidth=3.0, node_count=nodes)
+        got = reconstruct_rho_numeric(rep, sigma, n_max, quad).entries
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.max(np.abs(want)))
+
+    def test_memory_bounded_by_output(self):
+        # one (n_max + 1) x nodes table at a time, not (n_max + 1) x nodes^2
+        rep = p_cat_terms(SPECS[0])
+        quad = QuadratureSpec(center=0.0, halfwidth=3.0, node_count=801)
+        tracemalloc.start()
+        try:
+            reconstruct_rho_numeric(rep, 0.4, 12, quad)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
 
 
 class TestRoundTripReport:
