@@ -278,7 +278,10 @@ class Grid2D:
     # -- serialization ------------------------------------------------------
 
     def to_csv(self, stream, meta=None):
-        """Header `x,y,re,im`, one row per point, '#'-prefixed metadata lines."""
+        """Header `x,y,re,im`, one row per point, '#'-prefixed metadata lines.
+
+        Each axis is formatted once; the file is written one grid row (one
+        x) at a time, so memory beyond the grid is bounded by one row."""
         close = False
         if isinstance(stream, (str, bytes)):
             stream = open(stream, "w")
@@ -287,48 +290,49 @@ class Grid2D:
             for line in (meta or []):
                 stream.write(f"# {line}\n")
             stream.write("x,y,re,im\n")
-            xs, ys = self.xs, self.ys
-            for i in range(self.nx):
-                for j in range(self.ny):
-                    v = self.values[i, j]
-                    stream.write(f"{float(xs[i])!r},{float(ys[j])!r},"
-                                 f"{float(v.real)!r},{float(v.imag)!r}\n")
+            ys = [f",{y!r}," for y in self.ys.tolist()]
+            for x, row in zip(map(repr, self.xs.tolist()), self.values):
+                re = map(repr, row.real.tolist())
+                im = map(repr, row.imag.tolist())
+                stream.write("".join([f"{x}{y}{r},{i}\n" for y, r, i in zip(ys, re, im)]))
         finally:
             if close:
                 stream.close()
 
     @classmethod
     def from_csv(cls, stream, axis_semantics="alpha"):
+        """Inverse of `to_csv`: rows may come in any order, but every
+        (x, y) cell of the rectangle must appear exactly once."""
         close = False
         if isinstance(stream, (str, bytes)):
             stream = open(stream)
             close = True
         try:
-            rows = []
-            for line in stream:
-                line = line.strip()
-                if not line or line.startswith("#") or line.startswith("x,"):
-                    continue
-                x, y, re, im = line.split(",")
-                rows.append((float(x), float(y), float(re), float(im)))
+            with warnings.catch_warnings():
+                # an empty file is reported below as 0 rows
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                rows = np.loadtxt(
+                    (line for line in stream if not line.lstrip().startswith("x,")),
+                    delimiter=",", comments="#", ndmin=2)
         finally:
             if close:
                 stream.close()
-        xs = sorted({r[0] for r in rows})
-        ys = sorted({r[1] for r in rows})
-        grid = cls(xs[0], xs[-1], ys[0], ys[-1], len(xs), len(ys),
-                   axis_semantics=axis_semantics)
-        xi = {v: i for i, v in enumerate(xs)}
-        yi = {v: i for i, v in enumerate(ys)}
-        filled = np.zeros((grid.nx, grid.ny), dtype=bool)
-        for x, y, re, im in rows:
-            i, j = xi[x], yi[y]
-            grid.values[i, j] = complex(re, im)
-            filled[i, j] = True
-        # a missing or repeated (x, y) would leave a cell a silent zero
-        if len(rows) != filled.size or not filled.all():
+        if len(rows) and rows.shape[1] != 4:
+            raise ValueError(f"rows have {rows.shape[1]} fields, expected 4 (x,y,re,im)")
+        rows = rows.reshape(-1, 4)  # an empty file loads as shape (0, 1)
+        xs, xi = np.unique(rows[:, 0], return_inverse=True)
+        ys, yi = np.unique(rows[:, 1], return_inverse=True)
+        values = np.zeros((len(xs), len(ys)), dtype=complex)
+        values.real[xi, yi] = rows[:, 2]
+        values.imag[xi, yi] = rows[:, 3]
+        filled = np.zeros(values.shape, dtype=bool)
+        filled[xi, yi] = True
+        # a missing or repeated (x, y) would leave a cell a silent zero;
+        # a file without data rows is no grid
+        if not len(rows) or len(rows) != filled.size or not filled.all():
             raise ValueError(f"{len(rows)} rows do not fill a {len(xs)} x {len(ys)} grid")
-        return grid
+        return cls(float(xs[0]), float(xs[-1]), float(ys[0]), float(ys[-1]),
+                   len(xs), len(ys), values=values, axis_semantics=axis_semantics)
 
     def to_json(self, meta=None):
         return json.dumps({

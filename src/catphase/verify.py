@@ -94,8 +94,10 @@ def check_roundtrip():
 
 @functools.lru_cache(maxsize=None)
 def _wigner_grid(n):
-    """Read-only W of |n> on [-6, 6]^2 at 201^2, shared by both Wigner criteria."""
-    return wigner_fock(n, Grid2D(-6.0, 6.0, -6.0, 6.0, 201, 201, axis_semantics="xp"))
+    """Read-only W of |n> on [-7, 7]^2 at 201^2, shared by both Wigner criteria.
+
+    The extent covers wigner_fock's recommended 2 sqrt(n) + 4 up to n = 2."""
+    return wigner_fock(n, Grid2D(-7.0, 7.0, -7.0, 7.0, 201, 201, axis_semantics="xp"))
 
 
 del _wigner_grid.__wrapped__  # resets that unwrap decorators must find cache_clear

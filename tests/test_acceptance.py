@@ -7,8 +7,11 @@ at sigma = 0.05), three orders of magnitude above the demanded 1e-6.
 The assertion is kept at the demanded tolerance rather than weakened.
 """
 
+import warnings
+
 import pytest
 
+from catphase import verify
 from catphase.verify import CRITERIA
 
 
@@ -18,4 +21,13 @@ def test_criterion(name, fn, capsys):
     with capsys.disabled():
         status = "PASS" if passed else "FAIL"
         print(f"[{status}] {name}: {details}")
+    assert passed, f"{name}: {details}"
+
+
+@pytest.mark.parametrize("name", ["wigner-marginal", "wigner-negativity"])
+def test_wigner_criteria_warn_about_nothing(name):
+    verify._wigner_grid.cache_clear()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        passed, details = dict(CRITERIA)[name]()
     assert passed, f"{name}: {details}"

@@ -1,5 +1,6 @@
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,6 +29,69 @@ COMPLEX_2, COMPLEX_3 = complex_in(2.0), complex_in(3.0)
 
 def alpha_grid(half=6.0, n=201):
     return Grid2D(-half, half, -half, half, n, n)
+
+
+def reference_to_csv(grid, stream, meta=None):
+    """The per-cell CSV writer that `Grid2D.to_csv` replaced, kept as its oracle."""
+    for line in (meta or []):
+        stream.write(f"# {line}\n")
+    stream.write("x,y,re,im\n")
+    xs, ys = grid.xs, grid.ys
+    for i in range(grid.nx):
+        for j in range(grid.ny):
+            v = grid.values[i, j]
+            stream.write(f"{float(xs[i])!r},{float(ys[j])!r},"
+                         f"{float(v.real)!r},{float(v.imag)!r}\n")
+
+
+def reference_from_csv(stream, axis_semantics="alpha"):
+    """The per-line CSV parser that `Grid2D.from_csv` replaced, kept as its oracle."""
+    rows = []
+    for line in stream:
+        line = line.strip()
+        if not line or line.startswith("#") or line.startswith("x,"):
+            continue
+        x, y, re, im = line.split(",")
+        rows.append((float(x), float(y), float(re), float(im)))
+    xs = sorted({r[0] for r in rows})
+    ys = sorted({r[1] for r in rows})
+    grid = Grid2D(xs[0], xs[-1], ys[0], ys[-1], len(xs), len(ys),
+                  axis_semantics=axis_semantics)
+    xi = {v: i for i, v in enumerate(xs)}
+    yi = {v: i for i, v in enumerate(ys)}
+    filled = np.zeros((grid.nx, grid.ny), dtype=bool)
+    for x, y, re, im in rows:
+        i, j = xi[x], yi[y]
+        grid.values[i, j] = complex(re, im)
+        filled[i, j] = True
+    if len(rows) != filled.size or not filled.all():
+        raise ValueError(f"{len(rows)} rows do not fill a {len(xs)} x {len(ys)} grid")
+    return grid
+
+
+# values whose shortest repr is unusual: signed zero, subnormal, the switch
+# to exponent notation at 1e-5 and 1e16, inexact decimals, extreme exponents
+AWKWARD_FLOATS = st.sampled_from([
+    -0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-5, 9.999999999999999e-06,
+    1e16, 9999999999999998.0, 0.1, -0.30000000000000004, 1e-300, 1.7976931348623157e308,
+    -1.2345678901234567e-250, math.pi * 1e200])
+CSV_VALUES = st.one_of(AWKWARD_FLOATS, st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def csv_grids(draw):
+    nx, ny = draw(st.integers(2, 9)), draw(st.integers(2, 9))
+    lo = st.floats(-1e6, 1e6, allow_subnormal=False)
+    width = st.floats(1e-3, 1e6)
+    x_min, y_min = draw(lo), draw(lo)
+    grid = Grid2D(x_min, x_min + draw(width), y_min, y_min + draw(width), nx, ny,
+                  axis_semantics=draw(st.sampled_from(["alpha", "xp"])))
+    # axes whose nodes round together are no grid either writer can describe
+    assume(len(set(grid.xs.tolist())) == nx and len(set(grid.ys.tolist())) == ny)
+    cells = st.lists(CSV_VALUES, min_size=nx * ny, max_size=nx * ny)
+    grid.values.real = np.reshape(draw(cells), (nx, ny))
+    grid.values.imag = np.reshape(draw(cells), (nx, ny))
+    return grid
 
 
 class TestConventions:
@@ -226,6 +290,69 @@ class TestGrid2D:
         lines[5] = lines[4]  # the row count still fills the 3 x 3 grid
         with pytest.raises(ValueError, match="9 rows do not fill a 3 x 3 grid"):
             Grid2D.from_csv(io.StringIO("\n".join(lines)))
+
+    @pytest.mark.parametrize("text,match", [
+        ("x,y,re,im\n", "0 rows do not fill a 0 x 0 grid"),
+        ("# field = q\nx,y,re,im\n# integral = 0.0\n", "0 rows do not fill a 0 x 0 grid"),
+        ("x,y,re,im\n0.0,0.0,1.0\n0.0,1.0,1.0\n1.0,0.0,1.0\n1.0,1.0,1.0\n", None),
+        ("x,y,re,im\n0.0,0.0,1.0,0.0\n0.0,1.0,1.0,0.0,7.0\n", None),
+        ("x,y,re,im\n0.0,0.0,1.0,0.0\n0.0,1.0,abc,0.0\n", None),
+        ("x,y,re,im\n0.0,0.0,1.0,0.0\n0.0,1.0,,0.0\n", None),
+    ], ids=["header-only", "comments-only", "three-fields", "five-fields",
+            "non-numeric", "empty-field"])
+    def test_csv_malformed_rejected(self, text, match):
+        with pytest.raises(ValueError, match=match):
+            Grid2D.from_csv(io.StringIO(text))
+
+    @given(csv_grids())
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    def test_csv_matches_per_cell_reference(self, grid):
+        meta = ["field = q", "alpha1 = (1.5+0j)"]
+        want = io.StringIO()
+        reference_to_csv(grid, want, meta=meta)
+        got = io.StringIO()
+        grid.to_csv(got, meta=meta)
+        assert got.getvalue() == want.getvalue()
+
+        semantics = grid.axis_semantics
+        ref = reference_from_csv(io.StringIO(want.getvalue()), axis_semantics=semantics)
+        back = Grid2D.from_csv(io.StringIO(want.getvalue()), axis_semantics=semantics)
+        assert back.values.tobytes() == ref.values.tobytes()  # signed zeros too
+        assert np.array_equal(back.values, grid.values)
+        axes = ("x_min", "x_max", "y_min", "y_max", "nx", "ny", "axis_semantics")
+        assert [repr(getattr(back, a)) for a in axes] == [repr(getattr(ref, a)) for a in axes]
+
+    def test_csv_read_memory_bounded(self, tmp_path):
+        # a few float64 columns per cell, not Python objects per field (~190 B)
+        n = 201
+        grid = Grid2D(-5.0, 5.0, -4.0, 4.0, n, n)
+        grid.values = np.random.default_rng(3).normal(size=(n, n)) * (1 - 2j)
+        path = str(tmp_path / "grid.csv")
+        grid.to_csv(path)
+        tracemalloc.start()
+        try:
+            back = Grid2D.from_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(back.values, grid.values)
+        assert peak < 120 * n * n
+
+    def test_csv_write_memory_bounded_by_one_row(self):
+        class Discard:
+            def write(self, text):
+                pass
+
+        n = 401
+        grid = Grid2D(-5.0, 5.0, -4.0, 4.0, n, n)
+        grid.values = np.random.default_rng(4).normal(size=(n, n)) * (1 + 1j)
+        tracemalloc.start()
+        try:
+            grid.to_csv(Discard())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
 
     def test_json_roundtrip(self):
         grid = Grid2D(-3.0, 3.0, -3.0, 3.0, 4, 4)
