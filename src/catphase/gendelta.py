@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import HERMITE_N_MAX, log_factorial, quad_real_line, trapezoid_weights
+from .numerics import log_factorial, quad_real_line, require_order, trapezoid_weights
 
 # exp() overflows double precision just above e^709
 OVERFLOW_EXPONENT = 700.0
@@ -164,10 +164,7 @@ def delta_moment(n, z, sigma):
 
     which tends to z^n as sigma -> 0.
     """
-    if n < 0 or int(n) != n:
-        raise ValueError(f"n must be a non-negative integer, got {n}")
-    if n > HERMITE_N_MAX:
-        raise ValueError(f"n = {n} exceeds the guard n <= {HERMITE_N_MAX}")
+    require_order(n)
     z = complex(z)
     total = 0.0 + 0.0j
     for m in range(n // 2 + 1):

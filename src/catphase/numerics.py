@@ -47,16 +47,21 @@ def trapezoid_weights(n, h):
     return w
 
 
+def require_order(n):
+    """Reject a polynomial order that is not an integer in [0, HERMITE_N_MAX]."""
+    if n < 0 or int(n) != n:
+        raise ValueError(f"n must be a non-negative integer, got {n}")
+    if n > HERMITE_N_MAX:
+        raise ValueError(f"n = {n} exceeds the guard n <= {HERMITE_N_MAX}")
+
+
 def hermite_poly(n, x):
     """Physicists' Hermite polynomial H_n(x) by the three-term recurrence.
 
     H_{n+1}(x) = 2x H_n(x) - 2n H_{n-1}(x).  Accepts complex scalar or
     array x; n must not exceed HERMITE_N_MAX.
     """
-    if n < 0 or int(n) != n:
-        raise ValueError(f"n must be a non-negative integer, got {n}")
-    if n > HERMITE_N_MAX:
-        raise ValueError(f"n = {n} exceeds the guard n <= {HERMITE_N_MAX}")
+    require_order(n)
     x = np.asarray(x, dtype=complex)
     h_prev = np.ones_like(x)
     if n == 0:

@@ -3,7 +3,6 @@ a pass flag and the measured values, so the CLI can print one line per
 criterion and the test suite can assert on the same code path.
 """
 
-import functools
 import math
 
 import numpy as np
@@ -92,15 +91,11 @@ def check_roundtrip():
                           f"per-term structure checks {'pass' if terms_ok else 'FAIL'}")
 
 
-@functools.lru_cache(maxsize=None)
 def _wigner_grid(n):
-    """Read-only W of |n> on [-7, 7]^2 at 201^2, shared by both Wigner criteria.
+    """W of |n> on [-7, 7]^2 at 201^2, the grid of both Wigner criteria.
 
     The extent covers wigner_fock's recommended 2 sqrt(n) + 4 up to n = 2."""
     return wigner_fock(n, Grid2D(-7.0, 7.0, -7.0, 7.0, 201, 201, axis_semantics="xp"))
-
-
-del _wigner_grid.__wrapped__  # resets that unwrap decorators must find cache_clear
 
 
 def check_wigner_marginal():
@@ -117,8 +112,10 @@ def check_wigner_marginal():
 
 def check_wigner_negativity():
     """The two-photon Wigner function is negative somewhere on the grid
-    and equals 1/pi at the origin (Laguerre closed form gives
-    (-1)^2 L_2(0) / pi = 1/pi there)."""
+    and equals 1/pi at the origin.  wigner_fock evaluates the Laguerre
+    closed form, where (-1)^2 L_2(0) / pi = 1/pi holds by construction, so
+    the origin check pins the grid's centre node and the sign convention;
+    the negativity is the nonclassical signature."""
     w = _wigner_grid(2)
     w_min = float(np.min(np.real(w.values)))
     i0 = w.nx // 2

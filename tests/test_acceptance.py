@@ -11,7 +11,6 @@ import warnings
 
 import pytest
 
-from catphase import verify
 from catphase.verify import CRITERIA
 
 
@@ -26,7 +25,6 @@ def test_criterion(name, fn, capsys):
 
 @pytest.mark.parametrize("name", ["wigner-marginal", "wigner-negativity"])
 def test_wigner_criteria_warn_about_nothing(name):
-    verify._wigner_grid.cache_clear()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         passed, details = dict(CRITERIA)[name]()

@@ -39,6 +39,13 @@ class TestGridCommand:
         assert len(min_lines) == 1 and "negative" in min_lines[0]
         assert float(min_lines[0].split("=")[1].split("(")[0]) < -0.29
 
+    def test_negative_fock_n_is_usage_error(self, capsys):
+        code, out, err = run_cli(
+            ["grid", "--field", "wigner", "--fock-n", "-1", *BOUNDS, "--nx", "21"], capsys)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "non-negative integer" in err
+
     def test_singular_gain_refused_with_guidance(self, capsys):
         code, _, err = run_cli(
             ["grid", "--field", "p_amplified", "--gain", "1.0", *STATE, *BOUNDS],

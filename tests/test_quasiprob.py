@@ -8,6 +8,7 @@ from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
 from scipy.special import eval_laguerre
 
+from catphase.numerics import trapezoid_weights
 from catphase.quasiprob import Grid2D, PRepresentation, PTerm, alpha_from_xp, \
     fock_wavefunction, gaussian_terms, p_cat_terms, p_regularized_eval, \
     p_representation_grid, q_fourier_term, q_from_wigner, q_function, wigner_fock, \
@@ -67,6 +68,20 @@ def reference_from_csv(stream, axis_semantics="alpha"):
     if len(rows) != filled.size or not filled.all():
         raise ValueError(f"{len(rows)} rows do not fill a {len(xs)} x {len(ys)} grid")
     return grid
+
+
+def reference_wigner_fock(n, grid, q_halfwidth=10.0, q_nodes=2001):
+    """The shift-variable quadrature that `wigner_fock` replaced, kept as its oracle:
+
+        W(x, p) = (1/pi) * integral of psi_n(x+q) psi_n(x-q) e^{-2 i p q} dq.
+    """
+    q = np.linspace(-q_halfwidth, q_halfwidth, q_nodes)
+    wq = trapezoid_weights(q_nodes, q[1] - q[0])
+    xs, ps = grid.xs, grid.ys
+    c = fock_wavefunction(n, xs[:, None] + q[None, :]) * \
+        fock_wavefunction(n, xs[:, None] - q[None, :])
+    phases = np.exp(-2j * np.outer(q, ps)) * wq[:, None]
+    return (c @ phases) / math.pi
 
 
 # values whose shortest repr is unusual: signed zero, subnormal, the switch
@@ -398,6 +413,37 @@ class TestWignerFock:
         grid = Grid2D(-2.0, 2.0, -2.0, 2.0, 21, 21, axis_semantics="xp")
         with pytest.warns(UserWarning, match="extent"):
             wigner_fock(4, grid)
+
+    # the library-sweep strata: n 0-3 at 401^2, 4-7 at 201^2, 8-10 at 101^2
+    @pytest.mark.parametrize("n,nodes", [(n, 401) for n in range(4)]
+                             + [(n, 201) for n in range(4, 8)]
+                             + [(n, 101) for n in range(8, 11)])
+    def test_matches_quadrature_reference(self, n, nodes):
+        half = 2.0 * math.sqrt(n) + 6.0
+        grid = Grid2D(-half, half, -half, half, nodes, nodes, axis_semantics="xp")
+        w = wigner_fock(n, grid)
+        np.testing.assert_allclose(w.values.real, reference_wigner_fock(n, grid).real,
+                                   rtol=0, atol=1e-13)
+        np.testing.assert_array_equal(w.values.imag, 0.0)
+
+    @pytest.mark.parametrize("n,match", [(-1, "non-negative integer"),
+                                         (1.5, "non-negative integer"),
+                                         (65, "exceeds the guard")])
+    def test_rejects_bad_n(self, n, match):
+        grid = Grid2D(-6.0, 6.0, -6.0, 6.0, 21, 21, axis_semantics="xp")
+        with pytest.raises(ValueError, match=match):
+            wigner_fock(n, grid)
+
+    def test_wigner_memory_bounded(self):
+        n = 401
+        grid = Grid2D(-9.5, 9.5, -9.5, 9.5, n, n, axis_semantics="xp")
+        tracemalloc.start()
+        try:
+            wigner_fock(3, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100 * n * n
 
 
 class TestConvolutionTransforms:
