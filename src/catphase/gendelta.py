@@ -164,7 +164,7 @@ def delta_moment(n, z, sigma):
 
     which tends to z^n as sigma -> 0.
     """
-    require_order(n)
+    n = require_order(n)
     z = complex(z)
     total = 0.0 + 0.0j
     for m in range(n // 2 + 1):

@@ -48,11 +48,13 @@ def trapezoid_weights(n, h):
 
 
 def require_order(n):
-    """Reject a polynomial order that is not an integer in [0, HERMITE_N_MAX]."""
+    """A polynomial order n as an int; an integral float such as 2.0 is
+    accepted.  Rejects n that is not an integer in [0, HERMITE_N_MAX]."""
     if n < 0 or int(n) != n:
         raise ValueError(f"n must be a non-negative integer, got {n}")
     if n > HERMITE_N_MAX:
         raise ValueError(f"n = {n} exceeds the guard n <= {HERMITE_N_MAX}")
+    return int(n)
 
 
 def hermite_poly(n, x):
@@ -61,7 +63,7 @@ def hermite_poly(n, x):
     H_{n+1}(x) = 2x H_n(x) - 2n H_{n-1}(x).  Accepts complex scalar or
     array x; n must not exceed HERMITE_N_MAX.
     """
-    require_order(n)
+    n = require_order(n)
     x = np.asarray(x, dtype=complex)
     h_prev = np.ones_like(x)
     if n == 0:

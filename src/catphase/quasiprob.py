@@ -18,6 +18,16 @@ The fields differ only in its width t and centre scale g:
     regularized P of width sigma    t = 2 sigma^2    g = 1
     amplified P at gain g           t = g^2 - 1      g
 
+With alpha = x + i y the exponent separates into one Gaussian along each
+axis, centred at the term's complex generalized-delta centres
+c_r = (conj(beta) + gamma) / 2 and c_i = i (conj(beta) - gamma) / 2:
+
+    kappa <beta|gamma> / (pi t) e^{-(x - g c_r)^2 / t} e^{-(y - g c_i)^2 / t}.
+
+On a tensor grid (Re alpha constant along axis 1, Im alpha along axis 0,
+as `Grid2D.meshgrid` builds it) the two factors are an (nx, 1) column and
+a (1, ny) row, so a term costs nx + ny complex exps and one outer product.
+
 The Wigner function is the s = 0 member of the same family.  For a number
 state |n> it has Groenewold's closed form (-1)^n / pi e^{-r^2} L_n(2 r^2)
 on the (x, p) plane, which `wigner_fock` evaluates by the Laguerre
@@ -111,24 +121,56 @@ def p_cat_terms(spec):
     return PRepresentation(terms=tuple(t for t in terms if t.kappa != 0))
 
 
+def _tensor_axes(alpha):
+    """The (nx, 1) column of Re alpha and the (1, ny) row of Im alpha when
+    alpha is a 2-D tensor grid (Re alpha constant along axis 1, Im alpha
+    along axis 0), else None.  A NaN cell equals nothing, so it never
+    passes for a grid and reaches the guards through the pointwise path.
+    """
+    if alpha.ndim != 2 or not alpha.size:
+        return None
+    x, y = alpha.real[:, :1], alpha.imag[:1, :]
+    if (alpha.real == x).all() and (alpha.imag == y).all():
+        return x, y
+    return None
+
+
 def gaussian_terms(rep, alpha, t, g=1.0):
     """Each term of `rep` as the complex-centred Gaussian of width t and
     centre scale g (module docstring), yielded in order as (values, peak)
-    pairs; peak = max |values| is read off the largest real exponent.
+    pairs, peak = max |values|.
+
+    Each term is evaluated in its factored form, one Gaussian along Re alpha
+    times one along Im alpha.  On a tensor grid the factors are a column
+    and a row whose outer product is the term, and the peak is read off the
+    largest real exponent of each; any other alpha (scalars, scattered
+    points, "xy" meshgrids) sums the two exponents before one exp per point.
     """
     alpha = np.asarray(alpha, dtype=complex)
-    alpha_c = np.conj(alpha)
-    mod_sq = alpha.real ** 2 + alpha.imag ** 2
+    axes = _tensor_axes(alpha)
+    x, y = axes if axes else (alpha.real, alpha.imag)
     for term in rep.terms:
-        bc = np.conj(term.beta)
-        # Expanded, each product a partner-shared scalar times an array, so
-        # conjugate partners come out as exact conjugates; numpy may fuse an
-        # array-by-array complex product differently for the two orders.
-        expo = (g * bc * alpha + g * term.gamma * alpha_c - mod_sq
-                - g * g * (bc * term.gamma)) / t
+        # conjugate partners have conjugate centres and weights, and every
+        # step below is conjugation-symmetric, so they come out as exact
+        # conjugates; complex() keeps a real centre from leaving ex a float
+        # array that cannot take ey in place
+        ex = x - complex(g * term.center_r)
+        ex *= ex
+        ey = y - complex(g * term.center_i)
+        ey *= ey
         scale = term.weight / (math.pi * t)
-        peak = abs(scale) * np.exp(np.max(expo.real, initial=-np.inf))
-        yield scale * np.exp(expo), float(peak)
+        if axes:
+            ex /= -t
+            ey /= -t
+            values = scale * np.exp(ex) * np.exp(ey)
+            top = np.max(ex.real) + np.max(ey.real)
+        else:
+            ex += ey
+            ex /= -t
+            top = np.max(ex.real, initial=-np.inf)
+            values = np.exp(ex)
+            values *= scale
+        yield values, float(abs(scale) * np.exp(top))
 
 
 def _sum_terms(rep, alpha, t, g=1.0):
@@ -389,7 +431,7 @@ def wigner_fock(n, grid, q_halfwidth=10.0, q_nodes=2001):
     """
     if grid.axis_semantics != "xp":
         raise ValueError("wigner_fock requires an XP-quadrature grid")
-    require_order(n)
+    n = require_order(n)
     reach = 2.0 * math.sqrt(n) + 4.0
     if max(abs(grid.x_min), grid.x_max) < reach or max(abs(grid.y_min), grid.y_max) < reach:
         warnings.warn(f"grid extent below the recommended |x|,|p| >= {reach:.2f} "
@@ -439,8 +481,8 @@ def p_representation_grid(rep, sigma, grid):
     if sigma < 2.0 * max(grid.dx, grid.dy):
         warnings.warn(f"P width sigma = {sigma} below 2 grid spacings "
                       f"({grid.dx:.3g}, {grid.dy:.3g}); field is aliased", stacklevel=2)
-    gx, gy = grid.meshgrid()
-    return grid.like(values=p_regularized_eval(rep, sigma, gx + 1j * gy))
+    alpha = grid.xs[:, None] + 1j * grid.ys  # the meshgrid plane, built in one pass
+    return grid.like(values=p_regularized_eval(rep, sigma, alpha))
 
 
 def wigner_from_p(p_field, grid, sigma=None, method="separable"):

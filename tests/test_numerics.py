@@ -5,8 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from catphase.gendelta import delta_moment
 from catphase.numerics import QuadratureSpec, gaussian_moment_integral, hermite_poly, \
     quad_real_line
+from catphase.quasiprob import Grid2D, wigner_fock
+
+XP_GRID = Grid2D(-7.0, 7.0, -7.0, 7.0, 21, 21, axis_semantics="xp")
+# every caller of require_order, as a function of the order alone
+ORDER_CALLERS = {
+    "hermite_poly": lambda n: hermite_poly(n, np.array([0.3, -1.2, 0.5 + 0.5j])),
+    "delta_moment": lambda n: delta_moment(n, 1.0 + 0.4j, 0.3),
+    "wigner_fock": lambda n: wigner_fock(n, XP_GRID).values,
+}
 
 
 def trapezoid_oracle(f, lo, hi, n=48001):
@@ -35,6 +45,13 @@ class TestHermite:
             hermite_poly(65, 0.0)
         with pytest.raises(ValueError):
             hermite_poly(-1, 0.0)
+
+    @pytest.mark.parametrize("caller", ORDER_CALLERS)
+    def test_integral_float_order_is_the_integer_order(self, caller):
+        call = ORDER_CALLERS[caller]
+        np.testing.assert_array_equal(call(2.0), call(2))
+        with pytest.raises(ValueError, match="non-negative integer"):
+            call(2.5)
 
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(min_value=1, max_value=19),

@@ -8,6 +8,7 @@ from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
 from scipy.special import eval_laguerre
 
+from catphase.gendelta import min_safe_sigma
 from catphase.numerics import trapezoid_weights
 from catphase.quasiprob import Grid2D, PRepresentation, PTerm, alpha_from_xp, \
     fock_wavefunction, gaussian_terms, p_cat_terms, p_regularized_eval, \
@@ -82,6 +83,37 @@ def reference_wigner_fock(n, grid, q_halfwidth=10.0, q_nodes=2001):
         fock_wavefunction(n, xs[:, None] - q[None, :])
     phases = np.exp(-2j * np.outer(q, ps)) * wq[:, None]
     return (c @ phases) / math.pi
+
+
+def reference_gaussian_terms(rep, alpha, t, g=1.0):
+    """The expanded evaluator that the factored `gaussian_terms` replaced,
+    kept as its oracle: one complex exp per point of
+
+        (g conj(beta) alpha + g gamma conj(alpha) - |alpha|^2 - g^2 conj(beta) gamma) / t.
+    """
+    alpha = np.asarray(alpha, dtype=complex)
+    alpha_c = np.conj(alpha)
+    mod_sq = alpha.real ** 2 + alpha.imag ** 2
+    for term in rep.terms:
+        bc = np.conj(term.beta)
+        expo = (g * bc * alpha + g * term.gamma * alpha_c - mod_sq
+                - g * g * (bc * term.gamma)) / t
+        scale = term.weight / (math.pi * t)
+        peak = abs(scale) * np.exp(np.max(expo.real, initial=-np.inf))
+        yield scale * np.exp(expo), float(peak)
+
+
+def field_inputs(kind, half, rng):
+    """alpha over [-half, half]^2 as an "ij" tensor grid, an "xy" meshgrid,
+    a "sheared" grid (Re alpha a tensor column, Im alpha not a row) or
+    scattered points."""
+    if kind == "scattered":
+        return rng.uniform(-half, half, 300) + 1j * rng.uniform(-half, half, 300)
+    xs, ys = np.linspace(-half, half, 23), np.linspace(-half, half, 19)
+    gx, gy = np.meshgrid(xs, ys, indexing="xy" if kind == "xy" else "ij")
+    if kind == "sheared":
+        gy = gy + 0.1 * gx
+    return gx + 1j * gy
 
 
 # values whose shortest repr is unusual: signed zero, subnormal, the switch
@@ -195,6 +227,29 @@ class TestQFunction:
         with pytest.raises(FloatingPointError, match="Q-function"):
             q_function(EVEN_CAT, np.array([0.0, complex("nan")]))
 
+    # (10, 10) is the origin, where a NaN replaced by 0 would pass for a grid
+    @pytest.mark.parametrize("cell", [(0, 0), (7, 0), (0, 9), (7, 9), (10, 10), (-1, -1)])
+    @pytest.mark.parametrize("part", ["real", "imag"])
+    def test_non_finite_grid_cell_raises(self, cell, part):
+        # a NaN cell breaks the tensor-grid pattern, so it cannot hide in an axis
+        gx, gy = alpha_grid(n=21).meshgrid()
+        (gx if part == "real" else gy)[cell] = np.nan
+        with pytest.raises(FloatingPointError, match="Q-function"):
+            q_function(EVEN_CAT, gx + 1j * gy)
+
+    def test_grid_memory_bounded(self):
+        # the complex sum, one term and the term before it: 48 B per cell
+        n = 401
+        gx, gy = alpha_grid(half=7.0, n=n).meshgrid()
+        alpha = gx + 1j * gy
+        tracemalloc.start()
+        try:
+            q_function(SKEW_CAT, alpha)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * n * n
+
     def test_nonnegative_on_grid(self):
         grid = alpha_grid()
         gx, gy = grid.meshgrid()
@@ -212,18 +267,82 @@ class TestQFunction:
 
 
 class TestGaussianTerms:
-    @pytest.mark.parametrize("t, g", [(1.0, 1.0), (0.5, 1.0), (1.1025 - 1.0, 1.05)])
-    def test_conjugate_partners_are_exact_conjugates(self, t, g):
+    @pytest.mark.parametrize("t, g, kind", [
+        pytest.param(t, g, kind, id=f"{t}-{g}" + ("-scattered" if kind == "scattered" else ""))
+        for kind in ("ij", "scattered")
+        for t, g in [(1.0, 1.0), (0.5, 1.0), (1.1025 - 1.0, 1.05)]])
+    def test_conjugate_partners_are_exact_conjugates(self, t, g, kind):
         # the imaginary residue of a Hermitian sum is exactly zero, which is
         # why the field guard bounds rounding by the term peaks instead
-        gx, gy = alpha_grid(n=61).meshgrid()
-        values = [v for v, _ in gaussian_terms(p_cat_terms(SKEW_CAT), gx + 1j * gy, t, g)]
+        alpha = field_inputs(kind, 6.0, np.random.default_rng(11))
+        values = [v for v, _ in gaussian_terms(p_cat_terms(SKEW_CAT), alpha, t, g)]
         np.testing.assert_array_equal(values[3], np.conj(values[2]))
 
-    def test_peak_is_largest_modulus(self):
-        alpha = np.array([0.0, 1.0 - 0.5j, 2.0 + 1.0j, -3.0j])
+    @pytest.mark.parametrize("kind", ["points", "ij"])
+    def test_peak_is_largest_modulus(self, kind):
+        alpha = (np.array([0.0, 1.0 - 0.5j, 2.0 + 1.0j, -3.0j]) if kind == "points"
+                 else field_inputs(kind, 4.0, None))
         for values, peak in gaussian_terms(p_cat_terms(SKEW_CAT), alpha, 0.3, 1.2):
             assert peak == pytest.approx(np.max(np.abs(values)), rel=1e-13)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(a1=COMPLEX_2, a2=COMPLEX_2, zeta=COMPLEX_2, row=st.sampled_from(["q", "p", "amp"]),
+           width=st.floats(1.0, 3.0), gain=st.floats(1.2, 3.0),
+           kind=st.sampled_from(["ij", "xy", "sheared", "scattered"]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_expanded_reference(self, a1, a2, zeta, row, width, gain, kind, seed):
+        try:
+            spec = CatStateSpec(a1, a2, zeta)
+        except ValueError:
+            reject()
+        assume(spec.norm_A <= 5.0)
+        rep = p_cat_terms(spec)
+        need = max(min_safe_sigma(c) for term in rep.terms
+                   for c in (term.center_r, term.center_i))
+        # below sigma ~ 0.1 the reference's expanded exponent can lose more
+        # than 1e-13 of the peak sum to cancellation (up to 2e-12 over 200
+        # random specs near min_safe_sigma); test_accurate_at_min_safe_sigma
+        # checks the factored form there
+        sigma = max(need, 0.1) * width
+        t, g = {"q": (1.0, 1.0), "p": (2.0 * sigma * sigma, 1.0),
+                "amp": (gain * gain - 1.0, gain)}[row]
+        half = g * max(abs(a1), abs(a2)) + 6.0 * max(1.0, math.sqrt(t / 2.0))
+        alpha = field_inputs(kind, half, np.random.default_rng(seed))
+        got = list(gaussian_terms(rep, alpha, t, g))
+        want = list(reference_gaussian_terms(rep, alpha, t, g))
+        assert len(got) == len(want)
+        peaks = sum(peak for _, peak in want)
+        assert math.isfinite(peaks)
+        for (values, peak), (values_ref, peak_ref) in zip(got, want):
+            assert values.shape == alpha.shape
+            assert np.max(np.abs(values - values_ref)) <= 1e-13 * peaks
+            assert peak == pytest.approx(peak_ref, rel=1e-13)
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                        reason="long double is no wider than double here")
+    @pytest.mark.parametrize("spec", [EVEN_CAT, SKEW_CAT,
+                                      CatStateSpec(2.0 + 1.0j, -1.5 - 0.5j, 0.7j)])
+    def test_accurate_at_min_safe_sigma(self, spec):
+        # at the narrowest regularized P whose terms stay finite (both axes'
+        # growth within e^700) the factored form still matches a long-double
+        # evaluation of -((x - c_r)^2 + (y - c_i)^2) / t to 1e-13 of the peaks
+        rep = p_cat_terms(spec)
+        reach = max(math.hypot(np.imag(term.center_r), np.imag(term.center_i))
+                    for term in rep.terms)
+        sigma = min_safe_sigma(1j * reach)
+        t = 2.0 * sigma * sigma
+        gx, gy = alpha_grid(half=8.0, n=81).meshgrid()
+        x, y = gx.astype(np.longdouble), gy.astype(np.longdouble)
+        got = list(gaussian_terms(rep, gx + 1j * gy, t))
+        peaks = sum(peak for _, peak in got)
+        assert math.isfinite(peaks)
+        for term, (values, _) in zip(rep.terms, got):
+            cr, ci = complex(term.center_r), complex(term.center_i)
+            u, v = x - cr.real, y - ci.real
+            re = (cr.imag ** 2 + ci.imag ** 2 - u * u - v * v) / t
+            im = 2 * (u * cr.imag + v * ci.imag) / t
+            want = complex(term.weight / (math.pi * t)) * np.exp(re) * (np.cos(im) + 1j * np.sin(im))
+            assert np.max(np.abs(values - want)) <= 1e-13 * peaks
 
 
 class TestQFourierTerm:
