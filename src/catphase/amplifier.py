@@ -12,13 +12,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gendelta import delta_kernel
-from .quasiprob import _hermitian_sum, gaussian_terms, p_cat_terms, q_function
+from .quasiprob import _hermitian_sum, gaussian_terms, p_cat_terms
 
 
 def sigma_of_gain(g):
-    """Gaussian width sqrt((g^2 - 1) / 2) of the amplified P-function."""
-    if g < 1.0:
-        raise ValueError(f"amplitude gain must be >= 1, got {g}")
+    """Gaussian width sqrt((g^2 - 1) / 2) of the amplified P at a finite gain g >= 1."""
+    if not (math.isfinite(g) and g >= 1.0):
+        raise ValueError(f"amplitude gain must be finite and >= 1, got {g}")
     return math.sqrt((g * g - 1.0) / 2.0)
 
 
@@ -29,8 +29,7 @@ class AmplifierGain:
     g: float
 
     def __post_init__(self):
-        if self.g < 1.0:
-            raise ValueError(f"amplitude gain must be >= 1, got {self.g}")
+        sigma_of_gain(self.g)
 
     @property
     def sigma(self):
@@ -38,9 +37,9 @@ class AmplifierGain:
 
 
 def amplify_q(spec, gain, alpha):
-    """Q-function after amplification: (1/g^2) Q_in(alpha / g)."""
+    """Amplified Q, (1/g^2) Q_in(alpha / g): the quasiprob table's t = g^2 row."""
     g = gain.g
-    return q_function(spec, np.asarray(alpha, dtype=complex) / g) / (g * g)
+    return _hermitian_sum(p_cat_terms(spec), alpha, g * g, g, "amplified Q")
 
 
 def amplified_p(spec, gain, alpha):

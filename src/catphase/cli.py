@@ -7,12 +7,13 @@ Exit codes: 0 success, 1 usage error, 2 numeric guard tripped,
 
 import argparse
 import json
+import math
 import sys
 import warnings
 
 import numpy as np
 
-from .amplifier import AmplifierGain, amplified_p, amplify_q, sigma_of_gain
+from .amplifier import AmplifierGain, amplified_p, amplify_q
 from .gendelta import AnalyticTestFunction, cancellation_factor, sift, sift_shifted_line
 from .numerics import QuadratureSpec
 from .quasiprob import Grid2D, p_cat_terms, p_representation_grid, q_function, wigner_fock
@@ -39,17 +40,24 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def finite_float(text):
+    """Type of every float flag; argparse reports NaN and infinities as invalid."""
+    if math.isfinite(value := float(text)):
+        return value
+    raise ValueError(text)
+
+
 def _add_state_args(parser):
-    parser.add_argument("--alpha1", nargs=2, type=float, metavar=("RE", "IM"),
+    parser.add_argument("--alpha1", nargs=2, type=finite_float, metavar=("RE", "IM"),
                         help="first coherent amplitude")
-    parser.add_argument("--alpha2", nargs=2, type=float, metavar=("RE", "IM"),
+    parser.add_argument("--alpha2", nargs=2, type=finite_float, metavar=("RE", "IM"),
                         help="second coherent amplitude")
-    parser.add_argument("--zeta", nargs=2, type=float, metavar=("RE", "IM"),
+    parser.add_argument("--zeta", nargs=2, type=finite_float, metavar=("RE", "IM"),
                         help="relative coefficient of the second component")
 
 
 def _add_grid_args(parser):
-    parser.add_argument("--bounds", nargs=4, type=float,
+    parser.add_argument("--bounds", nargs=4, type=finite_float,
                         metavar=("XMIN", "XMAX", "YMIN", "YMAX"))
     parser.add_argument("--nx", type=int, default=201)
     parser.add_argument("--ny", type=int, help="default: --nx")
@@ -73,14 +81,15 @@ def build_parser():
     p_grid.add_argument("--field",
                         choices=("q", "wigner", "p_regularized", "p_amplified"))
     p_grid.add_argument("--fock-n", type=int, help="photon number for --field wigner")
-    p_grid.add_argument("--gain", type=float, help="amplitude gain for --field p_amplified")
-    p_grid.add_argument("--sigma", type=float,
+    p_grid.add_argument("--gain", type=finite_float,
+                        help="amplitude gain for --field p_amplified")
+    p_grid.add_argument("--sigma", type=finite_float,
                         help="regularization width for --field p_regularized")
 
     p_amp = sub.add_parser("amplify", help="amplified Q or P field")
     _add_state_args(p_amp)
     _add_grid_args(p_amp)
-    p_amp.add_argument("--gain", type=float)
+    p_amp.add_argument("--gain", type=finite_float)
     p_amp.add_argument("--field", choices=("q", "p"))
 
     p_rt = sub.add_parser("roundtrip", help="density-matrix round-trip report")
@@ -88,16 +97,16 @@ def build_parser():
     p_rt.add_argument("--n-max", type=int, default=30)
 
     p_sift = sub.add_parser("sift", help="sifting study over a sigma schedule")
-    p_sift.add_argument("--z0", nargs=2, type=float, metavar=("RE", "IM"))
-    p_sift.add_argument("--sigma0", type=float)
+    p_sift.add_argument("--z0", nargs=2, type=finite_float, metavar=("RE", "IM"))
+    p_sift.add_argument("--sigma0", type=finite_float)
     p_sift.add_argument("--levels", type=int, default=4,
                         help="number of sigma halvings in the schedule")
     p_sift.add_argument("--monomial", type=int,
                         help="test function x^N (mutually exclusive with the envelope)")
-    p_sift.add_argument("--envelope-scale", type=float)
-    p_sift.add_argument("--envelope-coeffs", nargs="+", type=float, default=[1.0],
+    p_sift.add_argument("--envelope-scale", type=finite_float)
+    p_sift.add_argument("--envelope-coeffs", nargs="+", type=finite_float, default=[1.0],
                         help="polynomial coefficients, lowest degree first")
-    p_sift.add_argument("--halfwidth", type=float, default=12.0)
+    p_sift.add_argument("--halfwidth", type=finite_float, default=12.0)
     p_sift.add_argument("--nodes", type=int, default=8001)
     p_sift.add_argument("--out")
 
@@ -173,13 +182,13 @@ def _emit_grid(grid, args, meta):
 
 
 def _amplified_p_values(spec, gain, alpha):
-    """Amplified P at `gain`; a singular (unit) gain trips the numeric guard."""
-    if gain <= 1.0:
+    """Amplified P at an AmplifierGain; unit gain trips the numeric guard."""
+    if gain.g == 1.0:
         raise FloatingPointError(
-            f"P-function is singular at gain {gain} (sigma_of_gain({gain}) = "
-            f"{sigma_of_gain(max(gain, 1.0))}); it cannot be sampled on a grid -- "
+            f"P-function is singular at gain {gain.g} (sigma_of_gain({gain.g}) = "
+            f"{gain.sigma}); it cannot be sampled on a grid -- "
             "use grid --field p_regularized with an explicit sigma instead")
-    return amplified_p(spec, AmplifierGain(gain), alpha).astype(complex)
+    return amplified_p(spec, gain, alpha).astype(complex)
 
 
 def cmd_grid(args):
@@ -193,19 +202,17 @@ def cmd_grid(args):
     else:
         spec = _spec_from(args)
         grid = _grid_from(args, "alpha")
-        gx, gy = grid.meshgrid()
-        alpha = gx + 1j * gy
         meta = {"field": field, "alpha1": spec.alpha1, "alpha2": spec.alpha2,
                 "zeta": spec.zeta, "axes": "alpha"}
         if field == "q":
-            grid.values = q_function(spec, alpha).astype(complex)
+            grid.values = q_function(spec, grid.plane()).astype(complex)
         elif field == "p_regularized":
             _require(args, ["sigma"])
             grid = p_representation_grid(p_cat_terms(spec), args.sigma, grid)
             meta["sigma"] = args.sigma
         elif field == "p_amplified":
             _require(args, ["gain"])
-            grid.values = _amplified_p_values(spec, args.gain, alpha)
+            grid.values = _amplified_p_values(spec, AmplifierGain(args.gain), grid.plane())
             meta["gain"] = args.gain
     _emit_grid(grid, args, meta)
     return EXIT_OK
@@ -216,12 +223,10 @@ def cmd_amplify(args):
     spec = _spec_from(args)
     grid = _grid_from(args, "alpha")
     gain = AmplifierGain(args.gain)
-    gx, gy = grid.meshgrid()
-    alpha = gx + 1j * gy
     if args.field == "q":
-        grid.values = amplify_q(spec, gain, alpha).astype(complex)
+        grid.values = amplify_q(spec, gain, grid.plane()).astype(complex)
     else:
-        grid.values = _amplified_p_values(spec, args.gain, alpha)
+        grid.values = _amplified_p_values(spec, gain, grid.plane())
     meta = {"field": args.field, "gain": args.gain, "sigma": gain.sigma,
             "alpha1": spec.alpha1, "alpha2": spec.alpha2, "zeta": spec.zeta,
             "axes": "alpha"}

@@ -16,6 +16,7 @@ The fields differ only in its width t and centre scale g:
 
     Q-function                      t = 1            g = 1
     regularized P of width sigma    t = 2 sigma^2    g = 1
+    amplified Q at gain g           t = g^2          g
     amplified P at gain g           t = g^2 - 1      g
 
 With alpha = x + i y the exponent separates into one Gaussian along each
@@ -25,7 +26,7 @@ c_r = (conj(beta) + gamma) / 2 and c_i = i (conj(beta) - gamma) / 2:
     kappa <beta|gamma> / (pi t) e^{-(x - g c_r)^2 / t} e^{-(y - g c_i)^2 / t}.
 
 On a tensor grid (Re alpha constant along axis 1, Im alpha along axis 0,
-as `Grid2D.meshgrid` builds it) the two factors are an (nx, 1) column and
+as `Grid2D.plane` builds it) the two factors are an (nx, 1) column and
 a (1, ny) row, so a term costs nx + ny complex exps and one outer product.
 
 The Wigner function is the s = 0 member of the same family.  For a number
@@ -207,7 +208,7 @@ def _hermitian_sum(rep, alpha, t, g, what):
         raise FloatingPointError(
             f"{what}: term peaks sum to {peaks:.3e}, so rounding reaches {rounding:.3e} "
             f"(imaginary residue {residue:.3e}); tolerance {IMAG_RESIDUE_TOL}")
-    out = total.real
+    out = total.real.copy()  # contiguous, and frees the complex sum
     _require_finite(out, what)
     return out if out.shape else float(out)
 
@@ -311,11 +312,9 @@ class Grid2D:
                       self.nx, self.ny, values=values,
                       axis_semantics=self.axis_semantics)
 
-    def fill(self, fn):
-        """Evaluate fn on the meshgrid and store the result."""
-        gx, gy = self.meshgrid()
-        self.values = np.asarray(fn(gx, gy), dtype=complex)
-        return self
+    def plane(self):
+        """The alpha = x + i y value of every cell, built in one pass."""
+        return self.xs[:, None] + 1j * self.ys
 
     def integrate(self):
         """2D trapezoid integral of the field over the rectangle."""
@@ -481,8 +480,7 @@ def p_representation_grid(rep, sigma, grid):
     if sigma < 2.0 * max(grid.dx, grid.dy):
         warnings.warn(f"P width sigma = {sigma} below 2 grid spacings "
                       f"({grid.dx:.3g}, {grid.dy:.3g}); field is aliased", stacklevel=2)
-    alpha = grid.xs[:, None] + 1j * grid.ys  # the meshgrid plane, built in one pass
-    return grid.like(values=p_regularized_eval(rep, sigma, alpha))
+    return grid.like(values=p_regularized_eval(rep, sigma, grid.plane()))
 
 
 def wigner_from_p(p_field, grid, sigma=None, method="separable"):

@@ -22,6 +22,7 @@ from .quasiprob import p_cat_terms
 
 NUMERIC_AMPLIFICATION_GUARD = 1e10
 NUMERIC_MOMENT_ORDER_MAX = 12
+TERM_TOL = 1e-12
 
 
 def rho_from_pterm(term, n_max):
@@ -103,7 +104,7 @@ class RoundTripReport:
         })
 
 
-def roundtrip_report(spec, n_max, term_tol=1e-12):
+def roundtrip_report(spec, n_max):
     """Direct density matrix vs the one rebuilt through the four-term
     representation, plus a per-term check that each reconstructed term is
     the expected coherent outer product kappa |gamma><beta|.
@@ -116,7 +117,7 @@ def roundtrip_report(spec, n_max, term_tol=1e-12):
         got = rho_from_pterm(term, n_max).entries
         want = term.kappa * np.outer(coherent_fock_coeffs(term.gamma, n_max),
                                      np.conj(coherent_fock_coeffs(term.beta, n_max)))
-        checks.append((i, float(np.max(np.abs(got - want))) < term_tol))
+        checks.append((i, float(np.max(np.abs(got - want))) < TERM_TOL))
     return RoundTripReport(
         n_max=n_max,
         max_abs_deviation=float(np.max(np.abs(rho_recon.entries - rho_direct.entries))),

@@ -134,12 +134,10 @@ def check_transform_loop():
     gain = AmplifierGain(2.0)
     out = Grid2D(-6.0, 6.0, -6.0, 6.0, 161, 161, axis_semantics="alpha")
     pad = Grid2D(-12.0, 12.0, -12.0, 12.0, 321, 321, axis_semantics="alpha")
-    gx, gy = pad.meshgrid()
-    p_pad = pad.like(values=amplified_p(spec, gain, gx + 1j * gy))
+    p_pad = pad.like(values=amplified_p(spec, gain, pad.plane()))
     w_pad = _gaussian_convolve(p_pad, pad)
     q_grid = _gaussian_convolve(w_pad, out)
-    ox, oy = out.meshgrid()
-    q_direct = amplify_q(spec, gain, ox + 1j * oy)
+    q_direct = amplify_q(spec, gain, out.plane())
     dev = float(np.max(np.abs(np.real(q_grid.values) - q_direct)))
     return dev <= 1e-5, f"max |Q(chain) - Q(direct)| = {dev:.2e}"
 
@@ -209,11 +207,9 @@ def check_q_normalization():
         spec = CatStateSpec(r1 * np.exp(1j * t1), r2 * np.exp(1j * t2),
                             rz * np.exp(1j * tz))
         grid = Grid2D(-6.0, 6.0, -6.0, 6.0, 201, 201, axis_semantics="alpha")
-        gx, gy = grid.meshgrid()
-        q = q_function(spec, gx + 1j * gy)
-        grid.values = q.astype(complex)
+        grid.values = q_function(spec, grid.plane()).astype(complex)
         worst_norm = max(worst_norm, abs(grid.integrate().real - 1.0))
-        worst_min = min(worst_min, float(np.min(q)))
+        worst_min = min(worst_min, float(np.min(grid.values.real)))
     passed = worst_norm <= 1e-6 and worst_min >= -1e-12
     return bool(passed), (f"max |integral - 1| = {worst_norm:.2e}; "
                           f"min Q = {worst_min:.2e}")

@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, reject, settings
+from hypothesis import strategies as st
 
 from catphase.amplifier import AmplifierGain, amplified_p, amplified_p_factored, \
     amplified_p_terms, amplify_q, sigma_of_gain
@@ -11,10 +13,17 @@ from catphase.quasiprob import Grid2D, p_cat_terms, q_from_wigner, q_function, \
 from catphase.states import CatStateSpec
 
 CAT = CatStateSpec(alpha1=1.5, alpha2=-1.5, zeta=1.0)
+COMPLEX_2 = st.builds(complex, st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))
 
 
 def field_grid(half, n):
     return Grid2D(-half, half, -half, half, n, n)
+
+
+def reference_amplify_q(spec, gain, alpha):
+    """The amplified Q as the input Q at the rescaled argument, (1/g^2) Q_in(alpha / g)."""
+    g = gain.g
+    return q_function(spec, np.asarray(alpha, dtype=complex) / g) / (g * g)
 
 
 class TestGainWidth:
@@ -36,8 +45,44 @@ class TestGainWidth:
     def test_gain_object_width(self):
         assert AmplifierGain(3.0).sigma == pytest.approx(2.0)
 
+    @pytest.mark.parametrize("g", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_gain(self, g):
+        with pytest.raises(ValueError, match="finite"):
+            sigma_of_gain(g)
+        with pytest.raises(ValueError, match="finite"):
+            AmplifierGain(g)
+
 
 class TestAmplifiedQ:
+    @pytest.mark.parametrize("kind", ["grid", "points"])
+    def test_unit_gain_is_q_function_exactly(self, kind):
+        alpha = (field_grid(6.0, 41).plane() if kind == "grid"
+                 else np.array([0.0, 1.5, -0.4 + 0.8j, 3.0 - 2.0j]))
+        np.testing.assert_array_equal(amplify_q(CAT, AmplifierGain(1.0), alpha),
+                                      q_function(CAT, alpha))
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(a1=COMPLEX_2, a2=COMPLEX_2, zeta=COMPLEX_2, g=st.floats(1.0, 3.0),
+           kind=st.sampled_from(["grid", "scattered"]), seed=st.integers(0, 2**32 - 1))
+    def test_matches_rescaled_q_function(self, a1, a2, zeta, g, kind, seed):
+        try:
+            spec = CatStateSpec(a1, a2, zeta)
+        except ValueError:
+            reject()
+        # nearly cancelling components blow A up, and every rounding error with it
+        assume(spec.norm_A <= 5.0)
+        gain = AmplifierGain(g)
+        half = g * (max(abs(a1), abs(a2)) + 4.0)
+        if kind == "grid":
+            alpha = Grid2D(-half, half, -0.8 * half, 0.8 * half, 23, 19).plane()
+        else:
+            rng = np.random.default_rng(seed)
+            alpha = rng.uniform(-half, half, 300) + 1j * rng.uniform(-half, half, 300)
+        want = reference_amplify_q(spec, gain, alpha)
+        got = amplify_q(spec, gain, alpha)
+        assert got.shape == alpha.shape
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
     def test_unit_gain_is_identity(self):
         alphas = np.array([0.0, 1.5, -0.4 + 0.8j])
         got = amplify_q(CAT, AmplifierGain(1.0), alphas)
@@ -160,3 +205,17 @@ class TestChannelConsistency:
         want = amplify_q(CAT, gain, ox + 1j * oy)
         np.testing.assert_allclose(q.values.real, want, rtol=0, atol=1e-6)
         assert np.max(np.abs(q.values.imag)) < 1e-12
+
+
+class TestFieldArrays:
+    @pytest.mark.parametrize("field", [
+        lambda alpha: q_function(CAT, alpha),
+        lambda alpha: amplified_p(CAT, AmplifierGain(2.0), alpha),
+        lambda alpha: amplify_q(CAT, AmplifierGain(2.0), alpha),
+    ], ids=["q_function", "amplified_p", "amplify_q"])
+    def test_real_field_is_contiguous_and_owns_only_its_values(self, field):
+        # a strided view of the complex sum would keep twice the bytes alive
+        values = field(field_grid(6.0, 41).plane())
+        assert values.dtype == float
+        assert values.flags.c_contiguous and values.flags.owndata
+        assert values.base is None and values.nbytes == 41 * 41 * 8

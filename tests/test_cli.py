@@ -93,6 +93,15 @@ class TestAmplifyCommand:
         grid = Grid2D.from_json(out)
         assert grid.integrate().real == pytest.approx(1.0, abs=1e-3)
 
+    @pytest.mark.parametrize("argv", [["grid", "--field", "p_amplified"],
+                                      ["amplify", "--field", "p"], ["amplify", "--field", "q"]])
+    def test_attenuating_gain_is_usage_error(self, argv, capsys):
+        code, out, err = run_cli([*argv, "--gain", "0.5", *STATE, *BOUNDS, "--nx", "21"],
+                                 capsys)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == "usage error: amplitude gain must be finite and >= 1, got 0.5\n"
+
     def test_unit_gain_p_refused(self, capsys):
         code, _, err = run_cli(
             ["amplify", "--field", "p", "--gain", "1.0", *STATE, *BOUNDS], capsys)
@@ -199,7 +208,8 @@ class TestConfigAndDeterminism:
         assert Grid2D.from_csv(io.StringIO(out)).nx == 41
 
     @pytest.mark.parametrize("cfg", [{"field": "bogus"}, {"nx": "abc"}, {"nx": 41.5},
-                                     {"out": None}, ["nx", 41]])
+                                     {"out": None}, ["nx", 41], {"sigma": float("nan")},
+                                     {"bounds": [-6, 6, -6, float("inf")]}])
     def test_bad_config_value_is_usage_error(self, cfg, tmp_path, capsys):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
@@ -217,7 +227,19 @@ class TestConfigAndDeterminism:
 
     @pytest.mark.parametrize("argv", [["grid", "--field", "bogus"], ["grid", "--nx", "abc"],
                                       ["grid", "--field", "q", *STATE, *BOUNDS, "--nx", "0"],
-                                      ["bogus"]])
+                                      ["bogus"],
+                                      ["amplify", "--field", "q", "--gain", "inf", *STATE,
+                                       *BOUNDS, "--nx", "21"],
+                                      ["amplify", "--field", "p", "--gain", "nan", *STATE,
+                                       *BOUNDS, "--nx", "21"],
+                                      ["grid", "--field", "p_regularized", "--sigma", "nan",
+                                       *STATE, *BOUNDS, "--nx", "21"],
+                                      ["grid", "--field", "q", *STATE,
+                                       "--bounds", "nan", "6", "-6", "6", "--nx", "21"],
+                                      ["grid", "--field", "q", "--alpha1", "-inf", "0",
+                                       "--alpha2", "-1.5", "0", "--zeta", "1", "0", *BOUNDS],
+                                      ["sift", "--z0", "1", "0", "--sigma0", "nan",
+                                       "--monomial", "1"]])
     def test_unparsable_or_invalid_flag_is_usage_error(self, argv, capsys):
         code, out, err = run_cli(argv, capsys)
         assert code == EXIT_USAGE

@@ -393,6 +393,11 @@ class TestPRegularized:
 
 
 class TestGrid2D:
+    def test_plane_is_the_meshgrid_sum(self):
+        grid = Grid2D(-1.5, 2.0, -3.0, 0.5, 7, 5)
+        gx, gy = grid.meshgrid()
+        np.testing.assert_array_equal(grid.plane(), gx + 1j * gy)
+
     def test_integrate_constant(self):
         grid = Grid2D(-1.0, 2.0, 0.0, 1.0, 31, 21)
         grid.values[:] = 2.0
