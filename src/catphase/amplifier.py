@@ -42,6 +42,18 @@ def amplify_q(spec, gain, alpha):
     return _hermitian_sum(p_cat_terms(spec), alpha, g * g, g, "amplified Q")
 
 
+def _amplified_p_row(gain):
+    """Width t = g^2 - 1 and centre scale g of the amplified P, the row of
+    the quasiprob table shared by every amplified-P function; unit gain,
+    where t = 0 and P is singular, raises ValueError."""
+    g = gain.g
+    if g <= 1.0:
+        raise ValueError(
+            f"P-function is singular at g = {g}: the smooth form requires g > 1; "
+            "use p_cat_terms / p_regularized_eval for the unamplified representation")
+    return g * g - 1.0, g
+
+
 def amplified_p(spec, gain, alpha):
     """Smooth P-function of the amplified cat state (g > 1 strictly):
     the t = g^2 - 1 row of the quasiprob table, centres scaled by g.
@@ -49,12 +61,7 @@ def amplified_p(spec, gain, alpha):
     Near unit gain on separated cats the terms grow past what double
     precision can cancel; quasiprob's guard then raises FloatingPointError.
     """
-    g = gain.g
-    if g <= 1.0:
-        raise ValueError(
-            "P-function is singular at g = 1; use p_cat_terms / p_regularized_eval "
-            "for the unamplified representation")
-    return _hermitian_sum(p_cat_terms(spec), alpha, g * g - 1.0, g, "amplified P")
+    return _hermitian_sum(p_cat_terms(spec), alpha, *_amplified_p_row(gain), "amplified P")
 
 
 def amplified_p_factored(term, gain, alpha):
@@ -67,9 +74,7 @@ def amplified_p_factored(term, gain, alpha):
     Gaussian form; as g -> 1 the centers approach the singular-limit
     centers of the term.
     """
-    g = gain.g
-    if g <= 1.0:
-        raise ValueError("factored form requires g > 1; see amplified_p")
+    _, g = _amplified_p_row(gain)
     sigma = gain.sigma
     alpha = np.asarray(alpha, dtype=complex)
     out = term.weight * (delta_kernel(alpha.real - g * term.center_r, sigma)
@@ -79,5 +84,5 @@ def amplified_p_factored(term, gain, alpha):
 
 def amplified_p_terms(spec, gain, alpha):
     """Per-term amplified P values in the order of p_cat_terms(spec)."""
-    g = gain.g
-    return [values for values, _ in gaussian_terms(p_cat_terms(spec), alpha, g * g - 1.0, g)]
+    row = _amplified_p_row(gain)
+    return [values for values, _ in gaussian_terms(p_cat_terms(spec), alpha, *row)]

@@ -39,6 +39,7 @@ Gaussian convolution of `wigner_from_p`.
 import json
 import math
 import warnings
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -258,6 +259,12 @@ def p_regularized_eval(rep, sigma, alpha):
 _AXIS_SEMANTICS = ("alpha", "xp")
 
 
+def opened(target, mode="r"):
+    """Context manager for a path or a stream: a path is opened in `mode`
+    and closed on exit; a stream is yielded unchanged and left open."""
+    return open(target, mode) if isinstance(target, (str, bytes)) else nullcontext(target)
+
+
 @dataclass
 class Grid2D:
     """Uniformly sampled complex field over a rectangle.
@@ -278,6 +285,10 @@ class Grid2D:
     def __post_init__(self):
         if self.nx < 2 or self.ny < 2:
             raise ValueError("nx and ny must be >= 2")
+        if not (self.x_min < self.x_max and self.y_min < self.y_max):
+            raise ValueError(
+                f"bounds must satisfy x_min < x_max and y_min < y_max, got "
+                f"x [{self.x_min}, {self.x_max}], y [{self.y_min}, {self.y_max}]")
         if self.axis_semantics not in _AXIS_SEMANTICS:
             raise ValueError(f"axis_semantics must be one of {_AXIS_SEMANTICS}")
         if self.values is None:
@@ -329,41 +340,26 @@ class Grid2D:
 
         Each axis is formatted once; the file is written one grid row (one
         x) at a time, so memory beyond the grid is bounded by one row."""
-        close = False
-        if isinstance(stream, (str, bytes)):
-            stream = open(stream, "w")
-            close = True
-        try:
+        with opened(stream, "w") as out:
             for line in (meta or []):
-                stream.write(f"# {line}\n")
-            stream.write("x,y,re,im\n")
+                out.write(f"# {line}\n")
+            out.write("x,y,re,im\n")
             ys = [f",{y!r}," for y in self.ys.tolist()]
             for x, row in zip(map(repr, self.xs.tolist()), self.values):
                 re = map(repr, row.real.tolist())
                 im = map(repr, row.imag.tolist())
-                stream.write("".join([f"{x}{y}{r},{i}\n" for y, r, i in zip(ys, re, im)]))
-        finally:
-            if close:
-                stream.close()
+                out.write("".join([f"{x}{y}{r},{i}\n" for y, r, i in zip(ys, re, im)]))
 
     @classmethod
     def from_csv(cls, stream, axis_semantics="alpha"):
         """Inverse of `to_csv`: rows may come in any order, but every
         (x, y) cell of the rectangle must appear exactly once."""
-        close = False
-        if isinstance(stream, (str, bytes)):
-            stream = open(stream)
-            close = True
-        try:
-            with warnings.catch_warnings():
-                # an empty file is reported below as 0 rows
-                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-                rows = np.loadtxt(
-                    (line for line in stream if not line.lstrip().startswith("x,")),
-                    delimiter=",", comments="#", ndmin=2)
-        finally:
-            if close:
-                stream.close()
+        with opened(stream) as lines, warnings.catch_warnings():
+            # an empty file is reported below as 0 rows
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            rows = np.loadtxt(
+                (line for line in lines if not line.lstrip().startswith("x,")),
+                delimiter=",", comments="#", ndmin=2)
         if len(rows) and rows.shape[1] != 4:
             raise ValueError(f"rows have {rows.shape[1]} fields, expected 4 (x,y,re,im)")
         rows = rows.reshape(-1, 4)  # an empty file loads as shape (0, 1)
@@ -483,19 +479,14 @@ def p_representation_grid(rep, sigma, grid):
     return grid.like(values=p_regularized_eval(rep, sigma, grid.plane()))
 
 
-def wigner_from_p(p_field, grid, sigma=None, method="separable"):
-    """Wigner function from a smooth P field by Gaussian convolution.
-
-    `p_field` is either a sampled Grid2D or a PRepresentation, in which
-    case `sigma` must give the regularization width used to sample it.
-    """
-    if isinstance(p_field, PRepresentation):
-        if sigma is None:
-            raise ValueError("sigma is required when converting a PRepresentation")
-        p_field = p_representation_grid(p_field, sigma, grid)
-    return _gaussian_convolve(p_field, grid, method=method)
+def wigner_from_p(p_field, grid):
+    """Wigner function on `grid` from a P field sampled on a Grid2D, by
+    Gaussian convolution: a width-t term comes out at width t + 1/2.  A
+    PRepresentation is sampled first, by p_representation_grid."""
+    return _gaussian_convolve(p_field, grid)
 
 
-def q_from_wigner(w_field, grid, method="separable"):
-    """Q-function from a Wigner field by the same Gaussian convolution."""
-    return _gaussian_convolve(w_field, grid, method=method)
+def q_from_wigner(w_field, grid):
+    """Q-function on `grid` from a Wigner field sampled on a Grid2D, by the
+    same Gaussian convolution."""
+    return _gaussian_convolve(w_field, grid)

@@ -25,6 +25,16 @@ NUMERIC_MOMENT_ORDER_MAX = 12
 TERM_TOL = 1e-12
 
 
+def _coherent_column(a, n_max):
+    """e^{-|a|^2/2} a^j / sqrt(j!) for j = 0..n_max as a running product.
+    Each partial product is a coherent-state amplitude, at most 1 in size,
+    so none overflows where a^j or j! alone would."""
+    steps = np.empty(n_max + 1, dtype=complex)
+    steps[0] = math.exp(-0.5 * abs(a) ** 2)
+    steps[1:] = a / np.sqrt(np.arange(1.0, n_max + 1))
+    return np.cumprod(steps)
+
+
 def rho_from_pterm(term, n_max):
     """Closed-form density matrix of one P-representation term:
 
@@ -32,13 +42,9 @@ def rho_from_pterm(term, n_max):
 
     i.e. kappa |gamma><beta| in the truncated number basis.
     """
-    n = np.arange(n_max + 1)
-    half_log_fact = 0.5 * np.array([log_factorial(k) for k in n])
-    beta_c, gamma = np.conj(complex(term.beta)), complex(term.gamma)
-    prefactor = term.kappa * math.exp(-0.5 * (abs(term.beta) ** 2 + abs(term.gamma) ** 2))
-    col = gamma ** n * np.exp(-half_log_fact)
-    row = beta_c ** n * np.exp(-half_log_fact)
-    return FockDensityMatrix(n_max=n_max, entries=prefactor * np.outer(col, row))
+    col = _coherent_column(complex(term.gamma), n_max)
+    row = _coherent_column(np.conj(complex(term.beta)), n_max)
+    return FockDensityMatrix(n_max=n_max, entries=term.kappa * np.outer(col, row))
 
 
 def reconstruct_rho(rep, n_max):

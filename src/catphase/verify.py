@@ -12,8 +12,8 @@ from .amplifier import AmplifierGain, amplified_p, amplified_p_factored, \
 from .gendelta import AnalyticTestFunction, cancellation_factor, delta_moment, sift, \
     sift_shifted_line
 from .numerics import QuadratureSpec, trapezoid_weights
-from .quasiprob import Grid2D, _gaussian_convolve, fock_wavefunction, p_cat_terms, \
-    q_function, wigner_fock
+from .quasiprob import Grid2D, fock_wavefunction, p_cat_terms, q_from_wigner, q_function, \
+    wigner_fock, wigner_from_p
 from .reconstruct import roundtrip_report, rho_from_pterm
 from .states import CatStateSpec, coherent_fock_coeffs, coherent_overlap
 
@@ -135,8 +135,7 @@ def check_transform_loop():
     out = Grid2D(-6.0, 6.0, -6.0, 6.0, 161, 161, axis_semantics="alpha")
     pad = Grid2D(-12.0, 12.0, -12.0, 12.0, 321, 321, axis_semantics="alpha")
     p_pad = pad.like(values=amplified_p(spec, gain, pad.plane()))
-    w_pad = _gaussian_convolve(p_pad, pad)
-    q_grid = _gaussian_convolve(w_pad, out)
+    q_grid = q_from_wigner(wigner_from_p(p_pad, pad), out)
     q_direct = amplify_q(spec, gain, out.plane())
     dev = float(np.max(np.abs(np.real(q_grid.values) - q_direct)))
     return dev <= 1e-5, f"max |Q(chain) - Q(direct)| = {dev:.2e}"

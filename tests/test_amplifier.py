@@ -115,6 +115,8 @@ class TestAmplifiedP:
             amplified_p(CAT, AmplifierGain(1.0), 0.0)
         with pytest.raises(ValueError, match="g > 1"):
             amplified_p_factored(p_cat_terms(CAT).terms[0], AmplifierGain(1.0), 0.0)
+        with pytest.raises(ValueError, match="p_cat_terms"):
+            amplified_p_terms(CAT, AmplifierGain(1.0), 0.0)
 
     def test_coherent_state_is_displaced_gaussian(self):
         spec = CatStateSpec(alpha1=0.9, alpha2=-0.9, zeta=0.0)

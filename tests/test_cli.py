@@ -1,11 +1,13 @@
 import io
 import json
+import math
 
 import numpy as np
 import pytest
 
 from catphase.cli import EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
 from catphase.quasiprob import Grid2D
+from catphase.reconstruct import RoundTripReport
 
 STATE = ["--alpha1", "1.5", "0", "--alpha2", "-1.5", "0", "--zeta", "1", "0"]
 BOUNDS = ["--bounds", "-6", "6", "-6", "6"]
@@ -45,13 +47,6 @@ class TestGridCommand:
         assert code == EXIT_USAGE
         assert out == ""
         assert "non-negative integer" in err
-
-    def test_singular_gain_refused_with_guidance(self, capsys):
-        code, _, err = run_cli(
-            ["grid", "--field", "p_amplified", "--gain", "1.0", *STATE, *BOUNDS],
-            capsys)
-        assert code == EXIT_NUMERIC
-        assert "singular" in err and "sigma" in err
 
     def test_regularized_p_below_safe_sigma_is_numeric_error(self, capsys):
         # min_safe_sigma of the +-1.5 cat's off-diagonal centres is 0.04
@@ -93,8 +88,7 @@ class TestAmplifyCommand:
         grid = Grid2D.from_json(out)
         assert grid.integrate().real == pytest.approx(1.0, abs=1e-3)
 
-    @pytest.mark.parametrize("argv", [["grid", "--field", "p_amplified"],
-                                      ["amplify", "--field", "p"], ["amplify", "--field", "q"]])
+    @pytest.mark.parametrize("argv", [["amplify", "--field", "p"], ["amplify", "--field", "q"]])
     def test_attenuating_gain_is_usage_error(self, argv, capsys):
         code, out, err = run_cli([*argv, "--gain", "0.5", *STATE, *BOUNDS, "--nx", "21"],
                                  capsys)
@@ -107,7 +101,7 @@ class TestAmplifyCommand:
             ["amplify", "--field", "p", "--gain", "1.0", *STATE, *BOUNDS], capsys)
         assert code == EXIT_NUMERIC
         assert "sigma_of_gain" in err
-
+        assert "singular" in err and "sigma" in err
 
     def test_cancellation_guard_exits_numeric(self, capsys):
         code, out, err = run_cli(
@@ -126,6 +120,24 @@ class TestRoundtripCommand:
         assert data["n_max"] == 25
         assert data["max_abs_deviation"] < 1e-10
         assert data["per_term_checks"] == [[i, True] for i in range(4)]
+
+    def test_separated_cat_at_high_order_is_finite(self, capsys):
+        # gamma^n / sqrt(n!) overflows one factor at a time beyond n log|gamma| ~ 709
+        code, out, _ = run_cli(["roundtrip", "--alpha1", "10", "0", "--alpha2", "-10", "0",
+                                "--zeta", "1", "0", "--n-max", "400"], capsys)
+        data = json.loads(out)
+        assert code == EXIT_OK
+        assert math.isfinite(data["max_abs_deviation"])
+        assert data["max_abs_deviation"] < 1e-8
+        assert data["per_term_checks"] == [[i, True] for i in range(4)]
+
+    def test_nan_deviation_is_verification_failure(self, monkeypatch, capsys):
+        report = RoundTripReport(n_max=5, max_abs_deviation=math.nan,
+                                 trace_deviation=0.0, per_term_checks=())
+        monkeypatch.setattr("catphase.cli.roundtrip_report", lambda spec, n_max: report)
+        code, out, _ = run_cli(["roundtrip", *STATE, "--n-max", "5"], capsys)
+        assert code == EXIT_VERIFY
+        assert math.isnan(json.loads(out)["max_abs_deviation"])
 
     def test_explicit_zero_n_max_is_used(self, capsys):
         code, out, _ = run_cli(["roundtrip", *STATE, "--n-max", "0"], capsys)
@@ -239,7 +251,17 @@ class TestConfigAndDeterminism:
                                       ["grid", "--field", "q", "--alpha1", "-inf", "0",
                                        "--alpha2", "-1.5", "0", "--zeta", "1", "0", *BOUNDS],
                                       ["sift", "--z0", "1", "0", "--sigma0", "nan",
-                                       "--monomial", "1"]])
+                                       "--monomial", "1"],
+                                      # amplified fields come only from amplify
+                                      ["grid", "--field", "p_amplified", "--gain", "2.0",
+                                       *STATE, *BOUNDS, "--nx", "21"],
+                                      ["grid", "--field", "q", "--gain", "2.0", *STATE,
+                                       *BOUNDS, "--nx", "21"],
+                                      # inverted and degenerate bounds
+                                      ["grid", "--field", "q", *STATE,
+                                       "--bounds", "6", "-6", "-6", "6", "--nx", "41"],
+                                      ["grid", "--field", "q", *STATE,
+                                       "--bounds", "-6", "6", "2", "2", "--nx", "41"]])
     def test_unparsable_or_invalid_flag_is_usage_error(self, argv, capsys):
         code, out, err = run_cli(argv, capsys)
         assert code == EXIT_USAGE

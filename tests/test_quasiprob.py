@@ -8,11 +8,11 @@ from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
 from scipy.special import eval_laguerre
 
-from catphase.gendelta import min_safe_sigma
+from catphase.gendelta import cancellation_factor, min_safe_sigma
 from catphase.numerics import trapezoid_weights
-from catphase.quasiprob import Grid2D, PRepresentation, PTerm, alpha_from_xp, \
-    fock_wavefunction, gaussian_terms, p_cat_terms, p_regularized_eval, \
-    p_representation_grid, q_fourier_term, q_from_wigner, q_function, wigner_fock, \
+from catphase.quasiprob import Grid2D, PRepresentation, PTerm, _gaussian_convolve, \
+    alpha_from_xp, fock_wavefunction, gaussian_terms, p_cat_terms, p_regularized_eval, \
+    opened, p_representation_grid, q_fourier_term, q_from_wigner, q_function, wigner_fock, \
     wigner_from_p, xp_from_alpha
 from catphase.states import CatStateSpec, cat_density_matrix, coherent_fock_coeffs, \
     coherent_overlap
@@ -509,6 +509,23 @@ class TestGrid2D:
         with pytest.raises(ValueError, match="shape"):
             Grid2D(-1, 1, -1, 1, 3, 3, values=np.zeros((2, 2)))
 
+    @pytest.mark.parametrize("bounds", [(6, -6, -6, 6), (-6, 6, 6, -6),
+                                        (6, 6, -6, 6), (-6, 6, 2, 2)],
+                             ids=["inverted-x", "inverted-y", "degenerate-x", "degenerate-y"])
+    def test_rejects_inverted_or_degenerate_bounds(self, bounds):
+        with pytest.raises(ValueError, match="x_min < x_max and y_min < y_max"):
+            Grid2D(*bounds, 5, 5)
+
+    def test_opened_closes_paths_and_leaves_streams_open(self, tmp_path):
+        buf = io.StringIO()
+        with opened(buf, "w") as stream:
+            assert stream is buf
+        assert not buf.closed
+        path = str(tmp_path / "grid.csv")
+        with opened(path, "w") as stream:
+            stream.write("x,y,re,im\n")
+        assert stream.closed
+
 
 class TestWignerFock:
     @pytest.mark.parametrize("n", [0, 1, 2, 3])
@@ -577,17 +594,12 @@ class TestConvolutionTransforms:
         b, sigma = 1.0, 0.5
         rep = PRepresentation(terms=(PTerm(kappa=1.0, beta=b, gamma=b),))
         grid = alpha_grid(half=6.0, n=161)
-        w = wigner_from_p(rep, grid, sigma=sigma)
+        w = wigner_from_p(p_representation_grid(rep, sigma, grid), grid)
         gx, gy = grid.meshgrid()
         s_sq = sigma * sigma + 0.25
         want = np.exp(-((gx - b) ** 2 + gy**2) / (2.0 * s_sq)) / (2.0 * math.pi * s_sq)
         np.testing.assert_allclose(w.values.real, want, rtol=0, atol=1e-9)
         assert np.max(np.abs(w.values.imag)) < 1e-12
-
-    def test_requires_sigma_for_representation_input(self):
-        rep = PRepresentation(terms=(PTerm(kappa=1.0, beta=0.0, gamma=0.0),))
-        with pytest.raises(ValueError, match="sigma"):
-            wigner_from_p(rep, alpha_grid(n=41))
 
     def test_q_from_wigner_coherent(self):
         b = 0.8
@@ -603,14 +615,22 @@ class TestConvolutionTransforms:
         src = Grid2D(-3.0, 3.0, -3.0, 3.0, 61, 61)
         src.values = rng.normal(size=(61, 61)) + 1j * rng.normal(size=(61, 61))
         out = Grid2D(-2.0, 2.0, -2.0, 2.0, 11, 11)
-        a = wigner_from_p(src, out, method="separable")
-        b = wigner_from_p(src, out, method="direct")
+        a = _gaussian_convolve(src, out, method="separable")
+        b = _gaussian_convolve(src, out, method="direct")
         np.testing.assert_allclose(a.values, b.values, rtol=0, atol=1e-11)
 
     def test_unknown_method_rejected(self):
         src = alpha_grid(n=11)
         with pytest.raises(ValueError, match="method"):
-            wigner_from_p(src, src, method="fft")
+            _gaussian_convolve(src, src, method="fft")
+
+    def test_transforms_take_only_grids(self):
+        rep = PRepresentation(terms=(PTerm(kappa=1.0, beta=0.0, gamma=0.0),))
+        grid = alpha_grid(n=41)
+        with pytest.raises(TypeError):
+            wigner_from_p(rep, grid, sigma=0.5)
+        with pytest.raises(TypeError):
+            q_from_wigner(grid, grid, method="direct")
 
     def test_aliasing_warning(self):
         rep = PRepresentation(terms=(PTerm(kappa=1.0, beta=0.0, gamma=0.0),))
@@ -632,9 +652,35 @@ class TestTransformChainOnCat:
         want = q_function(spec, gx + 1j * gy)
         devs = []
         for sigma in (0.2, 0.1):
-            w = wigner_from_p(p_cat_terms(spec), wide.like(), sigma=sigma)
+            w = wigner_from_p(p_representation_grid(p_cat_terms(spec), sigma, wide), wide)
             q = q_from_wigner(w, out)
             devs.append(np.max(np.abs(q.values.real - want)))
             assert np.max(np.abs(q.values.imag)) < 1e-10
         assert devs[1] < 0.01
         assert devs[0] / devs[1] == pytest.approx(4.0, rel=0.2)
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(r1=st.floats(0.0, 1.5), r2=st.floats(0.0, 1.5), t1=st.floats(0.0, 2 * math.pi),
+           t2=st.floats(0.0, 2 * math.pi), zeta=COMPLEX_2, sigma=st.floats(0.3, 1.0))
+    def test_width_closes_at_each_step(self, r1, r2, t1, t2, zeta, sigma):
+        # the convolution takes a width-t term to width t + 1/2, so the
+        # regularized P at sigma becomes the regularized P at sqrt(sigma^2 + 1/4)
+        # (the Wigner function) and then at sqrt(sigma^2 + 1/2) (the Q-function)
+        try:
+            spec = CatStateSpec(r1 * np.exp(1j * t1), r2 * np.exp(1j * t2), zeta)
+        except ValueError:
+            reject()
+        assume(spec.norm_A <= 5.0)
+        rep = p_cat_terms(spec)
+        assume(max(cancellation_factor(c, sigma) for term in rep.terms
+                   for c in (term.center_r, term.center_i)) <= 1e3)
+        pad = Grid2D(-9.0, 9.0, -9.0, 9.0, 361, 361)
+        w = wigner_from_p(p_representation_grid(rep, sigma, pad), pad)
+        inner = np.abs(pad.xs) <= 5.0  # the +-5 window of the padded grid
+        want_w = p_regularized_eval(rep, math.sqrt(sigma * sigma + 0.25), pad.plane())
+        np.testing.assert_allclose(w.values[np.ix_(inner, inner)],
+                                   want_w[np.ix_(inner, inner)], rtol=0, atol=1e-10)
+        out = alpha_grid(half=5.0, n=101)
+        q = q_from_wigner(w, out)
+        want_q = p_regularized_eval(rep, math.sqrt(sigma * sigma + 0.5), out.plane())
+        np.testing.assert_allclose(q.values, want_q, rtol=0, atol=1e-10)
