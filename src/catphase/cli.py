@@ -291,24 +291,31 @@ COMMANDS = {
 }
 
 
+def _print_warning(message, category, filename, lineno, file=None, line=None):
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-        if args.command is None:
-            parser.print_usage(sys.stderr)
+    # each warning is one stderr line; the caller's warning state comes back on return
+    with warnings.catch_warnings():
+        warnings.showwarning = _print_warning
+        try:
+            args = parser.parse_args(argv)
+            if args.command is None:
+                parser.print_usage(sys.stderr)
+                return EXIT_USAGE
+            if args.config:
+                args = parser.parse_args(_splice_config(args, argv))
+            return COMMANDS[args.command](args)
+        except (UsageError, ValueError, OSError) as exc:
+            # unparsable flags, config values and paths
+            print(f"usage error: {exc}", file=sys.stderr)
             return EXIT_USAGE
-        if args.config:
-            args = parser.parse_args(_splice_config(args, argv))
-        return COMMANDS[args.command](args)
-    except (UsageError, ValueError, OSError) as exc:
-        # unparsable flags, config values and paths
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (OverflowError, FloatingPointError) as exc:
-        print(f"numeric guard: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+        except (OverflowError, FloatingPointError) as exc:
+            print(f"numeric guard: {exc}", file=sys.stderr)
+            return EXIT_NUMERIC
 
 
 if __name__ == "__main__":

@@ -3,9 +3,8 @@ function, the four-term Glauber-Sudarshan representation, and the
 Gaussian-convolution transforms between them.
 
 Convention: the coherent amplitude relates to the quadratures by
-alpha = (x + i p) / sqrt(2).  Every cross-representation comparison in
-the package goes through `alpha_from_xp` / `xp_from_alpha` so the sqrt(2)
-appears in exactly one place.
+alpha = (x + i p) / sqrt(2); `alpha_from_xp` and `xp_from_alpha` convert
+between the two planes.
 
 Every term kappa |gamma><beta| is one Gaussian with complex centres
 (Cahill and Glauber's s-ordered family), evaluated by `gaussian_terms`:
@@ -374,8 +373,13 @@ class Grid2D:
         # a file without data rows is no grid
         if not len(rows) or len(rows) != filled.size or not filled.all():
             raise ValueError(f"{len(rows)} rows do not fill a {len(xs)} x {len(ys)} grid")
-        return cls(float(xs[0]), float(xs[-1]), float(ys[0]), float(ys[-1]),
+        grid = cls(float(xs[0]), float(xs[-1]), float(ys[0]), float(ys[-1]),
                    len(xs), len(ys), values=values, axis_semantics=axis_semantics)
+        # cells sampled off the evenly spaced nodes would be relabelled onto them
+        if not (np.array_equal(xs, grid.xs) and np.array_equal(ys, grid.ys)):
+            raise ValueError(f"x and y values are not the evenly spaced nodes of a "
+                             f"{len(xs)} x {len(ys)} grid")
+        return grid
 
     def to_json(self, meta=None):
         return json.dumps({

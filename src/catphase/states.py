@@ -50,12 +50,27 @@ class CatStateSpec:
 
 
 def recommended_n_max(spec_or_alpha):
-    """Truncation heuristic n_max >= |a|^2 + 6|a| + 10 for the largest amplitude."""
+    """Truncation heuristic n_max >= |a|^2 + 7|a| + 10 for the largest amplitude;
+    it keeps the neglected Poisson tail below TAIL_MASS_WARN for |a| <= 45."""
     if isinstance(spec_or_alpha, CatStateSpec):
         a = max(abs(spec_or_alpha.alpha1), abs(spec_or_alpha.alpha2))
     else:
         a = abs(spec_or_alpha)
-    return int(math.ceil(a * a + 6.0 * a + 10.0))
+    return int(math.ceil(a * a + 7.0 * a + 10.0))
+
+
+def _coherent_column(alpha, n_max):
+    """c_n = e^{-|a|^2/2} a^n / sqrt(n!) for n = 0..n_max, the number-basis
+    column of |alpha>.  Each magnitude is one exp of its logarithm, so no
+    power of |a| or factorial is formed and every entry is finite at any
+    amplitude and order."""
+    n = np.arange(n_max + 1)
+    mag = abs(alpha)
+    if mag == 0.0:
+        return (n == 0).astype(complex)
+    log_mag = -0.5 * mag * mag + n * math.log(mag) - 0.5 * np.array(
+        [log_factorial(k) for k in n])
+    return np.exp(log_mag) * np.exp(1j * n * np.angle(complex(alpha)))
 
 
 def coherent_fock_coeffs(alpha, n_max):
@@ -63,22 +78,12 @@ def coherent_fock_coeffs(alpha, n_max):
 
     Warns when the neglected Poisson tail mass exceeds 1e-10.
     """
-    n = np.arange(n_max + 1)
-    log_fact = np.array([log_factorial(k) for k in n])
-    mag = abs(alpha)
-    if mag == 0.0:
-        c = np.zeros(n_max + 1, dtype=complex)
-        c[0] = 1.0
-        return c
-    # log-magnitude accumulation keeps alpha^n / sqrt(n!) finite up to n_max = 64
-    log_mag = -0.5 * mag * mag + n * math.log(mag) - 0.5 * log_fact
-    phase = np.exp(1j * n * np.angle(complex(alpha)))
-    c = np.exp(log_mag) * phase
+    c = _coherent_column(alpha, n_max)
     tail = 1.0 - float(np.sum(np.abs(c) ** 2))
     if tail > TAIL_MASS_WARN:
         warnings.warn(
             f"Fock truncation n_max = {n_max} leaves tail mass {tail:.3e} "
-            f"for |alpha| = {mag:.3f}", stacklevel=2)
+            f"for |alpha| = {abs(alpha):.3f}", stacklevel=2)
     return c
 
 

@@ -1,15 +1,19 @@
 import io
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from catphase.amplifier import AmplifierGain, amplify_q
 from catphase.cli import EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
-from catphase.quasiprob import Grid2D
+from catphase.quasiprob import Grid2D, p_cat_terms, p_representation_grid
 from catphase.reconstruct import RoundTripReport
+from catphase.states import CatStateSpec
 
 STATE = ["--alpha1", "1.5", "0", "--alpha2", "-1.5", "0", "--zeta", "1", "0"]
+SPEC = CatStateSpec(1.5, -1.5, 1.0)
 BOUNDS = ["--bounds", "-6", "6", "-6", "6"]
 
 
@@ -40,6 +44,38 @@ class TestGridCommand:
         min_lines = [ln for ln in out.splitlines() if ln.startswith("# min")]
         assert len(min_lines) == 1 and "negative" in min_lines[0]
         assert float(min_lines[0].split("=")[1].split("(")[0]) < -0.29
+
+    def test_warning_is_one_line_and_state_restored(self, capsys):
+        show = warnings.showwarning
+        code, _, err = run_cli(
+            ["grid", "--field", "wigner", "--fock-n", "3", "--bounds", "-7", "7", "-6", "6",
+             "--nx", "41"], capsys)
+        assert code == EXIT_OK
+        assert err == "warning: grid extent below the recommended |x|,|p| >= 7.46 for n = 3\n"
+        assert warnings.showwarning is show
+
+    def test_regularized_p_reads_back_exactly(self, capsys):
+        code, out, err = run_cli(
+            ["grid", "--field", "p_regularized", "--sigma", "0.5", *STATE, *BOUNDS,
+             "--nx", "41"], capsys)
+        assert code == EXIT_OK
+        assert "# sigma = 0.5" in out.splitlines()
+        # sigma is below two grid spacings (0.3) at this resolution
+        assert err.startswith("warning: P width sigma = 0.5") and err.count("\n") == 1
+        with pytest.warns(UserWarning, match="aliased"):
+            want = p_representation_grid(p_cat_terms(SPEC), 0.5, Grid2D(-6, 6, -6, 6, 41, 41))
+        assert np.array_equal(Grid2D.from_csv(io.StringIO(out)).values, want.values)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_timestamp_in_metadata(self, fmt, capsys):
+        code, out, _ = run_cli(
+            ["grid", "--field", "q", *STATE, *BOUNDS, "--nx", "21", "--format", fmt,
+             "--timestamp", "2020-01-02T03:04:05Z"], capsys)
+        assert code == EXIT_OK
+        if fmt == "json":
+            assert json.loads(out)["meta"]["timestamp"] == "2020-01-02T03:04:05Z"
+        else:
+            assert "# timestamp = 2020-01-02T03:04:05Z" in out.splitlines()
 
     def test_negative_fock_n_is_usage_error(self, capsys):
         code, out, err = run_cli(
@@ -87,6 +123,15 @@ class TestAmplifyCommand:
         assert data["meta"]["sigma"] == pytest.approx(1.224744871391589)
         grid = Grid2D.from_json(out)
         assert grid.integrate().real == pytest.approx(1.0, abs=1e-3)
+
+    def test_amplified_q_reads_back_exactly(self, capsys):
+        code, out, _ = run_cli(
+            ["amplify", "--field", "q", "--gain", "1.7", *STATE, *BOUNDS, "--nx", "41"],
+            capsys)
+        assert code == EXIT_OK
+        assert "# gain = 1.7" in out.splitlines()
+        want = amplify_q(SPEC, AmplifierGain(1.7), Grid2D(-6, 6, -6, 6, 41, 41).plane())
+        assert np.array_equal(Grid2D.from_csv(io.StringIO(out)).values, want)
 
     @pytest.mark.parametrize("argv", [["amplify", "--field", "p"], ["amplify", "--field", "q"]])
     def test_attenuating_gain_is_usage_error(self, argv, capsys):
@@ -140,9 +185,12 @@ class TestRoundtripCommand:
         assert math.isnan(json.loads(out)["max_abs_deviation"])
 
     def test_explicit_zero_n_max_is_used(self, capsys):
-        code, out, _ = run_cli(["roundtrip", *STATE, "--n-max", "0"], capsys)
+        code, out, err = run_cli(["roundtrip", *STATE, "--n-max", "0"], capsys)
         assert code == EXIT_OK
         assert json.loads(out)["n_max"] == 0
+        # one truncation warning per amplitude, one line each
+        assert err == "warning: Fock truncation n_max = 0 leaves tail mass 8.946e-01 " \
+                      "for |alpha| = 1.500\n" * 2
 
 
 class TestSiftCommand:

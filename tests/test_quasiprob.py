@@ -437,8 +437,10 @@ class TestGrid2D:
         ("x,y,re,im\n0.0,0.0,1.0,0.0\n0.0,1.0,1.0,0.0,7.0\n", None),
         ("x,y,re,im\n0.0,0.0,1.0,0.0\n0.0,1.0,abc,0.0\n", None),
         ("x,y,re,im\n0.0,0.0,1.0,0.0\n0.0,1.0,,0.0\n", None),
+        ("x,y,re,im\n" + "".join(f"{x},{y},1.0,0.0\n" for x in (0.0, 1.0, 3.0)
+                                  for y in (0.0, 1.0)), "not the evenly spaced nodes"),
     ], ids=["header-only", "comments-only", "three-fields", "five-fields",
-            "non-numeric", "empty-field"])
+            "non-numeric", "empty-field", "non-uniform-x"])
     def test_csv_malformed_rejected(self, text, match):
         with pytest.raises(ValueError, match=match):
             Grid2D.from_csv(io.StringIO(text))

@@ -4,13 +4,22 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from catphase.gendelta import delta_kernel
 from catphase.numerics import QuadratureSpec, trapezoid_weights
 from catphase.quasiprob import PRepresentation, PTerm, p_cat_terms
 from catphase.reconstruct import NUMERIC_AMPLIFICATION_GUARD, reconstruct_rho, \
     reconstruct_rho_numeric, rho_from_pterm, roundtrip_report
-from catphase.states import CatStateSpec, cat_density_matrix, coherent_fock_coeffs
+from catphase.states import CatStateSpec, cat_density_matrix, coherent_fock_coeffs, \
+    recommended_n_max
+
+
+def polar(r_min, r_max):
+    return st.builds(lambda r, t: r * complex(math.cos(t), math.sin(t)),
+                     st.floats(r_min, r_max), st.floats(-math.pi, math.pi))
+
 
 SPECS = [
     CatStateSpec(alpha1=2.0, alpha2=-2.0, zeta=1.0),
@@ -47,6 +56,12 @@ class TestSingleTermReconstruction:
         tr = complex(np.trace(rho_from_pterm(t, 40).entries))
         assert tr == pytest.approx(t.weight, abs=1e-12)
 
+    @pytest.mark.parametrize("a", [38.5, 39.0, 45.0])
+    def test_coherent_projector_has_unit_trace_at_large_amplitude(self, a):
+        # e^{-|a|^2/2} alone is subnormal or zero here; the column never forms it
+        rho = rho_from_pterm(PTerm(kappa=1.0, beta=a, gamma=a), recommended_n_max(a))
+        assert abs(rho.trace() - 1.0) <= 1e-9
+
     def test_scaling_in_kappa_is_linear(self):
         base = rho_from_pterm(PTerm(kappa=1.0, beta=0.5, gamma=-0.5j), 8).entries
         scaled = rho_from_pterm(PTerm(kappa=2.0 - 1.0j, beta=0.5, gamma=-0.5j), 8).entries
@@ -66,6 +81,15 @@ class TestFullReconstruction:
         rho = reconstruct_rho(p_cat_terms(spec), 30)
         assert rho.hermiticity_defect() < 1e-14
         assert rho.trace() == pytest.approx(1.0, abs=1e-10)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(a1=polar(0.0, 6.0), a2=polar(0.0, 6.0), zeta=polar(0.2, 2.0))
+    def test_density_matrix_at_recommended_n_max(self, a1, a2, zeta):
+        assume(abs(a1 - a2) >= 0.3)
+        spec = CatStateSpec(a1, a2, zeta)
+        rho = reconstruct_rho(p_cat_terms(spec), recommended_n_max(spec))
+        assert abs(rho.trace() - 1.0) <= 1e-9
+        assert rho.hermiticity_defect() < 1e-14
 
 
 class TestNumericReconstruction:
@@ -147,6 +171,28 @@ class TestRoundTripReport:
         assert data["n_max"] == 25
         assert data["max_abs_deviation"] == report.max_abs_deviation
         assert data["per_term_checks"] == [[i, True] for i in range(4)]
+
+    def test_one_pass(self, monkeypatch):
+        calls = []
+
+        def counted(fn):
+            return lambda *args: calls.append(fn.__name__) or fn(*args)
+
+        monkeypatch.setattr("catphase.reconstruct.rho_from_pterm", counted(rho_from_pterm))
+        for module in ("states", "reconstruct"):
+            monkeypatch.setattr(f"catphase.{module}.coherent_fock_coeffs",
+                                counted(coherent_fock_coeffs), raising=False)
+        report = roundtrip_report(SPECS[2], n_max=20)
+        assert len(report.per_term_checks) == 4
+        assert sorted(calls) == ["coherent_fock_coeffs"] * 2 + ["rho_from_pterm"] * 4
+
+    def test_term_checks_catch_swapped_bra_and_ket(self, monkeypatch):
+        monkeypatch.setattr(
+            "catphase.reconstruct.rho_from_pterm",
+            lambda t, n_max: rho_from_pterm(PTerm(t.kappa, beta=t.gamma, gamma=t.beta), n_max))
+        report = roundtrip_report(SPECS[0], n_max=30)
+        # only the off-diagonal terms have bra != ket
+        assert report.per_term_checks == ((0, True), (1, True), (2, False), (3, False))
 
     def test_truncation_shows_up_in_trace(self):
         # n_max far below the photon content leaves visible trace deficit

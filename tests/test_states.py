@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,11 +8,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from catphase.states import CatStateSpec, FockDensityMatrix, cat_density_matrix, \
-    cat_normalization, coherent_fock_coeffs, coherent_overlap
+    cat_normalization, coherent_fock_coeffs, coherent_overlap, recommended_n_max
 
 complex_amp = st.builds(complex,
                         st.floats(min_value=-2, max_value=2),
                         st.floats(min_value=-2, max_value=2))
+
+
+def reference_coherent_column(a, n_max):
+    """e^{-|a|^2/2} a^j / sqrt(j!) for j = 0..n_max as a running product, kept as
+    the oracle of the log-domain column.  Its first factor goes subnormal past
+    |a| ~ 37.6, so it is trusted only below that."""
+    steps = np.empty(n_max + 1, dtype=complex)
+    steps[0] = math.exp(-0.5 * abs(a) ** 2)
+    steps[1:] = a / np.sqrt(np.arange(1.0, n_max + 1))
+    return np.cumprod(steps)
 
 
 class TestCoherentOverlap:
@@ -66,6 +77,24 @@ class TestCoherentFockCoeffs:
     def test_truncation_warning(self):
         with pytest.warns(UserWarning, match="tail mass"):
             coherent_fock_coeffs(3.0, 8)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(r=st.floats(0.0, 30.0), theta=st.floats(-math.pi, math.pi))
+    def test_matches_running_product(self, r, theta):
+        a = r * complex(math.cos(theta), math.sin(theta))
+        n_max = recommended_n_max(a)
+        got = coherent_fock_coeffs(a, n_max)
+        want = reference_coherent_column(a, n_max)
+        assert np.max(np.abs(got - want)) <= 2e-12 * np.max(np.abs(want))
+
+    def test_recommended_n_max_keeps_tail_below_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for a in np.arange(0.0, 45.25, 0.25):
+                coherent_fock_coeffs(a, recommended_n_max(a))
+            spec = CatStateSpec(12.0 - 3.0j, 45.0j, 1.0)
+            assert recommended_n_max(spec) == recommended_n_max(45.0)
+            coherent_fock_coeffs(spec.alpha2, recommended_n_max(spec))
 
 
 class TestCatDensityMatrix:
