@@ -11,8 +11,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Recurrence guard: factorials of downstream j!k! terms overflow double
-# precision well before n = 170; 64 keeps every product in range.
+# Largest order require_order accepts (hermite_poly, delta_moment and
+# wigner_fock's Laguerre recurrence).  None forms a factorial, and
+# e^{-u/2} L_n(u) stays within [-1, 1] at any n.  The limit keeps H_n(x),
+# about (2|x|)^n, finite for |x| up to ~1e4, and a number state's reach
+# 2 sqrt(n) + 4 at most 20.
 HERMITE_N_MAX = 64
 
 

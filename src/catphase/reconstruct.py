@@ -3,12 +3,15 @@
 The closed-form route applies the complex-center sifting result
 analytically: each term collapses to kappa |gamma><beta| with the bra
 and ket taking *different* amplitudes for off-diagonal terms.  The
-numeric route re-derives the same matrix by iterated real-axis
-quadrature against the regularized kernels; it exists to demonstrate
-the sifting mechanism and is gated behind strict cancellation guards.
+numeric route re-derives the same matrix from one-axis sifted moments:
+each monomial x^m is sifted against the regularized kernel on the
+real-part and on the imaginary-part axis, and the binomial theorem
+combines the two.  It exists to demonstrate the sifting mechanism and
+is gated behind strict cancellation guards.
 """
 
 import json
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -44,20 +47,35 @@ def reconstruct_rho(rep, n_max):
     return FockDensityMatrix(n_max=n_max, entries=total)
 
 
+def _axis_moments(center, sigma, quad, order):
+    """Sifted moments sum_x w(x) e^{-x^2} x^m, m = 0..order, on the
+    sifting_axis window of `center`: the paper's x^n -> z^n sifting of each
+    monomial against the complex-centred kernel, one Vandermonde product."""
+    x, w = sifting_axis(center, sigma, quad)
+    return (w * np.exp(-x * x)) @ np.vander(x, order + 1, increasing=True)
+
+
 def reconstruct_rho_numeric(rep, sigma, n_max, quad):
-    """Reconstruction by iterated quadrature against the regularized
-    P-function: for each term, the real-part axis is sifted first, then
-    the imaginary-part axis, both on sifting_axis windows, summed one
-    real-part node at a time so memory stays (n_max + 1) x node_count.
+    """Reconstruction by quadrature against the regularized P-function,
+    from one-axis sifted moments.  For each term the coherent-projector
+    kernel e^{-x^2 - y^2} (x+iy)^j (x-iy)^k / sqrt(j!k!) is a polynomial
+    times a Gaussian on each axis, so the binomial theorem gives
+
+        G_jk = sum_{P<=j, Q<=k} C(j,P) i^P C(k,Q) (-i)^Q Mx[j+k-P-Q] My[P+Q]
+
+    with Mx and My the moments of the real-part and imaginary-part axes
+    (sifting_axis windows) up to order 2 n_max.  The sum runs one P at a
+    time, so memory stays (n_max + 1)^3 beside one node_count x
+    (2 n_max + 1) Vandermonde.
 
     Raises when e^{|Im center|^2 / 2 sigma^2} exceeds the amplification
-    guard, and warns when matrix elements beyond j + k = 12 are requested
-    (polynomial moment growth dominates the quadrature error there).
+    guard, and warns when n_max exceeds 12 (polynomial moment growth
+    dominates the quadrature error there).
     """
     if n_max > NUMERIC_MOMENT_ORDER_MAX:
         warnings.warn(
-            f"numeric path is only certified for j + k <= {NUMERIC_MOMENT_ORDER_MAX}; "
-            f"higher-order entries of n_max = {n_max} carry larger quadrature error",
+            f"numeric path is only certified for n_max <= {NUMERIC_MOMENT_ORDER_MAX}; "
+            f"the entries of n_max = {n_max} carry larger quadrature error",
             stacklevel=2)
     factor = max(cancellation_factor(c, sigma)
                  for t in rep.terms for c in (t.center_r, t.center_i))
@@ -68,17 +86,21 @@ def reconstruct_rho_numeric(rep, sigma, n_max, quad):
 
     n = np.arange(n_max + 1)
     inv_sqrt_fact = np.exp(-0.5 * np.array([log_factorial(k) for k in n]))
+    binom = np.array([[math.comb(j, p) for p in n] for j in n], dtype=float)
+    i_pow = np.array([(1, 1j, -1, -1j)[p % 4] for p in n])
+    # C(k,Q) (-i)^Q from (x - iy)^k; zero where Q > k
+    bra = binom * i_pow.conj()
+    # j + k - Q; less P it indexes Mx, clipped at 0 where C(j,P) or C(k,Q) is zero
+    shift = n[:, None, None] + n[None, :, None] - n[None, None, :]
     total = np.zeros((n_max + 1, n_max + 1), dtype=complex)
     for term in rep.terms:
-        xr, wr = sifting_axis(term.center_r, sigma, quad)
-        xi, wi = sifting_axis(term.center_i, sigma, quad)
-        # coherent-projector kernel e^{-x^2} e^{-y^2} (x+iy)^j (x-iy)^k / sqrt(j!k!)
-        wr = wr * np.exp(-xr * xr)
-        wi = wi * np.exp(-xi * xi)
+        mx = _axis_moments(term.center_r, sigma, quad, 2 * n_max)
+        my = _axis_moments(term.center_i, sigma, quad, 2 * n_max)
         g = np.zeros_like(total)
-        for x, w in zip(xr, wr):
-            u_pow = np.vander(x + 1j * xi, n.size, increasing=True)  # (x+iy)^j
-            g += w * ((u_pow.T * wi) @ u_pow.conj())
+        for p in n:
+            inner = np.einsum("jkq,kq->jk", mx[np.maximum(shift - p, 0)],
+                              bra * my[p:p + n_max + 1])
+            g += (i_pow[p] * binom[:, p])[:, None] * inner
         total = total + term.weight * g * np.outer(inv_sqrt_fact, inv_sqrt_fact)
     return FockDensityMatrix(n_max=n_max, entries=total)
 

@@ -1,24 +1,74 @@
 import json
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from catphase.gendelta import delta_kernel
-from catphase.numerics import QuadratureSpec, trapezoid_weights
+from catphase.gendelta import cancellation_factor, delta_kernel, sifting_axis
+from catphase.numerics import QuadratureSpec, gaussian_moment_integral, log_factorial, \
+    trapezoid_weights
 from catphase.quasiprob import PRepresentation, PTerm, p_cat_terms
-from catphase.reconstruct import NUMERIC_AMPLIFICATION_GUARD, reconstruct_rho, \
-    reconstruct_rho_numeric, rho_from_pterm, roundtrip_report
-from catphase.states import CatStateSpec, cat_density_matrix, coherent_fock_coeffs, \
-    recommended_n_max
+from catphase.reconstruct import NUMERIC_AMPLIFICATION_GUARD, NUMERIC_MOMENT_ORDER_MAX, \
+    _axis_moments, reconstruct_rho, reconstruct_rho_numeric, rho_from_pterm, \
+    roundtrip_report
+from catphase.states import CatStateSpec, FockDensityMatrix, cat_density_matrix, \
+    coherent_fock_coeffs, recommended_n_max
 
 
 def polar(r_min, r_max):
     return st.builds(lambda r, t: r * complex(math.cos(t), math.sin(t)),
                      st.floats(r_min, r_max), st.floats(-math.pi, math.pi))
+
+
+def reference_reconstruct_numeric(rep, sigma, n_max, quad):
+    """The per-node oracle for reconstruct_rho_numeric: the real-part axis
+    is sifted first, then the imaginary-part axis, both on sifting_axis
+    windows, summed one real-part node at a time so memory stays
+    (n_max + 1) x node_count."""
+    if n_max > NUMERIC_MOMENT_ORDER_MAX:
+        warnings.warn(
+            f"numeric path is only certified for j + k <= {NUMERIC_MOMENT_ORDER_MAX}; "
+            f"higher-order entries of n_max = {n_max} carry larger quadrature error",
+            stacklevel=2)
+    factor = max(cancellation_factor(c, sigma)
+                 for t in rep.terms for c in (t.center_r, t.center_i))
+    if factor > NUMERIC_AMPLIFICATION_GUARD:
+        raise OverflowError(
+            f"regularization too small: cancellation factor {factor:.3e} exceeds "
+            f"{NUMERIC_AMPLIFICATION_GUARD:.0e} for sigma = {sigma}")
+
+    n = np.arange(n_max + 1)
+    inv_sqrt_fact = np.exp(-0.5 * np.array([log_factorial(k) for k in n]))
+    total = np.zeros((n_max + 1, n_max + 1), dtype=complex)
+    for term in rep.terms:
+        xr, wr = sifting_axis(term.center_r, sigma, quad)
+        xi, wi = sifting_axis(term.center_i, sigma, quad)
+        # coherent-projector kernel e^{-x^2} e^{-y^2} (x+iy)^j (x-iy)^k / sqrt(j!k!)
+        wr = wr * np.exp(-xr * xr)
+        wi = wi * np.exp(-xi * xi)
+        g = np.zeros_like(total)
+        for x, w in zip(xr, wr):
+            u_pow = np.vander(x + 1j * xi, n.size, increasing=True)  # (x+iy)^j
+            g += w * ((u_pow.T * wi) @ u_pow.conj())
+        total = total + term.weight * g * np.outer(inv_sqrt_fact, inv_sqrt_fact)
+    return FockDensityMatrix(n_max=n_max, entries=total)
+
+
+@st.composite
+def perfbench_like_cats(draw):
+    """Cats drawn as the benchmark draws them: moduli in 0.5..4, roughly
+    opposite amplitudes, |zeta| in 0.5..1.5."""
+    r1, r2 = draw(st.floats(0.5, 4.0)), draw(st.floats(0.5, 4.0))
+    theta = draw(st.floats(0.0, 2.0 * math.pi))
+    phi = theta + math.pi + draw(st.floats(-0.5, 0.5))
+    rho, psi = draw(st.floats(0.5, 1.5)), draw(st.floats(0.0, 2.0 * math.pi))
+    return CatStateSpec(r1 * complex(math.cos(theta), math.sin(theta)),
+                        r2 * complex(math.cos(phi), math.sin(phi)),
+                        rho * complex(math.cos(psi), math.sin(psi)))
 
 
 SPECS = [
@@ -154,6 +204,49 @@ class TestNumericReconstruction:
         finally:
             tracemalloc.stop()
         assert peak < 16e6
+
+    def test_working_set_stays_cubic_in_n_max(self):
+        # a few (n_max + 1)^3 tables at n_max = 40 take about 2.3 MB; the
+        # 41^4 complex tensor of the unsplit binomial sum would take 45 MB
+        rep = p_cat_terms(SPECS[0])
+        quad = QuadratureSpec(center=0.0, halfwidth=3.0, node_count=301)
+        tracemalloc.start()
+        try:
+            with pytest.warns(UserWarning, match="certified"):
+                reconstruct_rho_numeric(rep, 0.4, 40, quad)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6e6
+
+    def test_axis_moments_sift_monomials_to_closed_form(self):
+        # x^m e^{-x^2} against the kernel at the complex centre c:
+        # e^{-c^2 / 2 sigma^2} / (sqrt(2 pi) sigma) times the integral of
+        # x^m e^{-(1 + 1/2 sigma^2) x^2 + (c / sigma^2) x}
+        c, sigma = PTerm(kappa=1.0, beta=0.8 + 0.3j, gamma=-0.6 + 0.1j).center_i, 0.3
+        assert c.imag != 0
+        quad = QuadratureSpec(center=0.0, halfwidth=12.0 * sigma, node_count=2001)
+        got = _axis_moments(c, sigma, quad, 24)
+        scale = np.exp(-c * c / (2.0 * sigma * sigma)) / (math.sqrt(2.0 * math.pi) * sigma)
+        want = [scale * gaussian_moment_integral(m, 1.0 + 0.5 / sigma ** 2, c / sigma ** 2)
+                for m in range(25)]
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(spec=perfbench_like_cats())
+    def test_moment_form_matches_per_node_oracle(self, spec):
+        # the benchmark's inputs: the smallest width of at least 0.2 whose
+        # cancellation factor is at most 1e6, halfwidth 10 sigma, n_max 12,
+        # and its doubled-node tolerance
+        rep = p_cat_terms(spec)
+        worst = max(max(abs(np.imag(t.center_r)), abs(np.imag(t.center_i)))
+                    for t in rep.terms)
+        sigma = max(0.2, worst / math.sqrt(2.0 * math.log(1e6)))
+        factor = max(1.0, cancellation_factor(1j * worst, sigma))
+        quad = QuadratureSpec(center=0.0, halfwidth=10.0 * sigma, node_count=201)
+        got = reconstruct_rho_numeric(rep, sigma, 12, quad).entries
+        want = reference_reconstruct_numeric(rep, sigma, 12, quad).entries
+        assert np.max(np.abs(got - want)) <= 1e-13 * factor * np.max(np.abs(want))
 
 
 class TestRoundTripReport:
