@@ -29,3 +29,10 @@ def test_wigner_criteria_warn_about_nothing(name):
         warnings.simplefilter("error")
         passed, details = dict(CRITERIA)[name]()
     assert passed, f"{name}: {details}"
+
+
+def test_weak_convergence_record():
+    # the ratios printed by `catphase verify`, fixed by the gains and the grid
+    passed, details = dict(CRITERIA)["weak-convergence"]()
+    assert passed
+    assert "1.715, 1.838, 1.913, 1.955" in details

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -6,8 +7,10 @@ import pytest
 from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
 
+from catphase import amplifier
 from catphase.amplifier import AmplifierGain, amplified_p, amplified_p_factored, \
     amplified_p_terms, amplify_q, sigma_of_gain
+from catphase.gendelta import delta_kernel, min_safe_sigma
 from catphase.quasiprob import Grid2D, p_cat_terms, q_from_wigner, q_function, \
     wigner_from_p
 from catphase.states import CatStateSpec
@@ -188,6 +191,93 @@ class TestAmplifiedP:
         v0 = abs(amplified_p_factored(term, gain, peak))
         for off in (0.3, -0.3j, 0.2 + 0.2j):
             assert abs(amplified_p_factored(term, gain, peak + off)) < v0
+
+
+def pointwise_factored(term, gain, alpha):
+    """amplified_p_factored at every cell of alpha as scattered points."""
+    alpha = np.asarray(alpha, dtype=complex)
+    return amplified_p_factored(term, gain, alpha.ravel()).reshape(alpha.shape)
+
+
+FACTORED_TERMS = [(spec, i) for spec in (CAT, CatStateSpec(1.2 + 0.4j, -0.9 - 0.6j, 0.8 - 0.3j))
+                  for i in range(4)]
+FACTORED_GAINS = [1.01, 1.0625, 1.5, 2.0, 5.0]
+
+
+class TestFactoredTensorPath:
+    @pytest.mark.parametrize("g", FACTORED_GAINS)
+    @pytest.mark.parametrize("spec, i", FACTORED_TERMS)
+    def test_plane_is_bitwise_the_pointwise_product(self, spec, i, g):
+        term = p_cat_terms(spec).terms[i]
+        gain = AmplifierGain(g)
+        alpha = Grid2D(-4.0, 4.0, -3.0, 3.5, 61, 47).plane()
+        got = amplified_p_factored(term, gain, alpha)
+        assert got.shape == alpha.shape
+        assert np.array_equal(got, pointwise_factored(term, gain, alpha))
+
+    def test_plane_evaluates_each_kernel_on_its_axis(self, monkeypatch):
+        sizes = []
+
+        def counted(z, sigma):
+            sizes.append(np.size(z))
+            return delta_kernel(z, sigma)
+
+        monkeypatch.setattr(amplifier, "delta_kernel", counted)
+        amplified_p_factored(p_cat_terms(CAT).terms[2], AmplifierGain(1.5),
+                             Grid2D(-4.0, 4.0, -3.0, 3.0, 61, 47).plane())
+        assert sizes == [61, 47]
+
+    @pytest.mark.parametrize("g", FACTORED_GAINS)
+    def test_other_layouts_keep_shape_and_pointwise_values(self, g):
+        gain = AmplifierGain(g)
+        xs, ys = np.linspace(-4.0, 4.0, 31), np.linspace(-3.0, 3.0, 23)
+        gx, gy = np.meshgrid(xs, ys)  # "xy": Re alpha varies along axis 1
+        rng = np.random.default_rng(5)
+        layouts = [gx + 1j * gy,
+                   rng.uniform(-4.0, 4.0, 50) + 1j * rng.uniform(-4.0, 4.0, 50),
+                   rng.uniform(-4.0, 4.0, (7, 9)) + 1j * rng.uniform(-4.0, 4.0, (7, 9))]
+        for term in p_cat_terms(CAT).terms:
+            for alpha in layouts:
+                got = amplified_p_factored(term, gain, alpha)
+                assert got.shape == alpha.shape
+                assert np.array_equal(got, pointwise_factored(term, gain, alpha))
+            got = amplified_p_factored(term, gain, 0.4 - 1.1j)
+            assert isinstance(got, complex)
+            assert got == pointwise_factored(term, gain, 0.4 - 1.1j)[()]
+
+    def test_nan_cell_takes_the_pointwise_path(self):
+        term = p_cat_terms(CAT).terms[2]
+        gain = AmplifierGain(1.5)
+        alpha = Grid2D(-4.0, 4.0, -3.0, 3.0, 21, 17).plane()
+        alpha[7, 5] = complex(math.nan, alpha[7, 5].imag)
+        got = amplified_p_factored(term, gain, alpha)
+        # a column-times-row product would fill the NaN cell with a finite value
+        assert np.isnan(got[7, 5])
+        assert np.array_equal(got, pointwise_factored(term, gain, alpha), equal_nan=True)
+
+    def test_overflow_message_is_the_same_on_both_paths(self):
+        spec = CatStateSpec(3.0, -3.0, 1.0)
+        term = p_cat_terms(spec).terms[2]
+        gain = AmplifierGain(1.005)
+        assert gain.sigma < min_safe_sigma(gain.g * term.center_i)
+        alpha = Grid2D(-5.0, 5.0, -5.0, 5.0, 41, 41).plane()
+        with pytest.raises(OverflowError, match="regularization too small") as grid_err:
+            amplified_p_factored(term, gain, alpha)
+        with pytest.raises(OverflowError, match="regularization too small") as point_err:
+            pointwise_factored(term, gain, alpha)
+        assert str(grid_err.value) == str(point_err.value)
+
+    def test_plane_memory_bounded_by_the_output(self):
+        # the column and row are nx + ny values; the product is the only plane
+        alpha = field_grid(5.0, 501).plane()
+        term = p_cat_terms(CatStateSpec(0.5, -0.5, 1.0)).terms[2]
+        tracemalloc.start()
+        try:
+            out = amplified_p_factored(term, AmplifierGain(1.25), alpha)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * out.nbytes
 
 
 class TestChannelConsistency:

@@ -116,7 +116,7 @@ class TestQuadRealLine:
 
     def test_nonfinite_sample_reports_node(self):
         spec = QuadratureSpec(center=0.0, halfwidth=1.0, node_count=5)
-        with pytest.raises(FloatingPointError, match="node 2"):
+        with pytest.raises(FloatingPointError, match="node 2"), np.errstate(divide="ignore"):
             quad_real_line(lambda x: 1.0 / x, spec)
 
     def test_spec_validation(self):

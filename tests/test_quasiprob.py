@@ -1,6 +1,7 @@
 import io
 import math
 import tracemalloc
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -27,6 +28,12 @@ def complex_in(half):
 
 
 COMPLEX_2, COMPLEX_3 = complex_in(2.0), complex_in(3.0)
+
+
+def complex_within(radius):
+    """Complex numbers of modulus at most `radius`, at any phase."""
+    return st.builds(lambda r, t: r * complex(math.cos(t), math.sin(t)),
+                     st.floats(0.0, radius), st.floats(-math.pi, math.pi))
 
 
 def alpha_grid(half=6.0, n=201):
@@ -261,6 +268,23 @@ class TestQFunction:
         gx, gy = grid.meshgrid()
         grid.values = q_function(SKEW_CAT, gx + 1j * gy)
         assert grid.integrate() == pytest.approx(1.0, abs=1e-6)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(a1=complex_within(3.0), a2=complex_within(3.0), zeta=complex_within(2.0))
+    def test_nonnegative_and_normalized_for_random_cats(self, a1, a2, zeta):
+        try:
+            spec = CatStateSpec(a1, a2, zeta)
+        except ValueError:
+            reject()
+        # the window holds every component to 6 widths, where Q is below 1e-15
+        half = max(abs(a1), abs(a2)) + 6.0
+        grid = Grid2D(-half, half, -half, half, 201, 201)
+        alpha = grid.plane()
+        grid.values = q_function(spec, alpha)
+        # Q is a square, so only rounding of its terms can take it below 0
+        peaks = sum(peak for _, peak in gaussian_terms(p_cat_terms(spec), alpha, 1.0))
+        assert grid.values.min() >= -np.finfo(float).eps * peaks
+        assert grid.integrate().real == pytest.approx(1.0, abs=1e-6)
 
     def test_scalar_in_scalar_out(self):
         assert isinstance(q_function(EVEN_CAT, 0.3 + 0.1j), float)
@@ -533,7 +557,9 @@ class TestWignerFock:
     @pytest.mark.parametrize("n", [0, 1, 2, 3])
     def test_matches_laguerre_closed_form(self, n):
         grid = Grid2D(-6.0, 6.0, -6.0, 6.0, 81, 81, axis_semantics="xp")
-        w = wigner_fock(n, grid)
+        # from n = 2 on, the +-6 window is inside the recommended reach
+        with pytest.warns(UserWarning, match="grid extent") if n >= 2 else nullcontext():
+            w = wigner_fock(n, grid)
         gx, gy = grid.meshgrid()
         r_sq = gx**2 + gy**2
         want = ((-1.0) ** n / math.pi) * np.exp(-r_sq) * eval_laguerre(n, 2.0 * r_sq)

@@ -289,5 +289,6 @@ class TestRoundTripReport:
 
     def test_truncation_shows_up_in_trace(self):
         # n_max far below the photon content leaves visible trace deficit
-        report = roundtrip_report(SPECS[0], n_max=3)
+        with pytest.warns(UserWarning, match="tail mass"):
+            report = roundtrip_report(SPECS[0], n_max=3)
         assert report.trace_deviation > 1e-3

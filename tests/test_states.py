@@ -71,7 +71,8 @@ class TestCoherentFockCoeffs:
         assert np.sum(np.abs(c) ** 2) == pytest.approx(1.0, abs=1e-10)
 
     def test_poisson_statistics(self):
-        c = coherent_fock_coeffs(1.0, 10)
+        with pytest.warns(UserWarning, match="tail mass"):
+            c = coherent_fock_coeffs(1.0, 10)
         assert abs(c[2]) ** 2 == pytest.approx(math.exp(-1.0) / 2.0)
 
     def test_truncation_warning(self):
@@ -133,7 +134,8 @@ class TestFockDensityMatrixSerialization:
         assert np.array_equal(restored.entries, dm.entries)
 
     def test_schema(self):
-        dm = cat_density_matrix(CatStateSpec(0.5, 0.0, 0.0), 3)
+        with pytest.warns(UserWarning, match="tail mass"):
+            dm = cat_density_matrix(CatStateSpec(0.5, 0.0, 0.0), 3)
         data = json.loads(dm.to_json())
         assert data["n_max"] == 3
         assert len(data["entries"]) == 16
