@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import log_factorial, quad_real_line, require_order, trapezoid_weights
+from .numerics import log_factorial, quad_real_line, require_order, require_positive, \
+    trapezoid_weights
 
 # exp() overflows double precision just above e^709
 OVERFLOW_EXPONENT = 700.0
@@ -39,8 +40,7 @@ def delta_kernel(z, sigma):
     which makes the growth along the imaginary direction explicit.
     Raises when the growth exponent zi^2 / 2 sigma^2 would overflow.
     """
-    if sigma <= 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
+    require_positive(sigma, "sigma")
     z = np.asarray(z, dtype=complex)
     zr, zi = z.real, z.imag
     growth = np.max(zi * zi) / (2.0 * sigma * sigma) if z.size else 0.0
@@ -62,8 +62,7 @@ def delta_kernel_fourier(z, sigma_prime, quad):
     evaluated by quadrature over the window of `quad`.  Agrees with
     delta_kernel(z, 1 / sigma_prime) when the window covers +-8 sigma_prime.
     """
-    if sigma_prime <= 0:
-        raise ValueError(f"sigma_prime must be positive, got {sigma_prime}")
+    require_positive(sigma_prime, "sigma_prime")
     if quad.halfwidth < 8.0 * sigma_prime:
         warnings.warn(
             f"quadrature halfwidth {quad.halfwidth} < 8 sigma' = {8 * sigma_prime}; "
@@ -104,8 +103,7 @@ class RegularizedDelta:
     center: complex = 0.0j
 
     def __post_init__(self):
-        if self.sigma <= 0:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
+        require_positive(self.sigma, "sigma")
 
     def __call__(self, x):
         return delta_kernel(np.asarray(x, dtype=complex) - self.center, self.sigma)
@@ -133,8 +131,7 @@ class AnalyticTestFunction:
 
     @classmethod
     def gaussian_envelope(cls, scale, coeffs=(1.0,)):
-        if scale <= 0:
-            raise ValueError(f"scale must be positive, got {scale}")
+        require_positive(scale, "scale")
         return cls(family="gaussian_envelope", scale=float(scale),
                    coeffs=tuple(complex(c) for c in coeffs))
 
@@ -152,6 +149,7 @@ class AnalyticTestFunction:
 
 def cancellation_factor(z0, sigma):
     """Growth exp(b^2 / 2 sigma^2) of the direct-route integrand, b = Im z0."""
+    require_positive(sigma, "sigma")
     b = np.imag(z0)
     expo = b * b / (2.0 * sigma * sigma)
     return math.inf if expo > OVERFLOW_EXPONENT else math.exp(expo)
@@ -165,6 +163,7 @@ def delta_moment(n, z, sigma):
     which tends to z^n as sigma -> 0.
     """
     n = require_order(n)
+    require_positive(sigma, "sigma")
     z = complex(z)
     total = 0.0 + 0.0j
     for m in range(n // 2 + 1):

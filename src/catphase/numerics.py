@@ -50,6 +50,12 @@ def trapezoid_weights(n, h):
     return w
 
 
+def require_positive(value, name):
+    """Raise ValueError unless value > 0; NaN is refused with the rest."""
+    if not value > 0:
+        raise ValueError(f"{name} must be positive, got {value}")
+
+
 def require_order(n):
     """A polynomial order n as an int; an integral float such as 2.0 is
     accepted.  Rejects n that is not an integer in [0, HERMITE_N_MAX]."""
@@ -83,8 +89,7 @@ def gaussian_moment_integral(n, a, b):
     Returns sqrt(pi/a) e^{b^2/4a} * (-i / (2 sqrt(a)))^n * H_n(i b / (2 sqrt(a))).
     Requires a > 0; b may be complex.
     """
-    if a <= 0:
-        raise ValueError(f"a must be positive, got {a}")
+    require_positive(a, "a")
     sqrt_a = math.sqrt(a)
     b = complex(b)
     prefactor = math.sqrt(math.pi / a) * cmath.exp(b * b / (4.0 * a))

@@ -37,6 +37,7 @@ Gaussian convolution of `wigner_from_p`.
 
 import json
 import math
+import numbers
 import warnings
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -44,7 +45,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gendelta import min_safe_sigma
-from .numerics import hermite_poly, log_factorial, require_order, trapezoid_weights
+from .numerics import hermite_poly, log_factorial, require_order, require_positive, \
+    trapezoid_weights
 from .states import coherent_overlap
 
 IMAG_RESIDUE_TOL = 1e-12
@@ -243,8 +245,7 @@ def p_regularized_eval(rep, sigma, alpha):
     t = 2 sigma^2 row of the module table.  Complex-valued in general for
     off-diagonal terms; raises FloatingPointError when a value overflows.
     """
-    if sigma <= 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
+    require_positive(sigma, "sigma")
     total, _ = _sum_terms(rep, alpha, 2.0 * sigma * sigma)
     need = max((min_safe_sigma(c) for term in rep.terms
                 for c in (term.center_r, term.center_i)), default=0.0)
@@ -262,6 +263,13 @@ def opened(target, mode="r"):
     """Context manager for a path or a stream: a path is opened in `mode`
     and closed on exit; a stream is yielded unchanged and left open."""
     return open(target, mode) if isinstance(target, (str, bytes)) else nullcontext(target)
+
+
+def _require_size(n, name):
+    """n as the node count of a grid axis: an integer >= 2, else ValueError."""
+    if not (isinstance(n, numbers.Integral) and n >= 2):
+        raise ValueError(f"{name} must be an integer >= 2, got {n!r}")
+    return n
 
 
 @dataclass
@@ -282,8 +290,11 @@ class Grid2D:
     axis_semantics: str = "alpha"
 
     def __post_init__(self):
-        if self.nx < 2 or self.ny < 2:
-            raise ValueError("nx and ny must be >= 2")
+        _require_size(self.nx, "nx")
+        _require_size(self.ny, "ny")
+        bounds = (self.x_min, self.x_max, self.y_min, self.y_max)
+        if not all(map(math.isfinite, bounds)):
+            raise ValueError(f"bounds must be finite, got {bounds}")
         if not (self.x_min < self.x_max and self.y_min < self.y_max):
             raise ValueError(
                 f"bounds must satisfy x_min < x_max and y_min < y_max, got "
@@ -396,10 +407,10 @@ class Grid2D:
         data = json.loads(text)
         ax = data["axes"]
         flat = np.array([complex(re, im) for re, im in data["values"]])
-        return cls(ax["x_min"], ax["x_max"], ax["y_min"], ax["y_max"],
-                   data["nx"], data["ny"],
-                   values=flat.reshape(data["nx"], data["ny"]),
-                   axis_semantics=ax.get("semantics", "alpha"))
+        # sizes are checked before numpy reshapes by them
+        nx, ny = _require_size(data["nx"], "nx"), _require_size(data["ny"], "ny")
+        return cls(ax["x_min"], ax["x_max"], ax["y_min"], ax["y_max"], nx, ny,
+                   values=flat.reshape(nx, ny), axis_semantics=ax.get("semantics", "alpha"))
 
 
 # ---------------------------------------------------------------------------

@@ -63,7 +63,9 @@ def _coherent_column(alpha, n_max):
     """c_n = e^{-|a|^2/2} a^n / sqrt(n!) for n = 0..n_max, the number-basis
     column of |alpha>.  Each magnitude is one exp of its logarithm, so no
     power of |a| or factorial is formed and every entry is finite at any
-    amplitude and order."""
+    amplitude and order.  A negative n_max raises ValueError."""
+    if n_max < 0:
+        raise ValueError(f"n_max must be >= 0, got {n_max}")
     n = np.arange(n_max + 1)
     mag = abs(alpha)
     if mag == 0.0:

@@ -7,11 +7,17 @@ at sigma = 0.05), three orders of magnitude above the demanded 1e-6.
 The assertion is kept at the demanded tolerance rather than weakened.
 """
 
+import tracemalloc
 import warnings
 
+import numpy as np
 import pytest
 
-from catphase.verify import CRITERIA
+from catphase.amplifier import AmplifierGain, amplified_p_factored
+from catphase.numerics import trapezoid_weights
+from catphase.quasiprob import p_cat_terms
+from catphase.states import CatStateSpec
+from catphase.verify import CRITERIA, weak_convergence_integral
 
 
 @pytest.mark.parametrize("name,fn", CRITERIA, ids=[name for name, _ in CRITERIA])
@@ -36,3 +42,34 @@ def test_weak_convergence_record():
     passed, details = dict(CRITERIA)["weak-convergence"]()
     assert passed
     assert "1.715, 1.838, 1.913, 1.955" in details
+
+
+def plane_weak_integral(term, gain):
+    """The weak-convergence integral summed over the whole 501^2 plane of
+    the public factored form, kept as the oracle of the axis product."""
+    xs = np.linspace(-5.0, 5.0, 501)
+    w = trapezoid_weights(xs.size, xs[1] - xs[0])
+    f = np.exp(-(xs[:, None] ** 2 + xs[None, :] ** 2))
+    plane = xs[:, None] + 1j * xs[None, :]
+    return complex(w @ (f * amplified_p_factored(term, gain, plane)) @ w)
+
+
+@pytest.mark.parametrize("k", range(2, 7))
+def test_weak_convergence_axis_product_matches_plane(k):
+    term = p_cat_terms(CatStateSpec(0.5, -0.5, 1.0)).terms[2]
+    gain = AmplifierGain(1.0 + 2.0 ** (-k))
+    want = plane_weak_integral(term, gain)
+    got = weak_convergence_integral(term, gain)
+    assert abs(got - want) <= 1e-12 * abs(want)
+
+
+def test_weak_convergence_builds_no_plane():
+    # one 501^2 complex plane alone is 4 MB
+    tracemalloc.start()
+    try:
+        passed, _ = dict(CRITERIA)["weak-convergence"]()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert passed
+    assert peak < 1e6

@@ -300,6 +300,12 @@ class TestConfigAndDeterminism:
                                        "--alpha2", "-1.5", "0", "--zeta", "1", "0", *BOUNDS],
                                       ["sift", "--z0", "1", "0", "--sigma0", "nan",
                                        "--monomial", "1"],
+                                      # zero and negative widths, a negative n_max
+                                      ["sift", "--z0", "1", "0.4", "--sigma0", "0",
+                                       "--envelope-scale", "1"],
+                                      ["sift", "--z0", "1", "0.4", "--sigma0", "-0.1",
+                                       "--monomial", "3"],
+                                      ["roundtrip", *STATE, "--n-max", "-1"],
                                       # amplified fields come only from amplify
                                       ["grid", "--field", "p_amplified", "--gain", "2.0",
                                        *STATE, *BOUNDS, "--nx", "21"],

@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from catphase.gendelta import delta_moment
+from catphase.gendelta import AnalyticTestFunction, RegularizedDelta, cancellation_factor, \
+    delta_kernel, delta_kernel_fourier, delta_moment
 from catphase.numerics import QuadratureSpec, gaussian_moment_integral, hermite_poly, \
     quad_real_line
-from catphase.quasiprob import Grid2D, wigner_fock
+from catphase.quasiprob import Grid2D, p_cat_terms, p_regularized_eval, wigner_fock
+from catphase.states import CatStateSpec
 
 XP_GRID = Grid2D(-7.0, 7.0, -7.0, 7.0, 21, 21, axis_semantics="xp")
 # every caller of require_order, as a function of the order alone
@@ -16,6 +18,20 @@ ORDER_CALLERS = {
     "hermite_poly": lambda n: hermite_poly(n, np.array([0.3, -1.2, 0.5 + 0.5j])),
     "delta_moment": lambda n: delta_moment(n, 1.0 + 0.4j, 0.3),
     "wigner_fock": lambda n: wigner_fock(n, XP_GRID).values,
+}
+
+# every caller of require_positive, as a function of the width alone
+WIDTH_CALLERS = {
+    "delta_kernel": lambda s: delta_kernel(0.5, s),
+    "delta_kernel_fourier": lambda s: delta_kernel_fourier(
+        0.5, s, QuadratureSpec(center=0.0, halfwidth=10.0, node_count=101)),
+    "RegularizedDelta": lambda s: RegularizedDelta(s),
+    "gaussian_envelope": lambda s: AnalyticTestFunction.gaussian_envelope(s),
+    "p_regularized_eval": lambda s: p_regularized_eval(
+        p_cat_terms(CatStateSpec(1.0, -1.0, 1.0)), s, 0.3),
+    "delta_moment": lambda s: delta_moment(3, 1.0 + 0.4j, s),
+    "cancellation_factor": lambda s: cancellation_factor(1.0 + 0.4j, s),
+    "gaussian_moment_integral": lambda a: gaussian_moment_integral(2, a, 0.0),
 }
 
 
@@ -97,6 +113,14 @@ class TestGaussianMomentIntegral:
             gaussian_moment_integral(2, 0.0, 0.0)
         with pytest.raises(ValueError):
             gaussian_moment_integral(2, -1.0, 0.0)
+
+
+class TestRequirePositive:
+    @pytest.mark.parametrize("width", [0.0, -1.0, math.nan], ids=["zero", "negative", "nan"])
+    @pytest.mark.parametrize("caller", WIDTH_CALLERS)
+    def test_non_positive_or_nan_width_raises(self, caller, width):
+        with pytest.raises(ValueError, match=f"must be positive, got {width}"):
+            WIDTH_CALLERS[caller](width)
 
 
 class TestQuadRealLine:

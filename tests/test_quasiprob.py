@@ -1,4 +1,5 @@
 import io
+import json
 import math
 import tracemalloc
 from contextlib import nullcontext
@@ -541,6 +542,16 @@ class TestGrid2D:
     def test_rejects_inverted_or_degenerate_bounds(self, bounds):
         with pytest.raises(ValueError, match="x_min < x_max and y_min < y_max"):
             Grid2D(*bounds, 5, 5)
+
+    @pytest.mark.parametrize("field,value,match", [
+        ("x_max", math.inf, "finite"), ("y_min", -math.inf, "finite"),
+        ("x_min", math.nan, "finite"), ("nx", 3.0, "nx must be an integer"),
+        ("ny", 1, "ny must be an integer"), ("nx", "3", "nx must be an integer")])
+    def test_from_json_rejects_tampered_geometry(self, field, value, match):
+        data = json.loads(Grid2D(-1.0, 1.0, -1.0, 1.0, 3, 3).to_json())
+        (data if field in ("nx", "ny") else data["axes"])[field] = value
+        with pytest.raises(ValueError, match=match):
+            Grid2D.from_json(json.dumps(data))
 
     def test_opened_closes_paths_and_leaves_streams_open(self, tmp_path):
         buf = io.StringIO()

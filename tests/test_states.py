@@ -75,6 +75,12 @@ class TestCoherentFockCoeffs:
             c = coherent_fock_coeffs(1.0, 10)
         assert abs(c[2]) ** 2 == pytest.approx(math.exp(-1.0) / 2.0)
 
+    def test_negative_n_max_raises_before_any_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="n_max must be >= 0, got -1"):
+                coherent_fock_coeffs(1.5, -1)
+
     def test_truncation_warning(self):
         with pytest.warns(UserWarning, match="tail mass"):
             coherent_fock_coeffs(3.0, 8)
