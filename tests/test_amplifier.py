@@ -137,17 +137,19 @@ class TestAmplifiedP:
         p = amplified_p(CAT, AmplifierGain(1.5), gx + 1j * gy)
         assert p.dtype == float
 
-    @pytest.mark.parametrize("g", [1.1, 2.0, 5.0])
+    @pytest.mark.parametrize("g", [1.0625, 1.1, 1.5, 2.0, 5.0])
     @pytest.mark.parametrize("spec", [CAT, CatStateSpec(1.2 + 0.4j, -0.9 - 0.6j, 0.8 - 0.3j)])
-    def test_factored_form_matches_per_term_values(self, spec, g):
+    @pytest.mark.parametrize("i", range(4))
+    def test_factored_form_matches_per_term_values(self, i, spec, g):
         # scattered points, and a plane, where gaussian_terms takes its tensor path
         gain = AmplifierGain(g)
+        term = p_cat_terms(spec).terms[i]
         for alphas in (np.array([0.3 + 0.2j, -1.0, 2.5j, g * 1.5]),
                        Grid2D(-4.0, 4.0, -3.0, 3.5, 61, 47).plane()):
-            per_term = amplified_p_terms(spec, gain, alphas)
-            for term, vals in zip(p_cat_terms(spec).terms, per_term):
-                fac = amplified_p_factored(term, gain, alphas)
-                np.testing.assert_allclose(fac, vals, rtol=1e-12, atol=1e-300)
+            vals = amplified_p_terms(spec, gain, alphas)[i]
+            fac = amplified_p_factored(term, gain, alphas)
+            assert fac.shape == alphas.shape
+            np.testing.assert_allclose(fac, vals, rtol=1e-12, atol=1e-300)
 
     def test_terms_sum_to_total(self):
         gain = AmplifierGain(1.8)
