@@ -15,7 +15,7 @@ import numpy as np
 
 from .amplifier import AmplifierGain, amplified_p, amplify_q
 from .gendelta import AnalyticTestFunction, cancellation_factor, sift, sift_shifted_line
-from .numerics import QuadratureSpec, require_positive
+from .numerics import QuadratureSpec, complex_pairs, require_positive
 from .quasiprob import Grid2D, opened, p_cat_terms, p_representation_grid, q_function, \
     wigner_fock
 from .reconstruct import roundtrip_report
@@ -194,7 +194,7 @@ def cmd_grid(args):
         meta = {"field": field, "alpha1": spec.alpha1, "alpha2": spec.alpha2,
                 "zeta": spec.zeta, "axes": "alpha"}
         if field == "q":
-            grid.values = q_function(spec, grid.plane()).astype(complex)
+            grid = grid.like(values=q_function(spec, grid.plane()))
         elif field == "p_regularized":
             _require(args, ["sigma"])
             grid = p_representation_grid(p_cat_terms(spec), args.sigma, grid)
@@ -209,14 +209,14 @@ def cmd_amplify(args):
     grid = _grid_from(args, "alpha")
     gain = AmplifierGain(args.gain)
     if args.field == "q":
-        grid.values = amplify_q(spec, gain, grid.plane()).astype(complex)
+        grid = grid.like(values=amplify_q(spec, gain, grid.plane()))
     elif gain.g == 1.0:
         raise FloatingPointError(
             f"P-function is singular at gain {gain.g} (sigma_of_gain({gain.g}) = "
             f"{gain.sigma}); it cannot be sampled on a grid -- "
             "use grid --field p_regularized with an explicit sigma instead")
     else:
-        grid.values = amplified_p(spec, gain, grid.plane()).astype(complex)
+        grid = grid.like(values=amplified_p(spec, gain, grid.plane()))
     meta = {"field": args.field, "gain": args.gain, "sigma": gain.sigma,
             "alpha1": spec.alpha1, "alpha2": spec.alpha2, "zeta": spec.zeta,
             "axes": "alpha"}
@@ -253,28 +253,21 @@ def cmd_sift(args):
     z0 = complex(*args.z0)
     sigmas = [args.sigma0 * 2.0 ** (-k) for k in range(args.levels)]
     quad = QuadratureSpec(center=z0.real, halfwidth=args.halfwidth, node_count=args.nodes)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        direct = complex_pairs([sift(f, z0, s, quad) for s in sigmas])
     record = {
         "z0": [z0.real, z0.imag],
         "function": f_desc,
         "sigma_schedule": sigmas,
-        "direct": [],
-        "shifted": [],
-        "continuation": _c_pair(f(z0)),
+        "direct": direct,
+        "shifted": complex_pairs([sift_shifted_line(f, z0, s, quad) for s in sigmas]),
+        "continuation": complex_pairs(f(z0))[0],
         "cancellation_factor": [cancellation_factor(z0, s) for s in sigmas],
     }
-    for s in sigmas:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            record["direct"].append(_c_pair(sift(f, z0, s, quad)))
-        record["shifted"].append(_c_pair(sift_shifted_line(f, z0, s, quad)))
     with _output(args) as stream:
         stream.write(json.dumps(record) + "\n")
     return EXIT_OK
-
-
-def _c_pair(v):
-    v = complex(v)
-    return [v.real, v.imag]
 
 
 def cmd_verify(_args):

@@ -50,6 +50,21 @@ def trapezoid_weights(n, h):
     return w
 
 
+def complex_pairs(values):
+    """The JSON form of a complex array: its [re, im] float pairs in C order."""
+    v = np.asarray(values, dtype=complex).ravel()
+    return np.stack([v.real, v.imag], -1).tolist()
+
+
+def complex_from_pairs(pairs):
+    """Inverse of complex_pairs: a flat complex array, or ValueError unless
+    `pairs` is a list of [re, im] pairs of numbers."""
+    arr = np.array(pairs)
+    if arr.dtype.kind not in "iuf" or arr.shape[1:] != (2,):
+        raise ValueError(f"not [re, im] number pairs: {arr.dtype} array of shape {arr.shape}")
+    return arr.astype(float).view(complex).ravel()
+
+
 def require_positive(value, name):
     """Raise ValueError unless value > 0 and its square is not 0; NaN is refused too."""
     if not value > 0:

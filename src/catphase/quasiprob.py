@@ -45,8 +45,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gendelta import min_safe_sigma
-from .numerics import hermite_poly, log_factorial, require_order, require_positive, \
-    trapezoid_weights
+from .numerics import complex_from_pairs, complex_pairs, hermite_poly, log_factorial, \
+    require_order, require_positive, trapezoid_weights
 from .states import coherent_overlap
 
 IMAG_RESIDUE_TOL = 1e-12
@@ -174,6 +174,7 @@ def gaussian_terms(rep, alpha, t, g=1.0):
             values = np.exp(ex)
             values *= scale
         yield values, float(abs(scale) * np.exp(top))
+        del values  # once the caller drops it, this term is freed before the next
 
 
 def _sum_terms(rep, alpha, t, g=1.0):
@@ -185,6 +186,7 @@ def _sum_terms(rep, alpha, t, g=1.0):
     with np.errstate(over="ignore", invalid="ignore"):
         for values, peak in gaussian_terms(rep, alpha, t, g):
             total += values
+            del values  # so only one term is alive while the next is built
             peaks += peak
     return total, peaks
 
@@ -399,14 +401,14 @@ class Grid2D:
                      "y_min": self.y_min, "y_max": self.y_max,
                      "semantics": self.axis_semantics},
             "nx": self.nx, "ny": self.ny,
-            "values": [[v.real, v.imag] for v in self.values.ravel()],
+            "values": complex_pairs(self.values),
         })
 
     @classmethod
     def from_json(cls, text):
         data = json.loads(text)
         ax = data["axes"]
-        flat = np.array([complex(re, im) for re, im in data["values"]])
+        flat = complex_from_pairs(data["values"])
         # sizes are checked before numpy reshapes by them
         nx, ny = _require_size(data["nx"], "nx"), _require_size(data["ny"], "ny")
         return cls(ax["x_min"], ax["x_max"], ax["y_min"], ax["y_max"], nx, ny,

@@ -4,12 +4,13 @@ density matrices.
 
 import json
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import log_factorial
+from .numerics import complex_from_pairs, complex_pairs, log_factorial
 
 TAIL_MASS_WARN = 1e-10
 
@@ -26,7 +27,12 @@ def cat_normalization(alpha1, alpha2, zeta):
     degenerate case where the normalizer is not positive (e.g. zeta = -1
     with alpha2 = alpha1).
     """
-    norm_sq = 1.0 + abs(zeta) ** 2 + 2.0 * (zeta * coherent_overlap(alpha1, alpha2)).real
+    try:
+        norm_sq = 1.0 + abs(zeta) ** 2 + 2.0 * (zeta * coherent_overlap(alpha1, alpha2)).real
+    except OverflowError:  # a Python float's square out of range
+        raise OverflowError(f"cat state out of range: |alpha1|^2, |alpha2|^2 or |zeta|^2 "
+                            f"overflows for alpha1 = {alpha1}, alpha2 = {alpha2}, "
+                            f"zeta = {zeta}") from None
     if norm_sq <= 0 or not math.isfinite(norm_sq):
         raise ValueError(
             f"degenerate cat state: <psi|psi> proportional to {norm_sq}, cannot normalize")
@@ -97,6 +103,7 @@ class FockDensityMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "n_max", _require_n_max(self.n_max))
         entries = np.asarray(self.entries, dtype=complex)
         expected = (self.n_max + 1, self.n_max + 1)
         if entries.shape != expected:
@@ -110,17 +117,20 @@ class FockDensityMatrix:
         return float(np.max(np.abs(self.entries - self.entries.conj().T)))
 
     def to_json(self):
-        pairs = [[v.real, v.imag] for v in self.entries.ravel()]
-        return json.dumps({"n_max": self.n_max, "entries": pairs})
+        return json.dumps({"n_max": self.n_max, "entries": complex_pairs(self.entries)})
 
     @classmethod
     def from_json(cls, text):
         data = json.loads(text)
-        n = data["n_max"]
-        if type(n) is not int or n < 0:  # checked before numpy reshapes by it
-            raise ValueError(f"n_max must be an integer >= 0, got {n!r}")
-        flat = np.array([complex(re, im) for re, im in data["entries"]])
-        return cls(n_max=n, entries=flat.reshape(n + 1, n + 1))
+        n = _require_n_max(data["n_max"])  # checked before numpy reshapes by it
+        return cls(n_max=n, entries=complex_from_pairs(data["entries"]).reshape(n + 1, n + 1))
+
+
+def _require_n_max(n):
+    """n as a Fock truncation: an integer >= 0, bools refused, numpy integers as int."""
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 0:
+        raise ValueError(f"n_max must be an integer >= 0, got {n!r}")
+    return int(n)
 
 
 def cat_density_matrix(spec, n_max):

@@ -319,6 +319,17 @@ class TestConfigAndDeterminism:
         assert out == ""
         assert err.startswith("usage error") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("command", [["roundtrip"], ["grid", "--field", "q", *BOUNDS]])
+    @pytest.mark.parametrize("state", [["--alpha1", "1e200", "0", *STATE[3:]],
+                                       [*STATE[:6], "--zeta", "1e300", "0"]],
+                             ids=["alpha1", "zeta"])
+    def test_amplitude_whose_square_overflows_is_numeric_error(self, command, state, capsys):
+        code, out, err = run_cli([*command, *state], capsys)
+        assert code == EXIT_NUMERIC
+        assert out == ""
+        assert err.startswith("numeric guard: cat state out of range") and err.count("\n") == 1
+        assert ("alpha1 = (1e+200+0j)" in err) != ("zeta = (1e+300+0j)" in err)
+
     def test_output_into_missing_directory_is_usage_error(self, tmp_path, capsys):
         path = tmp_path / "missing" / "f.csv"
         code, out, err = run_cli(

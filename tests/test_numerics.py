@@ -1,16 +1,18 @@
+import json
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from catphase.gendelta import AnalyticTestFunction, RegularizedDelta, cancellation_factor, \
     delta_kernel, delta_kernel_fourier, delta_moment
-from catphase.numerics import QuadratureSpec, gaussian_moment_integral, hermite_poly, \
-    quad_real_line
+from catphase.numerics import QuadratureSpec, complex_from_pairs, complex_pairs, \
+    gaussian_moment_integral, hermite_poly, quad_real_line
 from catphase.quasiprob import Grid2D, p_cat_terms, p_regularized_eval, wigner_fock
-from catphase.states import CatStateSpec
+from catphase.states import CatStateSpec, FockDensityMatrix
 
 XP_GRID = Grid2D(-7.0, 7.0, -7.0, 7.0, 21, 21, axis_semantics="xp")
 # every caller of require_order, as a function of the order alone
@@ -33,6 +35,41 @@ WIDTH_CALLERS = {
     "cancellation_factor": lambda s: cancellation_factor(1.0 + 0.4j, s),
     "gaussian_moment_integral": lambda a: gaussian_moment_integral(2, a, 0.0),
 }
+
+# a 3 x 3 grid, or a density matrix of n_max 2
+GOOD_PAIRS = [[k / 4.0, -0.5] for k in range(9)]
+
+
+def with_entry(entry):
+    """GOOD_PAIRS with its middle pair replaced by `entry`."""
+    return GOOD_PAIRS[:4] + [entry] + GOOD_PAIRS[5:]
+
+
+MALFORMED_PAIRS = {
+    "string": with_entry(["1", 2.0]),
+    "null": with_entry(None),
+    "null-part": with_entry([True, None]),
+    "nested": with_entry([[1.0, 2.0], 3.0]),
+    "one-element": with_entry([1.0]),
+    "three-element": with_entry([1.0, 2.0, 3.0]),
+    "all-three-element": [pair + [0.0] for pair in GOOD_PAIRS],
+    "scalar": 5,
+    "too-many": GOOD_PAIRS + [[0.0, 0.0]],
+    "too-few": GOOD_PAIRS[:-1],
+}
+
+# both JSON readers of complex data, as functions of the pairs alone
+PAIR_READERS = {
+    "Grid2D": lambda pairs: Grid2D.from_json(json.dumps(
+        {"axes": {"x_min": -1.0, "x_max": 1.0, "y_min": -1.0, "y_max": 1.0},
+         "nx": 3, "ny": 3, "values": pairs})),
+    "FockDensityMatrix": lambda pairs: FockDensityMatrix.from_json(json.dumps(
+        {"n_max": 2, "entries": pairs})),
+}
+
+# any float, often one that JSON writes specially or whose sign or scale is easily lost
+FLOAT_PART = st.one_of(st.floats(), st.sampled_from(
+    [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -2.5e-308, 1e308]))
 
 
 def trapezoid_oracle(f, lo, hi, n=48001):
@@ -155,3 +192,23 @@ class TestQuadRealLine:
             QuadratureSpec(center=0.0, halfwidth=math.inf, node_count=10)
         with pytest.raises(ValueError):
             QuadratureSpec(center=0.0, halfwidth=1.0, node_count=1)
+
+
+class TestComplexPairs:
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(values=hnp.arrays(complex, hnp.array_shapes(max_dims=3, max_side=6),
+                             elements=st.builds(complex, FLOAT_PART, FLOAT_PART)))
+    def test_json_round_trip_keeps_values_and_zero_signs(self, values):
+        got = complex_from_pairs(json.loads(json.dumps(complex_pairs(values))))
+        want = values.ravel()
+        for part in ("real", "imag"):
+            a, b = getattr(got, part), getattr(want, part)
+            np.testing.assert_array_equal(a, b)  # NaN positions included
+            np.testing.assert_array_equal(np.signbit(a[b == 0]), np.signbit(b[b == 0]))
+
+    @pytest.mark.parametrize("reader", PAIR_READERS)
+    @pytest.mark.parametrize("pairs", MALFORMED_PAIRS.values(), ids=MALFORMED_PAIRS)
+    def test_malformed_pairs_are_refused_by_both_readers(self, reader, pairs):
+        PAIR_READERS[reader](GOOD_PAIRS)
+        with pytest.raises(ValueError):
+            PAIR_READERS[reader](pairs)

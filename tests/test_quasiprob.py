@@ -10,6 +10,7 @@ from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
 from scipy.special import eval_laguerre
 
+from catphase.amplifier import AmplifierGain, amplified_p, amplify_q
 from catphase.gendelta import cancellation_factor, min_safe_sigma
 from catphase.numerics import trapezoid_weights
 from catphase.quasiprob import Grid2D, PRepresentation, PTerm, _gaussian_convolve, \
@@ -246,17 +247,21 @@ class TestQFunction:
             q_function(EVEN_CAT, gx + 1j * gy)
 
     def test_grid_memory_bounded(self):
-        # the complex sum, one term and the term before it: 48 B per cell
-        n = 401
-        gx, gy = alpha_grid(half=7.0, n=n).meshgrid()
-        alpha = gx + 1j * gy
-        tracemalloc.start()
-        try:
-            q_function(SKEW_CAT, alpha)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 64 * n * n
+        # each field summed by _sum_terms holds its complex sum and the term
+        # being built, two planes, and never the term before that one
+        gain = AmplifierGain(2.0)
+        fields = [lambda a: q_function(SKEW_CAT, a), lambda a: amplify_q(SKEW_CAT, gain, a),
+                  lambda a: amplified_p(SKEW_CAT, gain, a),
+                  lambda a: p_regularized_eval(p_cat_terms(SKEW_CAT), 0.6, a)]
+        alpha = alpha_grid(half=7.0, n=401).plane()
+        for field in fields:
+            tracemalloc.start()
+            try:
+                field(alpha)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2.5 * alpha.nbytes
 
     def test_nonnegative_on_grid(self):
         grid = alpha_grid()

@@ -144,8 +144,17 @@ class TestFockDensityMatrixSerialization:
                              ids=["negative", "bool", "float"])
     def test_non_integer_or_negative_n_max_is_refused(self, n_max, count):
         text = json.dumps({"n_max": n_max, "entries": [[1.0, 0.0]] * count})
-        with pytest.raises(ValueError, match=f"n_max must be an integer >= 0, got {n_max!r}"):
+        message = f"n_max must be an integer >= 0, got {n_max!r}"
+        with pytest.raises(ValueError, match=message):
             FockDensityMatrix.from_json(text)
+        # refused at construction too, so to_json never writes what from_json refuses
+        with pytest.raises(ValueError, match=message):
+            FockDensityMatrix(n_max=n_max, entries=np.ones((2, 2)))
+
+    def test_numpy_integer_n_max_becomes_int(self):
+        dm = cat_density_matrix(CatStateSpec(1.0, -1.0, 0.5j), np.int64(12))
+        assert type(dm.n_max) is int
+        assert FockDensityMatrix.from_json(dm.to_json()).n_max == 12
 
     def test_schema(self):
         with pytest.warns(UserWarning, match="tail mass"):
