@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 usage error, 2 numeric guard tripped,
 import argparse
 import json
 import math
+import re
 import sys
 import warnings
 
@@ -15,7 +16,7 @@ import numpy as np
 
 from .amplifier import AmplifierGain, amplified_p, amplify_q
 from .gendelta import AnalyticTestFunction, cancellation_factor, sift, sift_shifted_line
-from .numerics import QuadratureSpec, complex_pairs, require_positive
+from .numerics import QuadratureSpec, complex_pairs, require_count, require_positive
 from .quasiprob import Grid2D, opened, p_cat_terms, p_representation_grid, q_function, \
     wigner_fock
 from .reconstruct import roundtrip_report
@@ -36,6 +37,11 @@ class UsageError(Exception):
 
 class _Parser(argparse.ArgumentParser):
     """Reports a parse failure as UsageError (exit 1), not argparse's exit 2."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # Python 3.13's pattern: a value such as -1.5e0 or -.5 is a number, not a flag
+        self._negative_number_matcher = re.compile(r"-\.?\d")
 
     def error(self, message):
         raise UsageError(message)
@@ -245,13 +251,12 @@ def cmd_sift(args):
         f = AnalyticTestFunction.gaussian_envelope(args.envelope_scale, coeffs)
         f_desc = {"family": "gaussian_envelope", "scale": args.envelope_scale,
                   "coeffs": coeffs}
-    if args.levels < 1:
-        raise UsageError(f"--levels must be >= 1, got {args.levels}")
+    levels = require_count(args.levels, "--levels", 1)
     # the narrowest width, checked before a schedule of that many levels is built
-    require_positive(math.ldexp(args.sigma0, 1 - args.levels),
-                     f"--sigma0 {args.sigma0} halved {args.levels - 1} times")
+    require_positive(math.ldexp(args.sigma0, 1 - levels),
+                     f"--sigma0 {args.sigma0} halved {levels - 1} times")
     z0 = complex(*args.z0)
-    sigmas = [args.sigma0 * 2.0 ** (-k) for k in range(args.levels)]
+    sigmas = [args.sigma0 * 2.0 ** (-k) for k in range(levels)]
     quad = QuadratureSpec(center=z0.real, halfwidth=args.halfwidth, node_count=args.nodes)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -311,8 +316,9 @@ def main(argv=None):
             # unparsable flags, config values and paths
             print(f"usage error: {exc}", file=sys.stderr)
             return EXIT_USAGE
-        except (OverflowError, FloatingPointError) as exc:
-            print(f"numeric guard: {exc}", file=sys.stderr)
+        except (OverflowError, FloatingPointError, MemoryError) as exc:
+            # numpy names the size it could not allocate; a bare MemoryError is empty
+            print(f"numeric guard: {str(exc) or 'out of memory'}", file=sys.stderr)
             return EXIT_NUMERIC
 
 

@@ -7,6 +7,7 @@ inputs wherever that makes sense.
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,8 +31,7 @@ class QuadratureSpec:
     def __post_init__(self):
         if not (self.halfwidth > 0 and math.isfinite(self.halfwidth)):
             raise ValueError(f"halfwidth must be finite and positive, got {self.halfwidth}")
-        if self.node_count < 2:
-            raise ValueError(f"node_count must be >= 2, got {self.node_count}")
+        object.__setattr__(self, "node_count", require_count(self.node_count, "node_count", 2))
 
     @property
     def nodes(self):
@@ -71,6 +71,13 @@ def require_positive(value, name):
         raise ValueError(f"{name} must be positive, got {value}")
     if value * value == 0:
         raise ValueError(f"{name} = {value} is too small: its square underflows to 0")
+
+
+def require_count(n, name, minimum=0):
+    """n as an int; ValueError unless n is an integer (not a bool) >= minimum."""
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {n!r}")
+    return int(n)
 
 
 def require_order(n):

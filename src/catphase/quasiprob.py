@@ -37,7 +37,6 @@ Gaussian convolution of `wigner_from_p`.
 
 import json
 import math
-import numbers
 import warnings
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -46,7 +45,7 @@ import numpy as np
 
 from .gendelta import min_safe_sigma
 from .numerics import complex_from_pairs, complex_pairs, hermite_poly, log_factorial, \
-    require_order, require_positive, trapezoid_weights
+    require_count, require_order, require_positive, trapezoid_weights
 from .states import coherent_overlap
 
 IMAG_RESIDUE_TOL = 1e-12
@@ -267,13 +266,6 @@ def opened(target, mode="r"):
     return open(target, mode) if isinstance(target, (str, bytes)) else nullcontext(target)
 
 
-def _require_size(n, name):
-    """n as the node count of a grid axis: an integer >= 2, else ValueError."""
-    if not (isinstance(n, numbers.Integral) and n >= 2):
-        raise ValueError(f"{name} must be an integer >= 2, got {n!r}")
-    return n
-
-
 @dataclass
 class Grid2D:
     """Uniformly sampled complex field over a rectangle.
@@ -292,8 +284,7 @@ class Grid2D:
     axis_semantics: str = "alpha"
 
     def __post_init__(self):
-        _require_size(self.nx, "nx")
-        _require_size(self.ny, "ny")
+        self.nx, self.ny = require_count(self.nx, "nx", 2), require_count(self.ny, "ny", 2)
         bounds = (self.x_min, self.x_max, self.y_min, self.y_max)
         if not all(map(math.isfinite, bounds)):
             raise ValueError(f"bounds must be finite, got {bounds}")
@@ -410,7 +401,7 @@ class Grid2D:
         ax = data["axes"]
         flat = complex_from_pairs(data["values"])
         # sizes are checked before numpy reshapes by them
-        nx, ny = _require_size(data["nx"], "nx"), _require_size(data["ny"], "ny")
+        nx, ny = require_count(data["nx"], "nx", 2), require_count(data["ny"], "ny", 2)
         return cls(ax["x_min"], ax["x_max"], ax["y_min"], ax["y_max"], nx, ny,
                    values=flat.reshape(nx, ny), axis_semantics=ax.get("semantics", "alpha"))
 

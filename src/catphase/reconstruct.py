@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gendelta import cancellation_factor, sifting_axis
-from .numerics import log_factorial
+from .numerics import log_factorial, require_count
 from .states import FockDensityMatrix, _coherent_column, cat_density_matrix
 from .quasiprob import p_cat_terms
 
@@ -41,6 +41,7 @@ def rho_from_pterm(term, n_max):
 
 def reconstruct_rho(rep, n_max):
     """Sum of the closed-form single-term reconstructions."""
+    n_max = require_count(n_max, "n_max")
     total = np.zeros((n_max + 1, n_max + 1), dtype=complex)
     for term in rep.terms:
         total = total + rho_from_pterm(term, n_max).entries
@@ -72,6 +73,7 @@ def reconstruct_rho_numeric(rep, sigma, n_max, quad):
     guard, and warns when n_max exceeds 12 (polynomial moment growth
     dominates the quadrature error there).
     """
+    n_max = require_count(n_max, "n_max")
     if n_max > NUMERIC_MOMENT_ORDER_MAX:
         warnings.warn(
             f"numeric path is only certified for n_max <= {NUMERIC_MOMENT_ORDER_MAX}; "
@@ -138,7 +140,7 @@ def roundtrip_report(spec, n_max):
         total = total + got
     rho_recon = FockDensityMatrix(n_max=n_max, entries=total)
     return RoundTripReport(
-        n_max=n_max,
+        n_max=rho_recon.n_max,
         max_abs_deviation=float(np.max(np.abs(rho_recon.entries - rho_direct.entries))),
         trace_deviation=abs(rho_recon.trace() - 1.0),
         per_term_checks=tuple(checks),

@@ -4,13 +4,12 @@ density matrices.
 
 import json
 import math
-import numbers
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import complex_from_pairs, complex_pairs, log_factorial
+from .numerics import complex_from_pairs, complex_pairs, log_factorial, require_count
 
 TAIL_MASS_WARN = 1e-10
 
@@ -28,11 +27,15 @@ def cat_normalization(alpha1, alpha2, zeta):
     with alpha2 = alpha1).
     """
     try:
-        norm_sq = 1.0 + abs(zeta) ** 2 + 2.0 * (zeta * coherent_overlap(alpha1, alpha2)).real
+        with np.errstate(over="ignore", invalid="ignore"):
+            norm_sq = 1.0 + abs(zeta) ** 2 + 2.0 * (zeta * coherent_overlap(alpha1, alpha2)).real
+        # each square finite, but not their sum
+        if not math.isfinite(norm_sq) and np.isfinite([alpha1, alpha2, zeta]).all():
+            raise OverflowError
     except OverflowError:  # a Python float's square out of range
-        raise OverflowError(f"cat state out of range: |alpha1|^2, |alpha2|^2 or |zeta|^2 "
-                            f"overflows for alpha1 = {alpha1}, alpha2 = {alpha2}, "
-                            f"zeta = {zeta}") from None
+        raise OverflowError(f"cat state out of range: |alpha1|^2, |alpha2|^2, |zeta|^2 "
+                            f"or a sum of them overflows for alpha1 = {alpha1}, "
+                            f"alpha2 = {alpha2}, zeta = {zeta}") from None
     if norm_sq <= 0 or not math.isfinite(norm_sq):
         raise ValueError(
             f"degenerate cat state: <psi|psi> proportional to {norm_sq}, cannot normalize")
@@ -69,9 +72,8 @@ def _coherent_column(alpha, n_max):
     """c_n = e^{-|a|^2/2} a^n / sqrt(n!) for n = 0..n_max, the number-basis
     column of |alpha>.  Each magnitude is one exp of its logarithm, so no
     power of |a| or factorial is formed and every entry is finite at any
-    amplitude and order.  A negative n_max raises ValueError."""
-    if n_max < 0:
-        raise ValueError(f"n_max must be >= 0, got {n_max}")
+    amplitude and order.  n_max must be an integer >= 0, else ValueError."""
+    n_max = require_count(n_max, "n_max")
     n = np.arange(n_max + 1)
     mag = abs(alpha)
     if mag == 0.0:
@@ -103,7 +105,7 @@ class FockDensityMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "n_max", _require_n_max(self.n_max))
+        object.__setattr__(self, "n_max", require_count(self.n_max, "n_max"))
         entries = np.asarray(self.entries, dtype=complex)
         expected = (self.n_max + 1, self.n_max + 1)
         if entries.shape != expected:
@@ -122,15 +124,8 @@ class FockDensityMatrix:
     @classmethod
     def from_json(cls, text):
         data = json.loads(text)
-        n = _require_n_max(data["n_max"])  # checked before numpy reshapes by it
+        n = require_count(data["n_max"], "n_max")  # checked before numpy reshapes by it
         return cls(n_max=n, entries=complex_from_pairs(data["entries"]).reshape(n + 1, n + 1))
-
-
-def _require_n_max(n):
-    """n as a Fock truncation: an integer >= 0, bools refused, numpy integers as int."""
-    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 0:
-        raise ValueError(f"n_max must be an integer >= 0, got {n!r}")
-    return int(n)
 
 
 def cat_density_matrix(spec, n_max):

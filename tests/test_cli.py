@@ -320,15 +320,48 @@ class TestConfigAndDeterminism:
         assert err.startswith("usage error") and err.count("\n") == 1
 
     @pytest.mark.parametrize("command", [["roundtrip"], ["grid", "--field", "q", *BOUNDS]])
-    @pytest.mark.parametrize("state", [["--alpha1", "1e200", "0", *STATE[3:]],
-                                       [*STATE[:6], "--zeta", "1e300", "0"]],
-                             ids=["alpha1", "zeta"])
-    def test_amplitude_whose_square_overflows_is_numeric_error(self, command, state, capsys):
+    @pytest.mark.parametrize("state,named", [
+        (["--alpha1", "1e200", "0", *STATE[3:]], "alpha1 = (1e+200+0j)"),
+        ([*STATE[:6], "--zeta", "1e300", "0"], "zeta = (1e+300+0j)"),
+        # each square is finite, but |alpha1|^2 + |alpha2|^2 is not
+        (["--alpha1", "1.3e154", "0", "--alpha2", "1.3e154", "0", *STATE[6:]],
+         "alpha2 = (1.3e+154+0j)")], ids=["alpha1", "zeta", "sum"])
+    def test_amplitude_whose_square_overflows_is_numeric_error(self, command, state, named,
+                                                                capsys):
         code, out, err = run_cli([*command, *state], capsys)
         assert code == EXIT_NUMERIC
         assert out == ""
         assert err.startswith("numeric guard: cat state out of range") and err.count("\n") == 1
-        assert ("alpha1 = (1e+200+0j)" in err) != ("zeta = (1e+300+0j)" in err)
+        assert named in err
+
+    # each request is far above the 128 TiB user address space, so it can never be mapped
+    @pytest.mark.parametrize("argv", [
+        ["grid", "--field", "q", *STATE, *BOUNDS, "--nx", "10000000"],
+        ["amplify", "--field", "q", "--gain", "2", *STATE, *BOUNDS, "--nx", "10000000"],
+        ["roundtrip", *STATE, "--n-max", str(10**15)],
+        ["sift", "--z0", "1", "0.4", "--sigma0", "0.3", "--envelope-scale", "1",
+         "--nodes", str(10**15)]], ids=["grid", "amplify", "roundtrip", "sift"])
+    def test_size_that_cannot_be_allocated_is_numeric_error(self, argv, capsys):
+        code, out, err = run_cli(argv, capsys)
+        assert code == EXIT_NUMERIC
+        assert out == ""
+        assert err.startswith("numeric guard: Unable to allocate") and err.count("\n") == 1
+
+    def test_bare_memory_error_is_numeric_error(self, monkeypatch, capsys):
+        def fail(*_):
+            raise MemoryError
+        monkeypatch.setattr("catphase.cli.roundtrip_report", fail)
+        code, out, err = run_cli(["roundtrip", *STATE], capsys)
+        assert (code, out, err) == (EXIT_NUMERIC, "", "numeric guard: out of memory\n")
+
+    @pytest.mark.parametrize("argv", [["roundtrip", *STATE],
+                                      ["grid", "--field", "q", *STATE, *BOUNDS, "--nx", "21"]],
+                             ids=["roundtrip", "grid"])
+    def test_negative_number_in_exponent_form_is_a_value(self, argv, capsys):
+        exponent_form = {"-1.5": "-1.5e0", "-6": "-6e0"}
+        want = run_cli(argv, capsys)
+        assert want[0] == EXIT_OK
+        assert run_cli([exponent_form.get(a, a) for a in argv], capsys) == want
 
     def test_output_into_missing_directory_is_usage_error(self, tmp_path, capsys):
         path = tmp_path / "missing" / "f.csv"

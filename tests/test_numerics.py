@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,12 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from catphase.cli import build_parser, cmd_sift
 from catphase.gendelta import AnalyticTestFunction, RegularizedDelta, cancellation_factor, \
     delta_kernel, delta_kernel_fourier, delta_moment
 from catphase.numerics import QuadratureSpec, complex_from_pairs, complex_pairs, \
     gaussian_moment_integral, hermite_poly, quad_real_line
-from catphase.quasiprob import Grid2D, p_cat_terms, p_regularized_eval, wigner_fock
-from catphase.states import CatStateSpec, FockDensityMatrix
+from catphase.quasiprob import Grid2D, PTerm, p_cat_terms, p_regularized_eval, wigner_fock
+from catphase.reconstruct import reconstruct_rho, reconstruct_rho_numeric, rho_from_pterm, \
+    roundtrip_report
+from catphase.states import CatStateSpec, FockDensityMatrix, cat_density_matrix, \
+    coherent_fock_coeffs
 
 XP_GRID = Grid2D(-7.0, 7.0, -7.0, 7.0, 21, 21, axis_semantics="xp")
 # every caller of require_order, as a function of the order alone
@@ -34,6 +39,41 @@ WIDTH_CALLERS = {
     "delta_moment": lambda s: delta_moment(3, 1.0 + 0.4j, s),
     "cancellation_factor": lambda s: cancellation_factor(1.0 + 0.4j, s),
     "gaussian_moment_integral": lambda a: gaussian_moment_integral(2, a, 0.0),
+}
+
+# amplitudes small enough that n_max 1 leaves no tail-mass warning
+CAT = CatStateSpec(1e-3, -1e-3, 1.0)
+
+
+def sift_levels(levels):
+    """cli.cmd_sift with its --levels replaced by `levels`."""
+    args = build_parser().parse_args(
+        ["sift", "--z0", "1", "0.4", "--sigma0", "0.3", "--monomial", "2", "--nodes", "101"])
+    args.levels = levels
+    return cmd_sift(args)
+
+
+# every caller of require_count: the count's name, its minimum, and the call
+# as a function of the count alone (JSON holds no numpy integer, so the readers
+# get a numpy count as the int json.dumps writes for it)
+COUNT_CALLERS = {
+    "Grid2D.nx": ("nx", 2, lambda n: Grid2D(-1.0, 1.0, -1.0, 1.0, n, 3)),
+    "Grid2D.ny": ("ny", 2, lambda n: Grid2D(-1.0, 1.0, -1.0, 1.0, 3, n)),
+    "Grid2D.from_json": ("nx", 2, lambda n: Grid2D.from_json(json.dumps(
+        {"axes": {"x_min": -1.0, "x_max": 1.0, "y_min": -1.0, "y_max": 1.0},
+         "nx": n, "ny": 3, "values": GOOD_PAIRS}, default=int))),
+    "FockDensityMatrix": ("n_max", 0, lambda n: FockDensityMatrix(n, np.eye(2))),
+    "FockDensityMatrix.from_json": ("n_max", 0, lambda n: FockDensityMatrix.from_json(
+        json.dumps({"n_max": n, "entries": GOOD_PAIRS[:4]}, default=int))),
+    "coherent_fock_coeffs": ("n_max", 0, lambda n: coherent_fock_coeffs(1e-3, n)),
+    "cat_density_matrix": ("n_max", 0, lambda n: cat_density_matrix(CAT, n)),
+    "rho_from_pterm": ("n_max", 0, lambda n: rho_from_pterm(PTerm(0.5, 1e-3, -1e-3), n)),
+    "roundtrip_report": ("n_max", 0, lambda n: roundtrip_report(CAT, n)),
+    "reconstruct_rho": ("n_max", 0, lambda n: reconstruct_rho(p_cat_terms(CAT), n)),
+    "reconstruct_rho_numeric": ("n_max", 0, lambda n: reconstruct_rho_numeric(
+        p_cat_terms(CAT), 0.5, n, QuadratureSpec(center=0.0, halfwidth=8.0, node_count=201))),
+    "QuadratureSpec": ("node_count", 2, lambda n: QuadratureSpec(0.0, 1.0, n)),
+    "cli.sift --levels": ("--levels", 1, sift_levels),
 }
 
 # a 3 x 3 grid, or a density matrix of n_max 2
@@ -163,6 +203,40 @@ class TestRequirePositive:
     def test_width_whose_square_underflows_raises(self, caller):
         with pytest.raises(ValueError, match="1e-170 is too small: its square underflows"):
             WIDTH_CALLERS[caller](1e-170)
+
+
+class TestRequireCount:
+    @pytest.mark.parametrize("bad", [True, 2.5, "3", 3.0, "below"],
+                             ids=["bool", "fraction", "string", "integral-float", "below"])
+    @pytest.mark.parametrize("caller", COUNT_CALLERS)
+    def test_non_integer_or_too_small_count_raises(self, caller, bad):
+        name, minimum, call = COUNT_CALLERS[caller]
+        bad = minimum - 1 if bad == "below" else bad
+        with pytest.raises(ValueError, match=re.escape(
+                f"{name} must be an integer >= {minimum}, got {bad!r}")):
+            call(bad)
+
+    @pytest.mark.parametrize("caller", COUNT_CALLERS)
+    def test_numpy_integer_count_is_accepted(self, caller):
+        _, minimum, call = COUNT_CALLERS[caller]
+        call(np.int64(minimum + 1))
+
+    @pytest.mark.parametrize("stored", [
+        lambda n: Grid2D(-1.0, 1.0, -1.0, 1.0, n, n).nx,
+        lambda n: Grid2D(-1.0, 1.0, -1.0, 1.0, n, n).ny,
+        lambda n: reconstruct_rho(p_cat_terms(CAT), n).n_max,
+        lambda n: roundtrip_report(CAT, n).n_max,
+        lambda n: QuadratureSpec(0.0, 1.0, n).node_count],
+        ids=["Grid2D.nx", "Grid2D.ny", "reconstruct_rho", "roundtrip_report", "QuadratureSpec"])
+    def test_numpy_integer_count_is_stored_as_int(self, stored):
+        got = stored(np.int64(3))
+        assert type(got) is int and got == 3
+
+    def test_grid_of_numpy_integer_sizes_round_trips_through_json(self):
+        grid = Grid2D(-1.0, 1.0, -1.0, 1.0, np.int64(3), 3, values=np.arange(9.0).reshape(3, 3))
+        restored = Grid2D.from_json(grid.to_json())
+        assert (restored.nx, restored.ny) == (3, 3)
+        np.testing.assert_array_equal(restored.values, grid.values)
 
 
 class TestQuadRealLine:

@@ -78,7 +78,7 @@ class TestCoherentFockCoeffs:
     def test_negative_n_max_raises_before_any_warning(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="n_max must be >= 0, got -1"):
+            with pytest.raises(ValueError, match="n_max must be an integer >= 0, got -1"):
                 coherent_fock_coeffs(1.5, -1)
 
     def test_truncation_warning(self):
