@@ -174,7 +174,7 @@ def _emit_grid(grid, args, meta):
     meta = {k: (str(v) if isinstance(v, complex) else v) for k, v in meta.items()}
     with _output(args) as stream:
         if args.format == "json":
-            stream.write(grid.to_json(meta=meta))
+            stream.writelines(grid.json_chunks(meta))
             stream.write("\n")
         else:
             grid.to_csv(stream, meta=[f"{k} = {v}" for k, v in meta.items()])

@@ -125,7 +125,7 @@ class AnalyticTestFunction:
 
     @classmethod
     def monomial(cls, degree):
-        if degree < 0 or int(degree) != degree:
+        if isinstance(degree, bool) or degree < 0 or int(degree) != degree:
             raise ValueError(f"degree must be a non-negative integer, got {degree}")
         return cls(family="monomial", degree=int(degree))
 

@@ -6,8 +6,10 @@ inputs wherever that makes sense.
 """
 
 import cmath
+import json
 import math
 import numbers
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,11 +60,86 @@ def complex_pairs(values):
 
 def complex_from_pairs(pairs):
     """Inverse of complex_pairs: a flat complex array, or ValueError unless
-    `pairs` is a list of [re, im] pairs of numbers."""
-    arr = np.array(pairs)
-    if arr.dtype.kind not in "iuf" or arr.shape[1:] != (2,):
+    `pairs` is a list of [re, im] pairs of numbers (a bool is no number) or
+    an (n, 2) array of them."""
+    arr = np.asarray(pairs)
+    if (arr.dtype.kind not in "iuf" or arr.shape[1:] != (2,) or (
+            not isinstance(pairs, np.ndarray)
+            and any(isinstance(x, bool) for pair in pairs for x in pair))):
         raise ValueError(f"not [re, im] number pairs: {arr.dtype} array of shape {arr.shape}")
     return arr.astype(float).view(complex).ravel()
+
+
+def dumps_with_pairs(doc, key, values):
+    """The text of json.dumps({**doc, key: complex_pairs(values)}), byte for
+    byte, in chunks: the head, then the pairs of one row of `values` (one
+    index of its first axis) at a time, then the closing brace.  `key` must
+    not be in `doc`, so that the pairs come last."""
+    head = json.dumps({**doc, key: None})
+    yield head[:-len("null}")] + "["
+    for i, row in enumerate(np.asarray(values, dtype=complex)):
+        yield (", " if i else "") + json.dumps(complex_pairs(row))[1:-1]
+    yield "]}"
+
+
+_WS = "[ \t\n\r]*"  # JSON's whitespace; re's \s also takes \v, \f and Unicode spaces
+# A float as json.dumps writes it.  A bare integer takes the json.loads path:
+# it decodes as an int, so "-0" would lose the sign that numpy's parser keeps.
+_FLOAT = r"(?:-?(?:0|[1-9][0-9]*)(?:\.[0-9]+(?:[eE][-+]?[0-9]+)?|[eE][-+]?[0-9]+)|NaN|-?Infinity)"
+# One [re, im] pair with what follows it: a comma before the next pair, or the
+# closing bracket (not consumed).  re.subn deletes these in one linear pass,
+# where a fullmatch of a repeated group keeps backtracking state for each pair.
+# The patterns compile on first use (re caches them), not when catphase loads.
+_PAIR = rf"\[{_WS}{_FLOAT}{_WS},{_WS}{_FLOAT}{_WS}\]{_WS}(?:,{_WS}(?=\[)|(?=\]))"
+_OPEN, _EMPTY = rf"\[{_WS}\[", rf"\[{_WS}\]"
+_COLON, _TAIL = rf"{_WS}:{_WS}", rf"\]{_WS}\}}{_WS}"
+_BLANK = str.maketrans("[]", "  ")
+
+
+def _loads_fast(text, key):
+    """loads_with_pairs(text, key) where data[key] is an array of float pairs
+    and the top-level object's last member; None for any other text."""
+    end = text.rfind("]") + 1
+    if not end or not re.compile(_TAIL).fullmatch(text, end - 1):
+        return None
+    # no quote stands inside the array, so the last quoted key before it is its own
+    quoted = json.dumps(key)
+    at = text.rfind(quoted, 0, end)
+    colon = re.compile(_COLON).match(text, at + len(quoted)) if at >= 0 else None
+    # after '{' or ',' the quote opens the key; after a backslash it would
+    # close a longer key such as "a\"values"
+    if colon is None or not text[:at].rstrip(" \t\n\r").endswith(("{", ",")):
+        return None
+    start = colon.end()
+    pairs = text[start:end]
+    rest, count = re.subn(_PAIR, "", pairs)
+    if not (re.match(_OPEN, pairs) and re.fullmatch(_EMPTY, rest)):
+        return None
+    try:
+        # null followed by the closing brace is the top-level object's last
+        # member, so json.loads keeps it over any earlier key of that name
+        data = json.loads(text[:start] + "null" + text[end:])
+    except ValueError:
+        return None
+    pairs = pairs.translate(_BLANK)  # the bracketed copy is freed before numpy parses
+    numbers = np.fromstring(pairs, sep=",")
+    if numbers.size != 2 * count:  # numpy stops early at any number it cannot read
+        return None
+    data[key] = numbers.reshape(count, 2)
+    return data
+
+
+def loads_with_pairs(text, key):
+    """json.loads(text), except that data[key] may come back as an (n, 2)
+    float array equal to the list of pairs; complex_from_pairs reads either.
+
+    Where data[key] is an array of float pairs and the top-level object's
+    last member, as dumps_with_pairs writes it, the array is checked against
+    JSON's grammar, parsed by numpy in one call and cut out of the text that
+    json.loads reads, in about twice the text's memory.  Any other text goes
+    to json.loads whole, so it raises as json.loads does."""
+    data = _loads_fast(text, key) if isinstance(text, str) else None
+    return json.loads(text) if data is None else data
 
 
 def require_positive(value, name):
@@ -82,8 +159,8 @@ def require_count(n, name, minimum=0):
 
 def require_order(n):
     """A polynomial order n as an int; an integral float such as 2.0 is
-    accepted.  Rejects n that is not an integer in [0, HERMITE_N_MAX]."""
-    if n < 0 or int(n) != n:
+    accepted.  Rejects a bool and n that is not an integer in [0, HERMITE_N_MAX]."""
+    if isinstance(n, bool) or n < 0 or int(n) != n:
         raise ValueError(f"n must be a non-negative integer, got {n}")
     if n > HERMITE_N_MAX:
         raise ValueError(f"n = {n} exceeds the guard n <= {HERMITE_N_MAX}")

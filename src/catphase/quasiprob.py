@@ -35,7 +35,6 @@ recurrence; a cat's Wigner function is reached from its P-function by the
 Gaussian convolution of `wigner_from_p`.
 """
 
-import json
 import math
 import warnings
 from contextlib import nullcontext
@@ -44,8 +43,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gendelta import min_safe_sigma
-from .numerics import complex_from_pairs, complex_pairs, hermite_poly, log_factorial, \
-    require_count, require_order, require_positive, trapezoid_weights
+from .numerics import complex_from_pairs, dumps_with_pairs, hermite_poly, loads_with_pairs, \
+    log_factorial, require_count, require_order, require_positive, trapezoid_weights
 from .states import coherent_overlap
 
 IMAG_RESIDUE_TOL = 1e-12
@@ -385,19 +384,23 @@ class Grid2D:
                              f"{len(xs)} x {len(ys)} grid")
         return grid
 
-    def to_json(self, meta=None):
-        return json.dumps({
+    def json_chunks(self, meta=None):
+        """The text of `to_json(meta)` in chunks, one grid row of values at a
+        time, so a writer holds one row's text beyond the grid."""
+        return dumps_with_pairs({
             "meta": meta or {},
             "axes": {"x_min": self.x_min, "x_max": self.x_max,
                      "y_min": self.y_min, "y_max": self.y_max,
                      "semantics": self.axis_semantics},
             "nx": self.nx, "ny": self.ny,
-            "values": complex_pairs(self.values),
-        })
+        }, "values", self.values)
+
+    def to_json(self, meta=None):
+        return "".join(self.json_chunks(meta))
 
     @classmethod
     def from_json(cls, text):
-        data = json.loads(text)
+        data = loads_with_pairs(text, "values")
         ax = data["axes"]
         flat = complex_from_pairs(data["values"])
         # sizes are checked before numpy reshapes by them

@@ -2,14 +2,14 @@
 density matrices.
 """
 
-import json
 import math
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import complex_from_pairs, complex_pairs, log_factorial, require_count
+from .numerics import complex_from_pairs, dumps_with_pairs, loads_with_pairs, log_factorial, \
+    require_count
 
 TAIL_MASS_WARN = 1e-10
 
@@ -119,11 +119,11 @@ class FockDensityMatrix:
         return float(np.max(np.abs(self.entries - self.entries.conj().T)))
 
     def to_json(self):
-        return json.dumps({"n_max": self.n_max, "entries": complex_pairs(self.entries)})
+        return "".join(dumps_with_pairs({"n_max": self.n_max}, "entries", self.entries))
 
     @classmethod
     def from_json(cls, text):
-        data = json.loads(text)
+        data = loads_with_pairs(text, "entries")
         n = require_count(data["n_max"], "n_max")  # checked before numpy reshapes by it
         return cls(n_max=n, entries=complex_from_pairs(data["entries"]).reshape(n + 1, n + 1))
 

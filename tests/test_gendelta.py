@@ -219,6 +219,12 @@ class TestAnalyticTestFunction:
         with pytest.raises(ValueError):
             AnalyticTestFunction.monomial(-1)
 
+    @pytest.mark.parametrize("degree", [True, False])
+    def test_bool_degree_is_refused(self, degree):
+        message = f"degree must be a non-negative integer, got {degree}"
+        with pytest.raises(ValueError, match=message):
+            AnalyticTestFunction.monomial(degree)
+
     def test_envelope_validation(self):
         with pytest.raises(ValueError):
             AnalyticTestFunction.gaussian_envelope(scale=0.0)

@@ -89,6 +89,8 @@ MALFORMED_PAIRS = {
     "string": with_entry(["1", 2.0]),
     "null": with_entry(None),
     "null-part": with_entry([True, None]),
+    "bool": with_entry([True, 1.5]),
+    "bool-with-integer": with_entry([1, False]),
     "nested": with_entry([[1.0, 2.0], 3.0]),
     "one-element": with_entry([1.0]),
     "three-element": with_entry([1.0, 2.0, 3.0]),
@@ -109,7 +111,7 @@ PAIR_READERS = {
 
 # any float, often one that JSON writes specially or whose sign or scale is easily lost
 FLOAT_PART = st.one_of(st.floats(), st.sampled_from(
-    [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -2.5e-308, 1e308]))
+    [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -2.5e-308, 1e308, -1e308]))
 
 
 def trapezoid_oracle(f, lo, hi, n=48001):
@@ -145,6 +147,12 @@ class TestHermite:
         np.testing.assert_array_equal(call(2.0), call(2))
         with pytest.raises(ValueError, match="non-negative integer"):
             call(2.5)
+
+    @pytest.mark.parametrize("order", [True, False])
+    @pytest.mark.parametrize("caller", ORDER_CALLERS)
+    def test_bool_order_is_refused(self, caller, order):
+        with pytest.raises(ValueError, match=f"n must be a non-negative integer, got {order}"):
+            ORDER_CALLERS[caller](order)
 
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(min_value=1, max_value=19),
@@ -279,6 +287,18 @@ class TestComplexPairs:
             a, b = getattr(got, part), getattr(want, part)
             np.testing.assert_array_equal(a, b)  # NaN positions included
             np.testing.assert_array_equal(np.signbit(a[b == 0]), np.signbit(b[b == 0]))
+
+    @pytest.mark.parametrize("pairs", [[[True, 1.5], [0.0, 2.0]], [[1, 2], [3, False]],
+                                       [[True, False]]], ids=["float", "integer", "bool"])
+    def test_bool_entry_is_no_number(self, pairs):
+        with pytest.raises(ValueError, match=r"not \[re, im\] number pairs"):
+            complex_from_pairs(pairs)
+
+    def test_float_pair_array_reads_like_its_list(self):
+        pairs = np.array(GOOD_PAIRS)
+        got = complex_from_pairs(pairs)
+        assert got.tobytes() == complex_from_pairs(GOOD_PAIRS).tobytes()
+        assert not np.shares_memory(got, pairs)
 
     @pytest.mark.parametrize("reader", PAIR_READERS)
     @pytest.mark.parametrize("pairs", MALFORMED_PAIRS.values(), ids=MALFORMED_PAIRS)

@@ -12,13 +12,15 @@ from scipy.special import eval_laguerre
 
 from catphase.amplifier import AmplifierGain, amplified_p, amplify_q
 from catphase.gendelta import cancellation_factor, min_safe_sigma
-from catphase.numerics import trapezoid_weights
+from catphase.numerics import complex_from_pairs, complex_pairs, loads_with_pairs, require_count, \
+    trapezoid_weights
 from catphase.quasiprob import Grid2D, PRepresentation, PTerm, _gaussian_convolve, \
     alpha_from_xp, fock_wavefunction, gaussian_terms, p_cat_terms, p_regularized_eval, \
     opened, p_representation_grid, q_fourier_term, q_from_wigner, q_function, wigner_fock, \
     wigner_from_p, xp_from_alpha
 from catphase.states import CatStateSpec, cat_density_matrix, coherent_fock_coeffs, \
     coherent_overlap
+from test_numerics import FLOAT_PART, GOOD_PAIRS, MALFORMED_PAIRS
 
 EVEN_CAT = CatStateSpec(alpha1=1.5, alpha2=-1.5, zeta=1.0)
 SKEW_CAT = CatStateSpec(alpha1=1.0 + 0.5j, alpha2=-1.0 + 0.3j, zeta=0.6 - 0.4j)
@@ -145,6 +147,132 @@ def csv_grids(draw):
     # axes whose nodes round together are no grid either writer can describe
     assume(len(set(grid.xs.tolist())) == nx and len(set(grid.ys.tolist())) == ny)
     cells = st.lists(CSV_VALUES, min_size=nx * ny, max_size=nx * ny)
+    grid.values.real = np.reshape(draw(cells), (nx, ny))
+    grid.values.imag = np.reshape(draw(cells), (nx, ny))
+    return grid
+
+
+def reference_to_json(grid, meta=None):
+    """Grid2D.to_json as one json.dumps of the whole document."""
+    return json.dumps({
+        "meta": meta or {},
+        "axes": {"x_min": grid.x_min, "x_max": grid.x_max,
+                 "y_min": grid.y_min, "y_max": grid.y_max,
+                 "semantics": grid.axis_semantics},
+        "nx": grid.nx, "ny": grid.ny,
+        "values": complex_pairs(grid.values),
+    })
+
+
+def reference_from_json(text):
+    """Grid2D.from_json as json.loads of the whole text and complex_from_pairs."""
+    data = json.loads(text)
+    ax = data["axes"]
+    flat = complex_from_pairs(data["values"])
+    nx, ny = require_count(data["nx"], "nx", 2), require_count(data["ny"], "ny", 2)
+    return Grid2D(ax["x_min"], ax["x_max"], ax["y_min"], ax["y_max"], nx, ny,
+                  values=flat.reshape(nx, ny), axis_semantics=ax.get("semantics", "alpha"))
+
+
+def outcome(read, text):
+    """What `read(text)` gives: the grid's geometry and value bits, or the
+    type and message of what it raises."""
+    try:
+        grid = read(text)
+    except Exception as exc:  # any exception: which one is the outcome
+        return type(exc), str(exc)
+    axes = ("x_min", "x_max", "y_min", "y_max", "nx", "ny", "axis_semantics")
+    return [repr(getattr(grid, a)) for a in axes], grid.values.tobytes()
+
+
+# the 3 x 3 grid of GOOD_PAIRS, and its text with one edit
+GOOD_JSON = json.dumps({"meta": {"field": "q"},
+                        "axes": {"x_min": -1.0, "x_max": 1.0, "y_min": -1.0, "y_max": 1.0},
+                        "nx": 3, "ny": 3, "values": GOOD_PAIRS})
+VALUES_AT = GOOD_JSON.index('"values"')
+
+
+def edited(*subs):
+    """GOOD_JSON with each (old, new) or (old, new, count) substitution made in
+    its values: the first copy of `old`, or the first `count` copies."""
+    head, values = GOOD_JSON[:VALUES_AT], GOOD_JSON[VALUES_AT:]
+    for old, new, *count in subs:
+        assert old in values
+        values = values.replace(old, new, *(count or [1]))
+    return head + values
+
+
+def with_pairs(pairs):
+    """A 3 x 3 grid's JSON text with `pairs` as its values."""
+    return json.dumps({"axes": {"x_min": -1.0, "x_max": 1.0, "y_min": -1.0, "y_max": 1.0},
+                       "nx": 3, "ny": 3, "values": pairs})
+
+
+# texts that json.loads and complex_from_pairs refuse, each of which Grid2D.from_json
+# must refuse with the same exception and message
+REFUSED_JSON = {
+    **{f"pairs-{name}": with_pairs(pairs) for name, pairs in MALFORMED_PAIRS.items()},
+    # numbers numpy's text parser reads but JSON does not
+    **{f"number-{bad}": edited(("0.25", bad))
+       for bad in ("nan", "inf", "+1", ".5", "01", "1.", "-NaN", "infinity", "1e", "0x1")},
+    "bool": edited(("0.25", "true")),
+    "one-number": edited(("[0.25, -0.5]", "[0.25]")),
+    "three-numbers": edited(("[0.25, -0.5]", "[0.25, -0.5, 1.0]")),
+    "empty-pair": edited(("[0.25, -0.5]", "[]")),
+    "trailing-comma": edited(("]]", "],]")),
+    "trailing-comma-in-pair": edited(("[0.25, -0.5]", "[0.25, -0.5,]")),
+    "missing-comma": edited(("], [", "] [")),
+    "leading-comma": edited(("[[", "[,[")),
+    "first-pair-unbracketed": edited(("[[0.0, -0.5], ", "[0.0, -0.5], [")),
+    "extra-bracket": edited(("]]", "]]]")),
+    "nested": edited(("[[", "[[[")),
+    "empty": with_pairs([]),
+    "vertical-tab": edited((", ", ",\v")),
+    "no-break-space": edited((", ", ",\u00a0")),
+    "nx-tampered": GOOD_JSON.replace('"nx": 3', '"nx": 4'),
+    "ny-tampered": GOOD_JSON.replace('"ny": 3', '"ny": 2'),
+    "nx-bool": GOOD_JSON.replace('"nx": 3', '"nx": true'),
+    "values-missing": GOOD_JSON.replace('"values"', '"valuez"'),
+    "values-last-repeated-short": GOOD_JSON[:-1] + ', "values": [[1.0, 2.0]]}',
+    **{f"truncated-{cut}": GOOD_JSON[:cut] for cut in (-1, -2, -3, -9, VALUES_AT + 12, 40)},
+}
+
+# texts that json.loads and complex_from_pairs accept, each of which Grid2D.from_json
+# must read to the same bits
+ACCEPTED_JSON = {
+    "meta-holds-values": GOOD_JSON.replace('"field": "q"', '"values": [[7.0, 8.0]]'),
+    "meta-holds-values-text": GOOD_JSON.replace('"q"', '"a\\"values\\": [[7.0, 8.0]]"'),
+    "values-repeated": GOOD_JSON.replace('"meta"', '"values": [[7.0, 8.0]], "meta"'),
+    "values-first": json.dumps({"values": GOOD_PAIRS, "nx": 3, "ny": 3, "meta": {
+        "values": [[7.0, 8.0]]}, "axes": {"x_min": -1.0, "x_max": 1.0, "y_min": -1.0,
+                                         "y_max": 1.0}}),
+    "key-ending-in-values": GOOD_JSON[:-1] + ', "a\\"values": [[7.0, 8.0]]}',
+    "escaped-key": GOOD_JSON.replace('"values"', '"valu\\u0065s"'),
+    "integers": edited(("0.0", "0", 9)),
+    "negative-integer-zero": edited(("0.0", "-0", 9)),
+    "json-whitespace": edited((", ", " ,\t\r\n ", 9)),
+    "indented": json.dumps(json.loads(GOOD_JSON), indent=2),
+    "no-spaces": json.dumps(json.loads(GOOD_JSON), separators=(",", ":")),
+    "trailing-newline": GOOD_JSON + "\n",
+    "exponents": edited(("0.25", "2.5E-1"), ("0.75", "7.5e-1"), ("1.0,", "1e+0,")),
+    "extremes": edited(("0.25", "1e400"), ("0.5,", "-1e400,"), ("0.75", "2.4e-324"),
+                       ("1.25", "-0.0e0"), ("1.5", "2.5e-324")),
+    "non-finite": edited(("0.25", "NaN"), ("0.5,", "Infinity,"), ("0.75", "-Infinity")),
+    "long-mantissa": edited(("0.25", "0.1000000000000000055511151231257827021181583404541015625")),
+}
+
+# the accepted texts whose values numpy parses; the rest go through json.loads whole
+NUMPY_READ_JSON = {"meta-holds-values", "meta-holds-values-text", "values-repeated",
+                   "json-whitespace", "indented", "no-spaces", "trailing-newline", "exponents",
+                   "extremes", "non-finite", "long-mantissa"}
+
+@st.composite
+def json_grids(draw):
+    nx, ny = draw(st.integers(2, 7)), draw(st.integers(2, 7))
+    bounds = st.lists(st.floats(-1e300, 1e300), min_size=2, max_size=2, unique=True).map(sorted)
+    grid = Grid2D(*draw(bounds), *draw(bounds), nx, ny,
+                  axis_semantics=draw(st.sampled_from(["alpha", "xp"])))
+    cells = st.lists(FLOAT_PART, min_size=nx * ny, max_size=nx * ny)
     grid.values.real = np.reshape(draw(cells), (nx, ny))
     grid.values.imag = np.reshape(draw(cells), (nx, ny))
     return grid
@@ -532,6 +660,70 @@ class TestGrid2D:
         assert back.axis_semantics == "alpha"
         assert back.x_min == grid.x_min and back.ny == grid.ny
         np.testing.assert_array_equal(back.values, grid.values)
+
+    @given(grid=json_grids(), meta=st.sampled_from(
+        [None, {}, {"field": "q", "sigma": 0.5}, {"values": [[1.0, 2.0]]},
+         {"note": 'a "values": [[1.0, 2.0]]', "nan": math.nan}]))
+    @settings(max_examples=150)
+    def test_json_matches_one_shot_dumps_and_reads_back_bitwise(self, grid, meta):
+        want = reference_to_json(grid, meta)
+        assert grid.to_json(meta) == want
+        assert len(list(grid.json_chunks(meta))) == grid.nx + 2  # head, one per row, tail
+        assert isinstance(loads_with_pairs(want, "values")["values"], np.ndarray)
+        back = Grid2D.from_json(want)
+        assert outcome(lambda _: back, want) == outcome(reference_from_json, want)
+        np.testing.assert_array_equal(back.values, grid.values)  # NaN positions included
+        zeros = grid.values == 0
+        for part in ("real", "imag"):
+            np.testing.assert_array_equal(np.signbit(getattr(back.values, part)[zeros]),
+                                          np.signbit(getattr(grid.values, part)[zeros]))
+
+    @pytest.mark.parametrize("text", REFUSED_JSON.values(), ids=REFUSED_JSON)
+    def test_from_json_refuses_what_json_loads_refuses(self, text):
+        want = outcome(reference_from_json, text)
+        assert isinstance(want[0], type), "the reference reader accepts this text"
+        assert outcome(Grid2D.from_json, text) == want
+
+    @pytest.mark.parametrize("name", ACCEPTED_JSON)
+    def test_from_json_reads_what_json_loads_reads(self, name):
+        text = ACCEPTED_JSON[name]
+        want = outcome(reference_from_json, text)
+        assert not isinstance(want[0], type), want
+        assert outcome(Grid2D.from_json, text) == want
+        numpy_read = isinstance(loads_with_pairs(text, "values")["values"], np.ndarray)
+        assert numpy_read == (name in NUMPY_READ_JSON)
+
+    def test_from_json_refuses_a_bool_value(self):
+        with pytest.raises(ValueError, match=r"not \[re, im\] number pairs"):
+            Grid2D.from_json(REFUSED_JSON["bool"])
+
+    def test_json_write_memory_bounded_by_one_row(self, tmp_path):
+        n = 401
+        grid = Grid2D(-5.0, 5.0, -4.0, 4.0, n, n)
+        grid.values = np.random.default_rng(5).normal(size=(n, n)) * (1 - 1j)
+        with open(tmp_path / "grid.json", "w") as out:
+            tracemalloc.start()
+            try:
+                out.writelines(grid.json_chunks({"field": "test"}))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert (tmp_path / "grid.json").read_text() == reference_to_json(grid, {"field": "test"})
+        assert peak < 1e6
+
+    def test_json_read_memory_below_three_texts(self):
+        n = 401
+        grid = Grid2D(-5.0, 5.0, -4.0, 4.0, n, n)
+        grid.values = np.random.default_rng(6).normal(size=(n, n)) * (1 + 2j)
+        text = grid.to_json()
+        tracemalloc.start()
+        try:
+            back = Grid2D.from_json(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert back.values.tobytes() == grid.values.tobytes()
+        assert peak < 3 * len(text)
 
     def test_rejects_bad_semantics(self):
         with pytest.raises(ValueError, match="axis_semantics"):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from catphase.numerics import complex_pairs, loads_with_pairs
 from catphase.states import CatStateSpec, FockDensityMatrix, cat_density_matrix, \
     cat_normalization, coherent_fock_coeffs, coherent_overlap, recommended_n_max
 
@@ -150,6 +151,18 @@ class TestFockDensityMatrixSerialization:
         # refused at construction too, so to_json never writes what from_json refuses
         with pytest.raises(ValueError, match=message):
             FockDensityMatrix(n_max=n_max, entries=np.ones((2, 2)))
+
+    @pytest.mark.parametrize("n_max", [0, 1, 40])
+    def test_json_matches_one_shot_dumps_and_reads_back_bitwise(self, n_max):
+        rng = np.random.default_rng(n_max)
+        entries = rng.normal(size=(n_max + 1, n_max + 1)) * (1 - 0.5j)
+        entries.flat[::7] = complex(-0.0, math.inf)
+        dm = FockDensityMatrix(n_max, entries)
+        want = json.dumps({"n_max": n_max, "entries": complex_pairs(entries)})
+        assert dm.to_json() == want
+        assert isinstance(loads_with_pairs(want, "entries")["entries"], np.ndarray)
+        back = FockDensityMatrix.from_json(want)
+        assert back.n_max == n_max and back.entries.tobytes() == entries.tobytes()
 
     def test_numpy_integer_n_max_becomes_int(self):
         dm = cat_density_matrix(CatStateSpec(1.0, -1.0, 0.5j), np.int64(12))
