@@ -156,10 +156,14 @@ def _spec_from(args):
 
 
 def _grid_from(args, semantics):
+    """The requested grid's geometry.  Its values are a read-only zero view,
+    not a plane, since every command replaces them through `like`."""
     _require(args, ["bounds"])
-    ny = args.nx if args.ny is None else args.ny
+    nx = require_count(args.nx, "nx", 2)
+    ny = nx if args.ny is None else require_count(args.ny, "ny", 2)
     x0, x1, y0, y1 = args.bounds
-    return Grid2D(x0, x1, y0, y1, args.nx, ny, axis_semantics=semantics)
+    return Grid2D(x0, x1, y0, y1, nx, ny, values=np.broadcast_to(0j, (nx, ny)),
+                  axis_semantics=semantics)
 
 
 def _output(args):

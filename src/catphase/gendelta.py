@@ -24,6 +24,8 @@ from .numerics import log_factorial, quad_real_line, require_order, require_posi
 OVERFLOW_EXPONENT = 700.0
 # amplification beyond this leaves no reliable digits in the direct route
 CANCELLATION_WARN_FACTOR = 1e12
+# largest rounding of a sifting node, relative to the kernel width
+NODE_ROUNDING_TOL = math.sqrt(np.finfo(float).eps)
 
 
 def min_safe_sigma(z):
@@ -182,6 +184,20 @@ def _check_cancellation(z0, sigma):
     return factor
 
 
+def _require_resolved(quad, sigma):
+    """Raise FloatingPointError unless the nodes of `quad` resolve a kernel of
+    width sigma: their spacing must not exceed sigma, and rounding at the
+    window's edge may move a node by at most sqrt(eps) sigma, so that the
+    sum keeps about half its digits."""
+    require_positive(sigma, "sigma")
+    rounding = float(np.spacing(abs(quad.center) + quad.halfwidth))
+    if not (quad.spacing <= sigma and rounding <= NODE_ROUNDING_TOL * sigma):
+        raise FloatingPointError(
+            f"sifting quadrature cannot resolve sigma = {sigma}: {quad.node_count} nodes on "
+            f"[{quad.center - quad.halfwidth:.6g}, {quad.center + quad.halfwidth:.6g}] are "
+            f"{quad.spacing:.3g} apart and rounded by up to {rounding:.3g}")
+
+
 def sift(f, z0, sigma, quad):
     """Direct-route sifting: integral of f(x) * delta_kernel(x - z0, sigma)
     over the real axis.  Converges to f(z0) as sigma -> 0 with O(sigma^2)
@@ -189,11 +205,13 @@ def sift(f, z0, sigma, quad):
 
     Monomials never go through raw quadrature (their decay is carried by
     the kernel alone, and the finite window cannot certify it); they are
-    evaluated by the closed-form moment instead.
+    evaluated by the closed-form moment instead.  Other functions raise
+    FloatingPointError when the nodes of `quad` cannot resolve sigma.
     """
     z0 = complex(z0)
     if f.family == "monomial":
         return delta_moment(f.degree, z0, sigma)
+    _require_resolved(quad, sigma)
     _check_cancellation(z0, sigma)
     return quad_real_line(lambda x: f(x) * delta_kernel(x - z0, sigma), quad)
 
@@ -201,11 +219,13 @@ def sift(f, z0, sigma, quad):
 def sift_shifted_line(f, z0, sigma, quad):
     """Shifted-line sifting: integral of f(x + ib) * delta_kernel(x - a, sigma)
     with a = Re z0, b = Im z0.  The Gaussian weight is real, so there is
-    no cancellation blow-up; analytically equal to sift().
+    no cancellation blow-up; analytically equal to sift(), and guarded by
+    the same check of the nodes.
     """
     z0 = complex(z0)
     if f.family == "monomial":
         return delta_moment(f.degree, z0, sigma)
+    _require_resolved(quad, sigma)
     a, b = z0.real, z0.imag
     return quad_real_line(lambda x: f(x + 1j * b) * delta_kernel(x - a, sigma), quad)
 

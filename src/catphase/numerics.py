@@ -41,8 +41,12 @@ class QuadratureSpec:
                            self.center + self.halfwidth, self.node_count)
 
     @property
+    def spacing(self):
+        return 2.0 * self.halfwidth / (self.node_count - 1)
+
+    @property
     def weights(self):
-        return trapezoid_weights(self.node_count, 2.0 * self.halfwidth / (self.node_count - 1))
+        return trapezoid_weights(self.node_count, self.spacing)
 
 
 def trapezoid_weights(n, h):

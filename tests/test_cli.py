@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -97,6 +98,20 @@ class TestGridCommand:
         code, _, err = run_cli(["grid", *STATE, *BOUNDS], capsys)
         assert code == EXIT_USAGE
         assert "--field" in err
+
+    def test_q_csv_memory_bounded(self, tmp_path):
+        # the complex sum, a term being built and the written row: no zero
+        # plane that the command throws away
+        out = tmp_path / "q.csv"
+        tracemalloc.start()
+        try:
+            code = main(["grid", "--field", "q", *STATE, *BOUNDS, "--nx", "801",
+                         "--out", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_OK
+        assert peak < 33e6
 
     def test_json_output_to_file(self, tmp_path, capsys):
         path = tmp_path / "q.json"
@@ -221,6 +236,18 @@ class TestSiftCommand:
         code, _, err = run_cli(["sift", "--z0", "1", "0"], capsys)
         assert code == EXIT_USAGE
         assert "sigma0" in err
+
+    # nodes 2e299 apart, and nodes that all round to 1e300
+    @pytest.mark.parametrize("argv", [
+        ["--z0", "1", "0.4", "--halfwidth", "1e300", "--nodes", "11"],
+        ["--z0", "1e300", "0.4"]], ids=["spacing", "rounding"])
+    def test_unresolved_quadrature_is_numeric_error(self, argv, capsys):
+        code, out, err = run_cli(
+            ["sift", *argv, "--sigma0", "0.3", "--envelope-scale", "1"], capsys)
+        assert code == EXIT_NUMERIC
+        assert out == ""
+        assert err.startswith("numeric guard: sifting quadrature cannot resolve sigma = 0.3")
+        assert err.count("\n") == 1
 
 
 class TestVerifyCommand:

@@ -190,6 +190,20 @@ class TestSifting:
         with pytest.warns(UserWarning, match="cancellation"):
             sift(f, z0, 0.2, WIDE)
 
+    # nodes wider apart than sigma, and nodes that rounding moves by more
+    # than sqrt(eps) sigma
+    @pytest.mark.parametrize("route", [sift, sift_shifted_line])
+    @pytest.mark.parametrize("z0,quad", [
+        (1.0 + 0.4j, QuadratureSpec(center=1.0, halfwidth=12.0, node_count=81)),
+        (1e9 + 0.4j, QuadratureSpec(center=1e9, halfwidth=12.0, node_count=8001))],
+        ids=["spacing", "rounding"])
+    def test_unresolved_quadrature_raises(self, route, z0, quad):
+        f = AnalyticTestFunction.gaussian_envelope(scale=1.0)
+        with pytest.raises(FloatingPointError, match="cannot resolve sigma = 0.2"):
+            route(f, z0, 0.2, quad)
+        # a monomial takes the closed form, whatever the nodes
+        assert route(AnalyticTestFunction.monomial(1), z0, 0.2, quad) == z0
+
 
 class TestDelta2Sift:
     def test_constant(self):

@@ -846,14 +846,61 @@ class TestConvolutionTransforms:
         want = np.exp(-((gx - b) ** 2 + gy**2)) / math.pi
         np.testing.assert_allclose(q.values.real, want, rtol=0, atol=1e-9)
 
-    def test_direct_method_agrees_with_separable(self):
+    # square grids share one axis kernel; the others build ky on its own
+    @pytest.mark.parametrize("src,out,part", [
+        (Grid2D(-3.0, 3.0, -3.0, 3.0, 61, 61), Grid2D(-2.0, 2.0, -2.0, 2.0, 11, 11), 1j),
+        (Grid2D(-3.0, 3.0, -3.0, 3.0, 61, 61), Grid2D(-2.0, 2.0, -2.0, 2.0, 11, 11), 0.0),
+        (Grid2D(-3.0, 2.5, -2.0, 2.5, 41, 33), Grid2D(-2.0, 2.0, -1.5, 1.0, 9, 7), 1j),
+        (Grid2D(-3.0, 2.5, -2.0, 2.5, 41, 33), Grid2D(-2.0, 2.0, -1.5, 1.0, 9, 7), 0.0),
+        # equal sizes, but the x and y axes differ on one side
+        (Grid2D(-3.0, 3.0, -3.0, 3.0, 31, 31), Grid2D(-2.0, 2.0, -1.0, 1.0, 11, 11), 1j),
+        (Grid2D(-3.0, 3.0, -2.0, 2.0, 31, 31), Grid2D(-2.0, 2.0, -2.0, 2.0, 11, 11), 0.0)],
+        ids=["complex-square", "real-square", "complex-non-square", "real-non-square",
+             "complex-unequal-out-axes", "real-unequal-src-axes"])
+    def test_direct_method_agrees_with_separable(self, src, out, part):
         rng = np.random.default_rng(31)
-        src = Grid2D(-3.0, 3.0, -3.0, 3.0, 61, 61)
-        src.values = rng.normal(size=(61, 61)) + 1j * rng.normal(size=(61, 61))
-        out = Grid2D(-2.0, 2.0, -2.0, 2.0, 11, 11)
+        shape = src.values.shape
+        src = src.like(values=rng.normal(size=shape) + part * rng.normal(size=shape))
         a = _gaussian_convolve(src, out, method="separable")
         b = _gaussian_convolve(src, out, method="direct")
         np.testing.assert_allclose(a.values, b.values, rtol=0, atol=1e-11)
+        if not part:
+            assert not a.values.imag.any()
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(a1=complex_within(2.0), a2=complex_within(2.0), zeta=complex_within(2.0))
+    def test_cat_regularized_p_is_exactly_real(self, a1, a2, zeta):
+        # the premise of the real-only chain: conjugate partner terms cancel
+        # each other's imaginary parts exactly
+        try:
+            spec = CatStateSpec(a1, a2, zeta)
+        except ValueError:
+            reject()
+        grid = alpha_grid(n=61)
+        p = p_representation_grid(p_cat_terms(spec), 0.6, grid)
+        assert not p.values.imag.any()
+        assert not wigner_from_p(p, grid).values.imag.any()
+
+    def test_nan_imaginary_cell_reaches_output(self):
+        src = alpha_grid(n=21)
+        src.values = np.ones(src.values.shape, dtype=complex)
+        src.values[3, 4] = complex(1.0, math.nan)
+        out = _gaussian_convolve(src, src).values
+        assert np.isnan(out.imag).all()
+        assert np.isfinite(out.real).all()
+
+    def test_convolution_memory_bounded(self):
+        # real kernels and products: the output, one shared kernel and the
+        # real intermediates, where complex products needed 5 planes
+        grid = alpha_grid(n=401)
+        src = p_representation_grid(p_cat_terms(SKEW_CAT), 0.6, grid)
+        tracemalloc.start()
+        try:
+            _gaussian_convolve(src, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * src.values.nbytes
 
     def test_unknown_method_rejected(self):
         src = alpha_grid(n=11)
