@@ -42,6 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .blas import single_blas_thread
 from .gendelta import min_safe_sigma
 from .numerics import complex_from_pairs, dumps_with_pairs, hermite_poly, loads_with_pairs, \
     log_factorial, require_count, require_order, require_positive, trapezoid_weights
@@ -473,7 +474,9 @@ def _gaussian_convolve(src, out_grid, method="separable"):
     runs through kx @ . @ ky.T as real products.  The imaginary part runs
     through the same chain only when it has a nonzero (or NaN) cell; the
     real fields the library convolves have an imaginary part of exactly 0,
-    and then the output's is exactly 0 too.
+    and then the output's is exactly 0 too.  The products run on one BLAS
+    thread (see catphase.blas), so their time does not hang on a second
+    core being free.
     """
     if method == "direct":
         wx = trapezoid_weights(src.nx, src.dx)
@@ -494,9 +497,10 @@ def _gaussian_convolve(src, out_grid, method="separable"):
     square = all((g.x_min, g.x_max, g.nx) == (g.y_min, g.y_max, g.ny) for g in (src, out_grid))
     ky = kx if square else _axis_kernel(out_grid.ys, src.ys, trapezoid_weights(src.ny, src.dy))
     vals = np.empty((out_grid.nx, out_grid.ny), dtype=complex)
-    vals.real = kx @ values.real @ ky.T
-    # NaN is nonzero, so a NaN imaginary cell still reaches the output
-    vals.imag = kx @ values.imag @ ky.T if values.imag.any() else 0.0
+    with single_blas_thread():
+        vals.real = kx @ values.real @ ky.T
+        # NaN is nonzero, so a NaN imaginary cell still reaches the output
+        vals.imag = kx @ values.imag @ ky.T if values.imag.any() else 0.0
     parts = vals.view(float)  # real and imaginary parts, scaled in one real pass
     parts *= 2.0 / math.pi
     return out_grid.like(values=vals)

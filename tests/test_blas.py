@@ -1,0 +1,48 @@
+from contextlib import contextmanager
+
+import numpy as np
+import pytest
+
+from catphase import blas, quasiprob
+from catphase.quasiprob import Grid2D, _gaussian_convolve
+
+CONTROLS = blas._thread_controls()
+needs_openblas = pytest.mark.skipif(CONTROLS is None, reason="numpy carries no OpenBLAS here")
+
+
+@needs_openblas
+def test_section_runs_on_one_thread_and_restores_the_count():
+    get, put = CONTROLS
+    before = get()
+    put(2)
+    try:
+        with blas.single_blas_thread():
+            assert get() == 1
+        assert get() == 2
+        with pytest.raises(RuntimeError):
+            with blas.single_blas_thread():
+                raise RuntimeError("inside")
+        assert get() == 2
+    finally:
+        put(before)
+
+
+def test_section_without_openblas_is_a_no_op(monkeypatch):
+    monkeypatch.setattr(blas, "_controls", [None])
+    with blas.single_blas_thread():
+        product = np.eye(3) @ np.arange(3.0)
+    np.testing.assert_array_equal(product, np.arange(3.0))
+
+
+def test_convolution_products_run_in_a_section(monkeypatch):
+    entered = []
+
+    @contextmanager
+    def recording():
+        entered.append(True)
+        yield
+
+    monkeypatch.setattr(quasiprob, "single_blas_thread", recording)
+    grid = Grid2D(-3.0, 3.0, -3.0, 3.0, 21, 21)
+    _gaussian_convolve(grid.like(values=np.ones((21, 21), dtype=complex)), grid)
+    assert entered == [True]
