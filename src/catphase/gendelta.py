@@ -162,16 +162,21 @@ def delta_moment(n, z, sigma):
 
         sum over m of n! / (m! (n - 2m)!) * (sigma^2 / 2)^m * z^(n - 2m),
 
-    which tends to z^n as sigma -> 0.
+    which tends to z^n as sigma -> 0.  Raises OverflowError, naming n, z
+    and sigma, when a power of z or a coefficient leaves double precision.
     """
     n = require_order(n)
     require_positive(sigma, "sigma")
     z = complex(z)
     total = 0.0 + 0.0j
-    for m in range(n // 2 + 1):
-        log_coeff = (log_factorial(n) - log_factorial(m) - log_factorial(n - 2 * m)
-                     + m * math.log(sigma * sigma / 2.0))
-        total += math.exp(log_coeff) * z ** (n - 2 * m)
+    try:
+        for m in range(n // 2 + 1):
+            log_coeff = (log_factorial(n) - log_factorial(m) - log_factorial(n - 2 * m)
+                         + m * math.log(sigma * sigma / 2.0))
+            total += math.exp(log_coeff) * z ** (n - 2 * m)
+    except OverflowError:
+        raise OverflowError(f"moment of order {n} at z = {z} with sigma = {sigma} "
+                            f"overflows double precision") from None
     return total
 
 

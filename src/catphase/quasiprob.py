@@ -26,7 +26,11 @@ c_r = (conj(beta) + gamma) / 2 and c_i = i (conj(beta) - gamma) / 2:
 
 On a tensor grid (Re alpha constant along axis 1, Im alpha along axis 0,
 as `Grid2D.plane` builds it) the two factors are an (nx, 1) column and
-a (1, ny) row, so a term costs nx + ny complex exps and one outer product.
+a (1, ny) row, so a term costs nx + ny complex exps.  Stacking the m
+terms' columns as C (nx, m) and rows as R (m, ny), their sum is C @ R,
+whose real part is the one real product [Re C, Im C] @ [Re R; -Im R].
+A conjugate pair of terms sums to a real field, so for a cat, whose
+off-diagonal terms are such a pair, that product is the whole field.
 
 The Wigner function is the s = 0 member of the same family.  For a number
 state |n> it has Groenewold's closed form (-1)^n / pi e^{-r^2} L_n(2 r^2)
@@ -137,6 +141,61 @@ def _tensor_axes(alpha):
     return None
 
 
+def _axis_factors(rep, x, y, t, g):
+    """The factored terms of `rep` on the tensor grid of column x (nx, 1)
+    and row y (1, ny): columns C (nx, m), rows R (m, ny) and the m peaks,
+    term k being the outer product C[:, k:k+1] * R[k:k+1] (module
+    docstring).  Each peak is read off the largest real exponent of its
+    column and row.
+    """
+    cols = np.empty((x.shape[0], len(rep.terms)), dtype=complex)
+    rows = np.empty((len(rep.terms), y.shape[1]), dtype=complex)
+    peaks = []
+    for k, term in enumerate(rep.terms):
+        # conjugate partners have conjugate centres and weights, and every
+        # step below is conjugation-symmetric, so their factors come out as
+        # exact conjugates (see _conjugate_paired)
+        ex = x[:, 0] - complex(g * term.center_r)
+        ex *= ex
+        ex /= -t
+        ey = y[0] - complex(g * term.center_i)
+        ey *= ey
+        ey /= -t
+        scale = term.weight / (math.pi * t)
+        cols[:, k] = scale * np.exp(ex)
+        rows[k] = np.exp(ey)
+        peaks.append(float(abs(scale) * np.exp(np.max(ex.real) + np.max(ey.real))))
+    return cols, rows, peaks
+
+
+def _pointwise_terms(rep, alpha, t, g):
+    """gaussian_terms off a tensor grid: the two exponents are summed before
+    one exp per point."""
+    x, y = alpha.real, alpha.imag
+    for term in rep.terms:
+        # complex() keeps a real centre from leaving ex a float array that
+        # cannot take ey in place
+        ex = x - complex(g * term.center_r)
+        ex *= ex
+        ey = y - complex(g * term.center_i)
+        ey *= ey
+        ex += ey
+        ex /= -t
+        scale = term.weight / (math.pi * t)
+        top = np.max(ex.real, initial=-np.inf)
+        values = np.exp(ex)
+        values *= scale
+        yield values, float(abs(scale) * np.exp(top))
+        del values  # once the caller drops it, this term is freed before the next
+
+
+def _outer_terms(cols, rows, peaks):
+    """gaussian_terms on a tensor grid: term k is the outer product of
+    column k and row k of `_axis_factors`."""
+    for k, peak in enumerate(peaks):
+        yield cols[:, k:k + 1] * rows[k:k + 1], peak
+
+
 def gaussian_terms(rep, alpha, t, g=1.0):
     """Each term of `rep` as the complex-centred Gaussian of width t and
     centre scale g (module docstring), yielded in order as (values, peak)
@@ -144,50 +203,88 @@ def gaussian_terms(rep, alpha, t, g=1.0):
 
     Each term is evaluated in its factored form, one Gaussian along Re alpha
     times one along Im alpha.  On a tensor grid the factors are a column
-    and a row whose outer product is the term, and the peak is read off the
-    largest real exponent of each; any other alpha (scalars, scattered
-    points, "xy" meshgrids) sums the two exponents before one exp per point.
+    and a row (`_axis_factors`), and each term is their outer product; any
+    other alpha (scalars, scattered points, "xy" meshgrids, NaN cells) sums
+    the two exponents before one exp per point.
     """
     alpha = np.asarray(alpha, dtype=complex)
     axes = _tensor_axes(alpha)
-    x, y = axes if axes else (alpha.real, alpha.imag)
-    for term in rep.terms:
-        # conjugate partners have conjugate centres and weights, and every
-        # step below is conjugation-symmetric, so they come out as exact
-        # conjugates; complex() keeps a real centre from leaving ex a float
-        # array that cannot take ey in place
-        ex = x - complex(g * term.center_r)
-        ex *= ex
-        ey = y - complex(g * term.center_i)
-        ey *= ey
-        scale = term.weight / (math.pi * t)
-        if axes:
-            ex /= -t
-            ey /= -t
-            values = scale * np.exp(ex) * np.exp(ey)
-            top = np.max(ex.real) + np.max(ey.real)
-        else:
-            ex += ey
-            ex /= -t
-            top = np.max(ex.real, initial=-np.inf)
-            values = np.exp(ex)
-            values *= scale
-        yield values, float(abs(scale) * np.exp(top))
-        del values  # once the caller drops it, this term is freed before the next
+    if axes:
+        yield from _outer_terms(*_axis_factors(rep, *axes, t, g))
+    else:
+        yield from _pointwise_terms(rep, alpha, t, g)
+
+
+def _conjugate_paired(cols, rows):
+    """True when the terms pair off into exact conjugates, column and row
+    alike, a real term being its own partner: the imaginary parts of the
+    partners' products then cancel exactly."""
+    left = list(range(cols.shape[1]))
+    while left:
+        k = left.pop()
+        col, row = np.conj(cols[:, k]), np.conj(rows[k])
+        partner = next((j for j in left + [k]
+                        if np.array_equal(cols[:, j], col) and np.array_equal(rows[j], row)),
+                       None)
+        if partner is None:
+            return False
+        if partner != k:
+            left.remove(partner)
+    return True
+
+
+def _factor_sum(cols, rows):
+    """The sum of `_outer_terms` as real products on one BLAS thread:
+
+        Re = [Re C, Im C] @ [Re R; -Im R],    Im = [Re C, Im C] @ [Im R; Re R].
+
+    The sum is the real array Re, and the second product is skipped, when
+    the terms pair off into exact conjugates, as every cat's terms do; else
+    it is complex.
+    """
+    lhs = np.concatenate([cols.real, cols.imag], axis=1)
+    paired = _conjugate_paired(cols, rows)
+    with single_blas_thread():
+        real = lhs @ np.concatenate([rows.real, -rows.imag])
+        if paired:
+            return real
+        imag = lhs @ np.concatenate([rows.imag, rows.real])
+    total = np.empty(real.shape, dtype=complex)
+    total.real, total.imag = real, imag
+    return total
 
 
 def _sum_terms(rep, alpha, t, g=1.0):
-    """Sum of gaussian_terms and the sum of their peaks."""
-    total = np.zeros(np.shape(alpha), dtype=complex)
-    peaks = 0.0
+    """Sum of gaussian_terms and the sum of their peaks.  A real sum has an
+    imaginary part of exactly 0 (a complex one may too).
+
+    On a tensor grid whose factors and peak sum are finite, no term can
+    overflow, and `_factor_sum` gives the sum.  Elsewhere the terms are
+    added one at a time into a complex sum, so that a sum that overflows
+    shows its non-finite cells and imaginary residue exactly as its terms
+    make them.
+    """
+    alpha = np.asarray(alpha, dtype=complex)
+    axes = _tensor_axes(alpha)
     # overflow reaches the callers' guards as non-finite values; the errstate
     # stays out of the generator, where it would leak while it is suspended
     with np.errstate(over="ignore", invalid="ignore"):
-        for values, peak in gaussian_terms(rep, alpha, t, g):
+        if axes:
+            cols, rows, peaks = _axis_factors(rep, *axes, t, g)
+            peak_sum = sum(peaks)
+            # each term is bounded by its peak, so then no product overflows
+            if math.isfinite(peak_sum) and np.isfinite(cols).all() and np.isfinite(rows).all():
+                return _factor_sum(cols, rows), peak_sum
+            terms = _outer_terms(cols, rows, peaks)
+        else:
+            terms = _pointwise_terms(rep, alpha, t, g)
+        total = np.zeros(alpha.shape, dtype=complex)
+        peak_sum = 0.0
+        for values, peak in terms:
             total += values
             del values  # so only one term is alive while the next is built
-            peaks += peak
-    return total, peaks
+            peak_sum += peak
+    return total, peak_sum
 
 
 def _require_finite(values, what):
@@ -197,21 +294,24 @@ def _require_finite(values, what):
 
 
 def _hermitian_sum(rep, alpha, t, g, what):
-    """Real field of a Hermitian `rep`: the sum of its gaussian_terms,
-    behind the one numeric guard of the real fields.  Partner terms cancel
-    each other's imaginary parts exactly, so the residue cannot show lost
-    digits; eps times the sum of the term peaks bounds the rounding.  Raises
+    """Real field of a Hermitian `rep`: the real part of the sum of its
+    gaussian_terms, behind the one numeric guard of the real fields.
+    Partner terms cancel each other's imaginary parts exactly (on a tensor
+    grid the sum is then real), so the residue cannot show lost digits;
+    eps times the sum of the term peaks bounds the rounding.  Raises
     FloatingPointError when that bound or the residue exceeds
     IMAG_RESIDUE_TOL, or a value is not finite.
     """
     total, peaks = _sum_terms(rep, alpha, t, g)
     rounding = np.finfo(float).eps * peaks
-    residue = np.max(np.abs(total.imag), initial=0.0)
+    residue = np.max(np.abs(total.imag), initial=0.0) if np.iscomplexobj(total) else 0.0
     if not (rounding <= IMAG_RESIDUE_TOL and residue <= IMAG_RESIDUE_TOL):
         raise FloatingPointError(
             f"{what}: term peaks sum to {peaks:.3e}, so rounding reaches {rounding:.3e} "
             f"(imaginary residue {residue:.3e}); tolerance {IMAG_RESIDUE_TOL}")
-    out = total.real.copy()  # contiguous, and frees the complex sum
+    # a real sum is returned as it is; the real part of a complex one is
+    # copied, since a view would keep the complex sum alive
+    out = np.require(total.real, requirements=["C", "O"])
     _require_finite(out, what)
     return out if out.shape else float(out)
 
@@ -247,7 +347,7 @@ def p_regularized_eval(rep, sigma, alpha):
     off-diagonal terms; raises FloatingPointError when a value overflows.
     """
     require_positive(sigma, "sigma")
-    total, _ = _sum_terms(rep, alpha, 2.0 * sigma * sigma)
+    total = np.asarray(_sum_terms(rep, alpha, 2.0 * sigma * sigma)[0], dtype=complex)
     need = max((min_safe_sigma(c) for term in rep.terms
                 for c in (term.center_r, term.center_i)), default=0.0)
     _require_finite(total, f"regularized P at sigma = {sigma} (need sigma >= {need:.6g})")
@@ -334,7 +434,8 @@ class Grid2D:
         """2D trapezoid integral of the field over the rectangle."""
         wx = trapezoid_weights(self.nx, self.dx)
         wy = trapezoid_weights(self.ny, self.dy)
-        return complex(wx @ self.values @ wy)
+        with single_blas_thread():
+            return complex(wx @ self.values @ wy)
 
     # -- serialization ------------------------------------------------------
 

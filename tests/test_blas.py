@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from catphase import blas, quasiprob
-from catphase.quasiprob import Grid2D, _gaussian_convolve
+from catphase.quasiprob import Grid2D, _gaussian_convolve, q_function
+from catphase.states import CatStateSpec
 
 CONTROLS = blas._thread_controls()
 needs_openblas = pytest.mark.skipif(CONTROLS is None, reason="numpy carries no OpenBLAS here")
@@ -45,4 +46,21 @@ def test_convolution_products_run_in_a_section(monkeypatch):
     monkeypatch.setattr(quasiprob, "single_blas_thread", recording)
     grid = Grid2D(-3.0, 3.0, -3.0, 3.0, 21, 21)
     _gaussian_convolve(grid.like(values=np.ones((21, 21), dtype=complex)), grid)
+    assert entered == [True]
+
+
+@pytest.mark.parametrize("call", [
+    lambda grid: q_function(CatStateSpec(1.5, -1.5, 1.0), grid.plane()),
+    lambda grid: grid.like(values=np.ones((21, 21), dtype=complex)).integrate()],
+    ids=["field-sum", "integrate"])
+def test_field_sum_and_integral_run_in_a_section(monkeypatch, call):
+    entered = []
+
+    @contextmanager
+    def recording():
+        entered.append(True)
+        yield
+
+    monkeypatch.setattr(quasiprob, "single_blas_thread", recording)
+    call(Grid2D(-3.0, 3.0, -3.0, 3.0, 21, 21))
     assert entered == [True]

@@ -99,19 +99,22 @@ class TestGridCommand:
         assert code == EXIT_USAGE
         assert "--field" in err
 
-    def test_q_csv_memory_bounded(self, tmp_path):
-        # the complex sum, a term being built and the written row: no zero
-        # plane that the command throws away
-        out = tmp_path / "q.csv"
+    @pytest.mark.parametrize("argv", [["grid", "--field", "q"],
+                                      ["amplify", "--field", "p", "--gain", "1.7"]],
+                             ids=["grid-q", "amplify-p"])
+    def test_csv_memory_bounded(self, argv, tmp_path):
+        # an 801^2 complex plane is 10.3 MB: the alpha plane and the real
+        # field, then the grid's complex values and the written row; no
+        # complex sum, no term plane and no zero plane the command throws away
+        out = tmp_path / "field.csv"
         tracemalloc.start()
         try:
-            code = main(["grid", "--field", "q", *STATE, *BOUNDS, "--nx", "801",
-                         "--out", str(out)])
+            code = main([*argv, *STATE, *BOUNDS, "--nx", "801", "--out", str(out)])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert code == EXIT_OK
-        assert peak < 33e6
+        assert peak < 20e6
 
     def test_json_output_to_file(self, tmp_path, capsys):
         path = tmp_path / "q.json"
@@ -248,6 +251,14 @@ class TestSiftCommand:
         assert out == ""
         assert err.startswith("numeric guard: sifting quadrature cannot resolve sigma = 0.3")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("z0,degree", [("1e300", "3"), ("1e100", "4")])
+    def test_moment_that_overflows_is_numeric_error(self, z0, degree, capsys):
+        code, out, err = run_cli(
+            ["sift", "--z0", z0, "0.4", "--sigma0", "0.3", "--monomial", degree], capsys)
+        assert (code, out) == (EXIT_NUMERIC, "")
+        assert err == (f"numeric guard: moment of order {degree} at z = ({float(z0)!r}+0.4j) "
+                       "with sigma = 0.3 overflows double precision\n")
 
 
 class TestVerifyCommand:

@@ -15,7 +15,7 @@ from catphase.gendelta import cancellation_factor, min_safe_sigma
 from catphase.numerics import complex_from_pairs, complex_pairs, loads_with_pairs, require_count, \
     trapezoid_weights
 from catphase.quasiprob import Grid2D, PRepresentation, PTerm, _gaussian_convolve, \
-    alpha_from_xp, fock_wavefunction, gaussian_terms, p_cat_terms, p_regularized_eval, \
+    _hermitian_sum, _sum_terms, alpha_from_xp, fock_wavefunction, gaussian_terms, p_cat_terms, p_regularized_eval, \
     opened, p_representation_grid, q_fourier_term, q_from_wigner, q_function, wigner_fock, \
     wigner_from_p, xp_from_alpha
 from catphase.states import CatStateSpec, cat_density_matrix, coherent_fock_coeffs, \
@@ -375,21 +375,23 @@ class TestQFunction:
             q_function(EVEN_CAT, gx + 1j * gy)
 
     def test_grid_memory_bounded(self):
-        # each field summed by _sum_terms holds its complex sum and the term
-        # being built, two planes, and never the term before that one
+        # on a tensor grid a real field is one real product, half a complex
+        # plane, and the regularized P adds the complex plane it returns; no
+        # complex sum and no term plane
         gain = AmplifierGain(2.0)
-        fields = [lambda a: q_function(SKEW_CAT, a), lambda a: amplify_q(SKEW_CAT, gain, a),
-                  lambda a: amplified_p(SKEW_CAT, gain, a),
-                  lambda a: p_regularized_eval(p_cat_terms(SKEW_CAT), 0.6, a)]
+        fields = [(lambda a: q_function(SKEW_CAT, a), 0.75),
+                  (lambda a: amplify_q(SKEW_CAT, gain, a), 0.75),
+                  (lambda a: amplified_p(SKEW_CAT, gain, a), 0.75),
+                  (lambda a: p_regularized_eval(p_cat_terms(SKEW_CAT), 0.6, a), 1.75)]
         alpha = alpha_grid(half=7.0, n=401).plane()
-        for field in fields:
+        for field, planes in fields:
             tracemalloc.start()
             try:
                 field(alpha)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak < 2.5 * alpha.nbytes
+            assert peak < planes * alpha.nbytes
 
     def test_nonnegative_on_grid(self):
         grid = alpha_grid()
@@ -501,6 +503,72 @@ class TestGaussianTerms:
             im = 2 * (u * cr.imag + v * ci.imag) / t
             want = complex(term.weight / (math.pi * t)) * np.exp(re) * (np.cos(im) + 1j * np.sin(im))
             assert np.max(np.abs(values - want)) <= 1e-13 * peaks
+
+
+class TestSumTerms:
+    """_sum_terms on tensor grids: one real product of the terms' axis
+    factors, and a second for the imaginary part unless it is exactly 0."""
+
+    @settings(max_examples=60)
+    @given(a1=COMPLEX_2, a2=COMPLEX_2, zeta=COMPLEX_2, row=st.sampled_from(["q", "p", "amp"]),
+           gain=st.floats(1.2, 3.0), drop=st.sampled_from([None, 0, 2, 3]),
+           nx=st.integers(2, 60), ny=st.integers(2, 60), square=st.booleans())
+    def test_matches_sum_of_terms(self, a1, a2, zeta, row, gain, drop, nx, ny, square):
+        try:
+            spec = CatStateSpec(a1, a2, zeta)
+        except ValueError:
+            reject()
+        assume(spec.norm_A <= 5.0)
+        terms = p_cat_terms(spec).terms
+        # dropping one of the off-diagonal partners leaves a rep that is not Hermitian
+        rep = PRepresentation(terms if drop is None else terms[:drop] + terms[drop + 1:])
+        need = max(min_safe_sigma(c) for term in rep.terms
+                   for c in (term.center_r, term.center_i))
+        sigma = max(need, 0.1) * 1.5
+        t, g = {"q": (1.0, 1.0), "p": (2.0 * sigma * sigma, 1.0),
+                "amp": (gain * gain - 1.0, gain)}[row]
+        half = g * max(abs(a1), abs(a2)) + 6.0 * max(1.0, math.sqrt(t / 2.0))
+        alpha = Grid2D(-half, half, -0.8 * half, 0.9 * half, nx, nx if square else ny).plane()
+        total, peaks = _sum_terms(rep, alpha, t, g)
+        terms = list(gaussian_terms(rep, alpha, t, g))
+        want = sum(values for values, _ in terms)
+        assert total.shape == alpha.shape and peaks == sum(peak for _, peak in terms)
+        bound = 4.0 * np.finfo(float).eps * peaks
+        assert np.max(np.abs(total.real - want.real)) <= bound
+        assert np.max(np.abs(np.imag(total) - want.imag)) <= bound
+
+    @pytest.mark.parametrize("spec", [EVEN_CAT, SKEW_CAT, CatStateSpec(2.0 + 1.0j, -1.5 - 0.5j, 0.7j),
+                                      CatStateSpec(0.8, -0.8, 0.0)])
+    def test_cat_imaginary_part_is_exactly_zero(self, spec):
+        # Q, amplified Q and P at gain 2, regularized P at sigma 0.6: the
+        # imaginary product is skipped, so the convolution runs one real chain
+        rep = p_cat_terms(spec)
+        alpha = Grid2D(-7.0, 7.0, -6.0, 6.5, 61, 47).plane()
+        for t, g in [(1.0, 1.0), (4.0, 2.0), (3.0, 2.0), (0.72, 1.0)]:
+            assert _sum_terms(rep, alpha, t, g)[0].dtype == float
+        assert not p_regularized_eval(rep, 0.6, alpha).imag.any()
+
+    @pytest.mark.parametrize("edit", ["unpaired", "ulp"])
+    def test_imaginary_part_of_terms_without_exact_partner(self, edit):
+        # one off-diagonal term alone, or its partner's kappa one ulp away:
+        # the second product computes the imaginary part
+        terms = p_cat_terms(SKEW_CAT).terms
+        last = terms[3]
+        if edit == "ulp":
+            kappa = complex(np.nextafter(last.kappa.real, np.inf), last.kappa.imag)
+            last = PTerm(kappa=kappa, beta=last.beta, gamma=last.gamma)
+        rep = PRepresentation(terms[:3] if edit == "unpaired" else terms[:3] + (last,))
+        alpha = Grid2D(-6.0, 6.0, -5.0, 5.5, 51, 43).plane()
+        total, peaks = _sum_terms(rep, alpha, 1.0)
+        want = sum(values for values, _ in gaussian_terms(rep, alpha, 1.0))
+        assert total.dtype == complex and total.imag.any()
+        assert np.max(np.abs(total.imag - want.imag)) <= 4.0 * np.finfo(float).eps * peaks
+
+    def test_residue_guard_trips_without_partner(self):
+        rep = PRepresentation(p_cat_terms(SKEW_CAT).terms[:3])
+        alpha = Grid2D(-6.0, 6.0, -5.0, 5.5, 51, 43).plane()
+        with pytest.raises(FloatingPointError, match=r"Q-like: .*imaginary residue [1-9]"):
+            _hermitian_sum(rep, alpha, 1.0, 1.0, "Q-like")
 
 
 class TestQFourierTerm:
