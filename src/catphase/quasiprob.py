@@ -22,7 +22,11 @@ With alpha = x + i y the exponent separates into one Gaussian along each
 axis, centred at the term's complex generalized-delta centres
 c_r = (conj(beta) + gamma) / 2 and c_i = i (conj(beta) - gamma) / 2:
 
-    kappa <beta|gamma> / (pi t) e^{-(x - g c_r)^2 / t} e^{-(y - g c_i)^2 / t}.
+    kappa <beta|gamma> / (pi t) e^{-(x - g c_r)^2 / t} e^{-(y - g c_i)^2 / t},
+
+the weight <beta|gamma> / (pi t) entering as its log, added to the exponents:
+far apart, the overlap underflows and an axis factor alone overflows, while
+the term is finite wherever its value is.
 
 On a tensor grid (Re alpha constant along axis 1, Im alpha along axis 0,
 as `Grid2D.plane` builds it) the two factors are an (nx, 1) column and
@@ -99,6 +103,12 @@ class PTerm:
         """kappa <beta|gamma>, the coefficient carried into the P-function."""
         return self.kappa * coherent_overlap(self.beta, self.gamma)
 
+    def log_weight(self, t):
+        """log(<beta|gamma> / (pi t)), kappa aside, of the term's width-t Gaussian:
+        finite where <beta|gamma> underflows; swapping beta and gamma conjugates it."""
+        b, c = complex(self.beta), complex(self.gamma)
+        return -math.log(math.pi * t) - (abs(b) ** 2 + abs(c) ** 2 - 2.0 * b.conjugate() * c) / 2.0
+
 
 @dataclass(frozen=True)
 class PRepresentation:
@@ -141,59 +151,52 @@ def _tensor_axes(alpha):
     return None
 
 
+def _axis_square(u, centre):
+    """(u - centre)^2, one axis's part of a term's exponent (module docstring),
+    complex even for a real centre, so that it can take the other's in place."""
+    d = u - complex(centre)
+    d *= d
+    return d
+
+
 def _axis_factors(rep, x, y, t, g):
     """The factored terms of `rep` on the tensor grid of column x (nx, 1)
     and row y (1, ny): columns C (nx, m), rows R (m, ny) and the m peaks,
     term k being the outer product C[:, k:k+1] * R[k:k+1] (module
-    docstring).  Each peak is read off the largest real exponent of its
-    column and row.
+    docstring).  The log weight is shared between the two exponents so
+    that each factor peaks at the square root of the term's peak over
+    |kappa|: a factor overflows only when its term's peak does.
     """
     cols = np.empty((x.shape[0], len(rep.terms)), dtype=complex)
     rows = np.empty((len(rep.terms), y.shape[1]), dtype=complex)
-    peaks = []
+    peaks = np.empty(len(rep.terms))
     for k, term in enumerate(rep.terms):
-        # conjugate partners have conjugate centres and weights, and every
-        # step below is conjugation-symmetric, so their factors come out as
-        # exact conjugates (see _conjugate_paired)
-        ex = x[:, 0] - complex(g * term.center_r)
-        ex *= ex
-        ex /= -t
-        ey = y[0] - complex(g * term.center_i)
-        ey *= ey
-        ey /= -t
-        scale = term.weight / (math.pi * t)
-        cols[:, k] = scale * np.exp(ex)
-        rows[k] = np.exp(ey)
-        peaks.append(float(abs(scale) * np.exp(np.max(ex.real) + np.max(ey.real))))
+        ex = _axis_square(x[:, 0], g * term.center_r) / -t
+        ey = _axis_square(y[0], g * term.center_i) / -t
+        log_w, top_x, top_y = term.log_weight(t), ex.real.max(), ey.real.max()
+        shift = (log_w + top_y - top_x) / 2.0
+        # every step is conjugation-symmetric, so partners get exact conjugate factors;
+        # kappa stays out of the log, so kappas an ulp apart do not (see _conjugate_paired)
+        cols[:, k] = term.kappa * np.exp(ex + shift)
+        rows[k] = np.exp(ey + (log_w - shift))
+        peaks[k] = abs(term.kappa) * np.exp(log_w.real + top_x + top_y)
     return cols, rows, peaks
 
 
 def _pointwise_terms(rep, alpha, t, g):
-    """gaussian_terms off a tensor grid: the two exponents are summed before
-    one exp per point."""
-    x, y = alpha.real, alpha.imag
+    """gaussian_terms off a tensor grid: the two exponents and the log weight
+    are summed in place before one exp per point."""
+    points = np.atleast_1d(alpha)  # a scalar's arithmetic would leave no array to write into
+    x, y = points.real, points.imag
     for term in rep.terms:
-        # complex() keeps a real centre from leaving ex a float array that
-        # cannot take ey in place
-        ex = x - complex(g * term.center_r)
-        ex *= ex
-        ey = y - complex(g * term.center_i)
-        ey *= ey
-        ex += ey
+        ex = _axis_square(x, g * term.center_r)
+        ex += _axis_square(y, g * term.center_i)
         ex /= -t
-        scale = term.weight / (math.pi * t)
+        ex += term.log_weight(t)
         top = np.max(ex.real, initial=-np.inf)
-        values = np.exp(ex)
-        values *= scale
-        yield values, float(abs(scale) * np.exp(top))
-        del values  # once the caller drops it, this term is freed before the next
-
-
-def _outer_terms(cols, rows, peaks):
-    """gaussian_terms on a tensor grid: term k is the outer product of
-    column k and row k of `_axis_factors`."""
-    for k, peak in enumerate(peaks):
-        yield cols[:, k:k + 1] * rows[k:k + 1], peak
+        np.exp(ex, out=ex)
+        ex *= term.kappa
+        yield ex.reshape(alpha.shape), float(abs(term.kappa) * np.exp(top))
 
 
 def gaussian_terms(rep, alpha, t, g=1.0):
@@ -202,15 +205,18 @@ def gaussian_terms(rep, alpha, t, g=1.0):
     pairs, peak = max |values|.
 
     Each term is evaluated in its factored form, one Gaussian along Re alpha
-    times one along Im alpha.  On a tensor grid the factors are a column
-    and a row (`_axis_factors`), and each term is their outer product; any
-    other alpha (scalars, scattered points, "xy" meshgrids, NaN cells) sums
-    the two exponents before one exp per point.
+    times one along Im alpha, its log weight added to the exponents.  On a
+    tensor grid the factors are a column and a row (`_axis_factors`), and
+    each term is their outer product; any other alpha (scalars, scattered
+    points, "xy" meshgrids, NaN cells) sums the exponents before one exp
+    per point.
     """
     alpha = np.asarray(alpha, dtype=complex)
     axes = _tensor_axes(alpha)
     if axes:
-        yield from _outer_terms(*_axis_factors(rep, *axes, t, g))
+        cols, rows, peaks = _axis_factors(rep, *axes, t, g)
+        for k, peak in enumerate(peaks):
+            yield cols[:, k:k + 1] * rows[k:k + 1], peak
     else:
         yield from _pointwise_terms(rep, alpha, t, g)
 
@@ -234,7 +240,7 @@ def _conjugate_paired(cols, rows):
 
 
 def _factor_sum(cols, rows):
-    """The sum of `_outer_terms` as real products on one BLAS thread:
+    """Sum of the terms C[:, k:k+1] * R[k:k+1] as real products on one BLAS thread:
 
         Re = [Re C, Im C] @ [Re R; -Im R],    Im = [Re C, Im C] @ [Im R; Re R].
 
@@ -258,11 +264,9 @@ def _sum_terms(rep, alpha, t, g=1.0):
     """Sum of gaussian_terms and the sum of their peaks.  A real sum has an
     imaginary part of exactly 0 (a complex one may too).
 
-    On a tensor grid whose factors and peak sum are finite, no term can
-    overflow, and `_factor_sum` gives the sum.  Elsewhere the terms are
-    added one at a time into a complex sum, so that a sum that overflows
-    shows its non-finite cells and imaginary residue exactly as its terms
-    make them.
+    On a tensor grid `_factor_sum` gives the sum; elsewhere the terms are
+    added one at a time into a complex sum.  A term is non-finite only
+    where its peak overflows, which the callers' guards refuse.
     """
     alpha = np.asarray(alpha, dtype=complex)
     axes = _tensor_axes(alpha)
@@ -271,16 +275,10 @@ def _sum_terms(rep, alpha, t, g=1.0):
     with np.errstate(over="ignore", invalid="ignore"):
         if axes:
             cols, rows, peaks = _axis_factors(rep, *axes, t, g)
-            peak_sum = sum(peaks)
-            # each term is bounded by its peak, so then no product overflows
-            if math.isfinite(peak_sum) and np.isfinite(cols).all() and np.isfinite(rows).all():
-                return _factor_sum(cols, rows), peak_sum
-            terms = _outer_terms(cols, rows, peaks)
-        else:
-            terms = _pointwise_terms(rep, alpha, t, g)
+            return _factor_sum(cols, rows), sum(peaks)
         total = np.zeros(alpha.shape, dtype=complex)
         peak_sum = 0.0
-        for values, peak in terms:
+        for values, peak in _pointwise_terms(rep, alpha, t, g):
             total += values
             del values  # so only one term is alive while the next is built
             peak_sum += peak
@@ -347,11 +345,12 @@ def p_regularized_eval(rep, sigma, alpha):
     off-diagonal terms; raises FloatingPointError when a value overflows.
     """
     require_positive(sigma, "sigma")
-    total = np.asarray(_sum_terms(rep, alpha, 2.0 * sigma * sigma)[0], dtype=complex)
+    total = _sum_terms(rep, alpha, 2.0 * sigma * sigma)[0]
+    del alpha  # frees a caller's temporary plane before the complex one is made
     need = max((min_safe_sigma(c) for term in rep.terms
                 for c in (term.center_r, term.center_i)), default=0.0)
     _require_finite(total, f"regularized P at sigma = {sigma} (need sigma >= {need:.6g})")
-    return total if total.shape else complex(total)
+    return np.asarray(total, dtype=complex) if total.shape else complex(total)
 
 
 # ---------------------------------------------------------------------------

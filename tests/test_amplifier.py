@@ -1,16 +1,18 @@
+import cmath
 import math
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, reject, settings
+from hypothesis import assume, example, given, reject, settings
 from hypothesis import strategies as st
 
 from catphase.amplifier import AmplifierGain, amplified_p, amplified_p_factored, \
     amplified_p_terms, amplify_q, sigma_of_gain
-from catphase.quasiprob import Grid2D, p_cat_terms, q_from_wigner, q_function, \
+from catphase.quasiprob import Grid2D, gaussian_terms, p_cat_terms, q_from_wigner, q_function, \
     wigner_from_p
 from catphase.states import CatStateSpec
+from test_quasiprob import separated_cat_window
 
 CAT = CatStateSpec(alpha1=1.5, alpha2=-1.5, zeta=1.0)
 COMPLEX_2 = st.builds(complex, st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))
@@ -101,6 +103,26 @@ class TestAmplifiedQ:
         grid.values = amplify_q(CAT, AmplifierGain(2.0), gx + 1j * gy)
         assert grid.integrate().real == pytest.approx(1.0, abs=1e-6)
 
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(r1=st.floats(0.0, 200.0), r2=st.floats(0.0, 200.0), phase1=st.floats(-math.pi, math.pi),
+           phase2=st.floats(-math.pi, math.pi), zeta=COMPLEX_2, g=st.floats(1.05, 3.0))
+    @example(r1=200.0, r2=200.0, phase1=0.0, phase2=math.pi, zeta=1.0, g=1.05)
+    def test_separated_cats_bounded_and_normalized(self, r1, r2, phase1, phase2, zeta, g):
+        a1, a2 = r1 * cmath.exp(1j * phase1), r2 * cmath.exp(1j * phase2)
+        try:
+            spec = CatStateSpec(a1, a2, zeta)
+        except ValueError:
+            reject()
+        assume(spec.norm_A <= 5.0)
+        # (1/g^2) Q(alpha / g): the Q window of both peaks scaled by g, at g / 2 spacing
+        grid = separated_cat_window(a1, a2, g)
+        alpha = grid.plane()
+        grid.values = amplify_q(spec, AmplifierGain(g), alpha)
+        peaks = sum(peak for _, peak in gaussian_terms(p_cat_terms(spec), alpha, g * g, g))
+        assert grid.values.min() >= -np.finfo(float).eps * peaks
+        assert grid.values.max() <= 1.0 / (math.pi * g * g)
+        assert grid.integrate().real == pytest.approx(1.0, abs=1e-6)
+
     def test_cascade_composes_multiplicatively(self):
         g1, g2 = 1.3, 1.7
         alphas = np.array([0.2, 1.0 - 0.5j, -2.0j])
@@ -169,14 +191,26 @@ class TestAmplifiedP:
             amplified_p(spec, AmplifierGain(1.05), gx + 1j * gy)
 
     def test_overflow_raises_instead_of_returning_non_finite(self):
-        # the overflowing terms are summed one at a time, so the residue of
-        # their non-finite sum reads nan, not the 0 of skipped partners
+        # the off-diagonal peaks overflow; the conjugate pair still sums to a
+        # real array, so the residue reads 0 and the peak sum refuses the field
         spec = CatStateSpec(alpha1=12.0, alpha2=-12.0, zeta=1.0)
         gx, gy = field_grid(15.0, 201).meshgrid()
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(FloatingPointError, match=r"^amplified P: term peaks sum to inf, "
-                              r"so rounding reaches inf \(imaginary residue nan\)"):
+                              r"so rounding reaches inf \(imaginary residue 0\.000e\+00\); "
+                              r"tolerance 1e-12$"):
             amplified_p(spec, AmplifierGain(1.05), gx + 1j * gy)
+
+    def test_interference_of_separated_cat_survives_underflowing_overlap(self):
+        # <beta|gamma> = e^{-800} underflows, yet at gain 2 the off-diagonal
+        # pair still makes P negative between the peaks; the value at the
+        # cell alpha = 0.1i is mpmath's at 50 digits
+        spec = CatStateSpec(alpha1=20.0, alpha2=-20.0, zeta=1.0)
+        grid = Grid2D(-6.0, 6.0, -3.0, 3.0, 121, 61)
+        p = amplified_p(spec, AmplifierGain(2.0), grid.plane())
+        assert (grid.xs[60], grid.ys[31]) == (0.0, 0.10000000000000009)
+        assert p[60, 31] == pytest.approx(-1.4503761523230305e-117, rel=1e-12)
+        assert p.min() < 0.0
 
     def test_overflow_raises_before_any_numpy_warning(self):
         # the guard's message is the only report; no RuntimeWarning precedes it

@@ -94,18 +94,31 @@ class TestGridCommand:
         assert out == ""
         assert "numeric guard" in err and "need sigma >=" in err
 
+    def test_separated_cat_q_is_evaluated(self, capsys):
+        # <beta|gamma> = e^{-1458} underflows while the Im-axis factor would
+        # reach e^{729}: the log weight in the exponents keeps both finite
+        code, out, err = run_cli(
+            ["grid", "--field", "q", "--alpha1", "27", "0", "--alpha2", "-27", "0",
+             "--zeta", "1", "0", "--bounds", "-32", "32", "-5", "5", "--nx", "41"], capsys)
+        assert (code, err) == (EXIT_OK, "")
+        values = Grid2D.from_csv(io.StringIO(out)).values
+        assert np.isfinite(values).all()
+        assert 0.0 <= values.real.min() and values.real.max() <= 1.0 / math.pi
+
     def test_missing_field_is_usage_error(self, capsys):
         code, _, err = run_cli(["grid", *STATE, *BOUNDS], capsys)
         assert code == EXIT_USAGE
         assert "--field" in err
 
     @pytest.mark.parametrize("argv", [["grid", "--field", "q"],
-                                      ["amplify", "--field", "p", "--gain", "1.7"]],
-                             ids=["grid-q", "amplify-p"])
+                                      ["amplify", "--field", "p", "--gain", "1.7"],
+                                      ["grid", "--field", "p_regularized", "--sigma", "0.6"]],
+                             ids=["grid-q", "amplify-p", "grid-p_regularized"])
     def test_csv_memory_bounded(self, argv, tmp_path):
         # an 801^2 complex plane is 10.3 MB: the alpha plane and the real
         # field, then the grid's complex values and the written row; no
-        # complex sum, no term plane and no zero plane the command throws away
+        # complex sum, no term plane and no zero plane the command throws
+        # away, and no alpha plane left beside the regularized P's complex one
         out = tmp_path / "field.csv"
         tracemalloc.start()
         try:

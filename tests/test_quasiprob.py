@@ -1,3 +1,4 @@
+import cmath
 import io
 import json
 import math
@@ -6,7 +7,7 @@ from contextlib import nullcontext
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, reject, settings
+from hypothesis import assume, example, given, reject, settings
 from hypothesis import strategies as st
 from scipy.special import eval_laguerre
 
@@ -42,6 +43,15 @@ def complex_within(radius):
 
 def alpha_grid(half=6.0, n=201):
     return Grid2D(-half, half, -half, half, n, n)
+
+
+def separated_cat_window(a1, a2, g=1.0):
+    """The rectangle holding both components of a cat's Q amplified at gain g
+    with a margin of 6 g, at a spacing of g / 2, however far apart they are."""
+    lo = g * complex(min(a1.real, a2.real) - 6.0, min(a1.imag, a2.imag) - 6.0)
+    hi = g * complex(max(a1.real, a2.real) + 6.0, max(a1.imag, a2.imag) + 6.0)
+    nx, ny = (math.ceil(2.0 * side / g) + 1 for side in (hi.real - lo.real, hi.imag - lo.imag))
+    return Grid2D(lo.real, hi.real, lo.imag, hi.imag, nx, ny)
 
 
 def reference_to_csv(grid, stream, meta=None):
@@ -421,6 +431,34 @@ class TestQFunction:
         peaks = sum(peak for _, peak in gaussian_terms(p_cat_terms(spec), alpha, 1.0))
         assert grid.values.min() >= -np.finfo(float).eps * peaks
         assert grid.integrate().real == pytest.approx(1.0, abs=1e-6)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(r1=st.floats(0.0, 200.0), r2=st.floats(0.0, 200.0), phase1=st.floats(-math.pi, math.pi),
+           phase2=st.floats(-math.pi, math.pi), zeta=complex_within(2.0))
+    @example(r1=27.0, r2=27.0, phase1=0.0, phase2=math.pi, zeta=1.0)
+    @example(r1=200.0, r2=200.0, phase1=0.0, phase2=math.pi, zeta=1.0)
+    def test_separated_cats_bounded_and_normalized(self, r1, r2, phase1, phase2, zeta):
+        # the overlap of far components underflows while their Im-axis
+        # factors would overflow; with the log weight in the exponent
+        # neither happens, so Q is evaluated, not refused
+        a1, a2 = r1 * cmath.exp(1j * phase1), r2 * cmath.exp(1j * phase2)
+        try:
+            spec = CatStateSpec(a1, a2, zeta)
+        except ValueError:
+            reject()
+        assume(spec.norm_A <= 5.0)
+        grid = separated_cat_window(a1, a2)
+        alpha = grid.plane()
+        grid.values = q_function(spec, alpha)
+        peaks = sum(peak for _, peak in gaussian_terms(p_cat_terms(spec), alpha, 1.0))
+        assert grid.values.min() >= -np.finfo(float).eps * peaks
+        assert grid.values.max() <= 1.0 / math.pi
+        assert grid.integrate().real == pytest.approx(1.0, abs=1e-6)
+        # the same cells as scattered points take the pointwise path
+        rng = np.random.default_rng(grid.nx * grid.ny)
+        cells = rng.choice(alpha.size, size=min(alpha.size, 20000), replace=False)
+        points = q_function(spec, alpha.ravel()[cells])
+        assert np.max(np.abs(points - grid.values.real.ravel()[cells])) <= 1e-12
 
     def test_scalar_in_scalar_out(self):
         assert isinstance(q_function(EVEN_CAT, 0.3 + 0.1j), float)
