@@ -204,7 +204,7 @@ def cmd_grid(args):
         meta = {"field": field, "alpha1": spec.alpha1, "alpha2": spec.alpha2,
                 "zeta": spec.zeta, "axes": "alpha"}
         if field == "q":
-            grid = grid.like(values=q_function(spec, grid.plane()))
+            grid = grid.like(values=q_function(spec, grid))
         elif field == "p_regularized":
             _require(args, ["sigma"])
             grid = p_representation_grid(p_cat_terms(spec), args.sigma, grid)
@@ -219,14 +219,14 @@ def cmd_amplify(args):
     grid = _grid_from(args, "alpha")
     gain = AmplifierGain(args.gain)
     if args.field == "q":
-        grid = grid.like(values=amplify_q(spec, gain, grid.plane()))
+        grid = grid.like(values=amplify_q(spec, gain, grid))
     elif gain.g == 1.0:
         raise FloatingPointError(
             f"P-function is singular at gain {gain.g} (sigma_of_gain({gain.g}) = "
             f"{gain.sigma}); it cannot be sampled on a grid -- "
             "use grid --field p_regularized with an explicit sigma instead")
     else:
-        grid = grid.like(values=amplified_p(spec, gain, grid.plane()))
+        grid = grid.like(values=amplified_p(spec, gain, grid))
     meta = {"field": args.field, "gain": args.gain, "sigma": gain.sigma,
             "alpha1": spec.alpha1, "alpha2": spec.alpha2, "zeta": spec.zeta,
             "axes": "alpha"}

@@ -28,10 +28,10 @@ the weight <beta|gamma> / (pi t) entering as its log, added to the exponents:
 far apart, the overlap underflows and an axis factor alone overflows, while
 the term is finite wherever its value is.
 
-On a tensor grid (Re alpha constant along axis 1, Im alpha along axis 0,
-as `Grid2D.plane` builds it) the two factors are an (nx, 1) column and
-a (1, ny) row, so a term costs nx + ny complex exps.  Stacking the m
-terms' columns as C (nx, m) and rows as R (m, ny), their sum is C @ R,
+On a tensor grid (a `Grid2D`'s axes, or an array with Re alpha constant
+along axis 1 and Im alpha along axis 0) the two factors are an (nx, 1)
+column and a (1, ny) row, so a term costs nx + ny complex exps.  Stacking
+the m terms' columns as C (nx, m) and rows as R (m, ny), their sum is C @ R,
 whose real part is the one real product [Re C, Im C] @ [Re R; -Im R].
 A conjugate pair of terms sums to a real field, so for a cat, whose
 off-diagonal terms are such a pair, that product is the whole field.
@@ -51,7 +51,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blas import single_blas_thread
-from .gendelta import min_safe_sigma
 from .numerics import complex_from_pairs, dumps_with_pairs, hermite_poly, loads_with_pairs, \
     log_factorial, require_count, require_order, require_positive, trapezoid_weights
 from .states import coherent_overlap
@@ -138,11 +137,17 @@ def p_cat_terms(spec):
 
 
 def _tensor_axes(alpha):
-    """The (nx, 1) column of Re alpha and the (1, ny) row of Im alpha when
-    alpha is a 2-D tensor grid (Re alpha constant along axis 1, Im alpha
-    along axis 0), else None.  A NaN cell equals nothing, so it never
-    passes for a grid and reaches the guards through the pointwise path.
+    """The (nx, 1) column of Re alpha and the (1, ny) row of Im alpha: an
+    alpha Grid2D's axes (an (x, p) one raises ValueError), or those of a
+    2-D tensor-grid array (Re alpha constant along axis 1, Im alpha along
+    axis 0); else None.  A NaN cell equals nothing, so it never passes
+    for a grid and reaches the guards through the pointwise path.
     """
+    if isinstance(alpha, Grid2D):
+        if alpha.axis_semantics != "alpha":
+            raise ValueError("the fields need an alpha-plane grid, not an (x, p) one")
+        return alpha.xs[:, None], alpha.ys[None, :]
+    alpha = np.asarray(alpha, dtype=complex)
     if alpha.ndim != 2 or not alpha.size:
         return None
     x, y = alpha.real[:, :1], alpha.imag[:1, :]
@@ -186,7 +191,7 @@ def _axis_factors(rep, x, y, t, g):
 def _pointwise_terms(rep, alpha, t, g):
     """gaussian_terms off a tensor grid: the two exponents and the log weight
     are summed in place before one exp per point."""
-    points = np.atleast_1d(alpha)  # a scalar's arithmetic would leave no array to write into
+    points = np.atleast_1d(np.asarray(alpha, dtype=complex))  # a scalar too is written in place
     x, y = points.real, points.imag
     for term in rep.terms:
         ex = _axis_square(x, g * term.center_r)
@@ -196,7 +201,7 @@ def _pointwise_terms(rep, alpha, t, g):
         top = np.max(ex.real, initial=-np.inf)
         np.exp(ex, out=ex)
         ex *= term.kappa
-        yield ex.reshape(alpha.shape), float(abs(term.kappa) * np.exp(top))
+        yield ex.reshape(np.shape(alpha)), float(abs(term.kappa) * np.exp(top))
 
 
 def gaussian_terms(rep, alpha, t, g=1.0):
@@ -206,12 +211,11 @@ def gaussian_terms(rep, alpha, t, g=1.0):
 
     Each term is evaluated in its factored form, one Gaussian along Re alpha
     times one along Im alpha, its log weight added to the exponents.  On a
-    tensor grid the factors are a column and a row (`_axis_factors`), and
-    each term is their outer product; any other alpha (scalars, scattered
-    points, "xy" meshgrids, NaN cells) sums the exponents before one exp
-    per point.
+    tensor grid, an alpha Grid2D or its plane, the factors are a column and
+    a row (`_axis_factors`), and each term is their outer product; any other
+    alpha (scalars, scattered points, "xy" meshgrids, NaN cells) sums the
+    exponents before one exp per point.
     """
-    alpha = np.asarray(alpha, dtype=complex)
     axes = _tensor_axes(alpha)
     if axes:
         cols, rows, peaks = _axis_factors(rep, *axes, t, g)
@@ -239,19 +243,19 @@ def _conjugate_paired(cols, rows):
     return True
 
 
-def _factor_sum(cols, rows):
+def _factor_sum(cols, rows, real):
     """Sum of the terms C[:, k:k+1] * R[k:k+1] as real products on one BLAS thread:
 
         Re = [Re C, Im C] @ [Re R; -Im R],    Im = [Re C, Im C] @ [Im R; Re R].
 
-    The sum is the real array Re, and the second product is skipped, when
-    the terms pair off into exact conjugates, as every cat's terms do; else
-    it is complex.
+    Re is written into `real`, which is the sum, and the second product is
+    skipped, when the terms pair off into exact conjugates, as every cat's
+    terms do; else the sum is complex.
     """
     lhs = np.concatenate([cols.real, cols.imag], axis=1)
     paired = _conjugate_paired(cols, rows)
     with single_blas_thread():
-        real = lhs @ np.concatenate([rows.real, -rows.imag])
+        np.matmul(lhs, np.concatenate([rows.real, -rows.imag]), out=real)
         if paired:
             return real
         imag = lhs @ np.concatenate([rows.imag, rows.real])
@@ -264,19 +268,20 @@ def _sum_terms(rep, alpha, t, g=1.0):
     """Sum of gaussian_terms and the sum of their peaks.  A real sum has an
     imaginary part of exactly 0 (a complex one may too).
 
-    On a tensor grid `_factor_sum` gives the sum; elsewhere the terms are
-    added one at a time into a complex sum.  A term is non-finite only
-    where its peak overflows, which the callers' guards refuse.
+    On a tensor grid `_factor_sum` gives the sum, into an array reserved
+    first so that a grid too large to hold fails before its factors are
+    built; elsewhere the terms are added one at a time into a complex sum.
+    A term is non-finite only where its peak overflows; the guards refuse it.
     """
-    alpha = np.asarray(alpha, dtype=complex)
     axes = _tensor_axes(alpha)
     # overflow reaches the callers' guards as non-finite values; the errstate
     # stays out of the generator, where it would leak while it is suspended
     with np.errstate(over="ignore", invalid="ignore"):
         if axes:
+            real = np.empty((axes[0].shape[0], axes[1].shape[1]))
             cols, rows, peaks = _axis_factors(rep, *axes, t, g)
-            return _factor_sum(cols, rows), sum(peaks)
-        total = np.zeros(alpha.shape, dtype=complex)
+            return _factor_sum(cols, rows, real), sum(peaks)
+        total = np.zeros(np.shape(alpha), dtype=complex)
         peak_sum = 0.0
         for values, peak in _pointwise_terms(rep, alpha, t, g):
             total += values
@@ -317,8 +322,8 @@ def _hermitian_sum(rep, alpha, t, g, what):
 def q_function(spec, alpha):
     """Husimi Q-function (1/pi) <alpha|rho|alpha> of a cat state.
 
-    Accepts a complex scalar or array; the result is real and
-    nonnegative, guarded by _hermitian_sum.
+    Accepts a complex scalar or array, or an alpha Grid2D; the result is
+    real and nonnegative, guarded by _hermitian_sum.
     """
     return _hermitian_sum(p_cat_terms(spec), alpha, 1.0, 1.0, "Q-function")
 
@@ -346,10 +351,7 @@ def p_regularized_eval(rep, sigma, alpha):
     """
     require_positive(sigma, "sigma")
     total = _sum_terms(rep, alpha, 2.0 * sigma * sigma)[0]
-    del alpha  # frees a caller's temporary plane before the complex one is made
-    need = max((min_safe_sigma(c) for term in rep.terms
-                for c in (term.center_r, term.center_i)), default=0.0)
-    _require_finite(total, f"regularized P at sigma = {sigma} (need sigma >= {need:.6g})")
+    _require_finite(total, f"regularized P at sigma = {sigma}")
     return np.asarray(total, dtype=complex) if total.shape else complex(total)
 
 
@@ -385,8 +387,9 @@ class Grid2D:
     def __post_init__(self):
         self.nx, self.ny = require_count(self.nx, "nx", 2), require_count(self.ny, "ny", 2)
         bounds = (self.x_min, self.x_max, self.y_min, self.y_max)
-        if not all(map(math.isfinite, bounds)):
-            raise ValueError(f"bounds must be finite, got {bounds}")
+        spans = (float(self.x_max) - float(self.x_min), float(self.y_max) - float(self.y_min))
+        if not all(map(math.isfinite, bounds + spans)):
+            raise ValueError(f"bounds and the spans between them must be finite, got {bounds}")
         if not (self.x_min < self.x_max and self.y_min < self.y_max):
             raise ValueError(
                 f"bounds must satisfy x_min < x_max and y_min < y_max, got "
@@ -424,10 +427,6 @@ class Grid2D:
         return Grid2D(self.x_min, self.x_max, self.y_min, self.y_max,
                       self.nx, self.ny, values=values,
                       axis_semantics=self.axis_semantics)
-
-    def plane(self):
-        """The alpha = x + i y value of every cell, built in one pass."""
-        return self.xs[:, None] + 1j * self.ys
 
     def integrate(self):
         """2D trapezoid integral of the field over the rectangle."""
@@ -543,10 +542,12 @@ def wigner_fock(n, grid, q_halfwidth=10.0, q_nodes=2001):
     if max(abs(grid.x_min), grid.x_max) < reach or max(abs(grid.y_min), grid.y_max) < reach:
         warnings.warn(f"grid extent below the recommended |x|,|p| >= {reach:.2f} "
                       f"for n = {n}", stacklevel=2)
-    xs, ps = grid.xs, grid.ys
-    u = 2.0 * np.add.outer(xs * xs, ps * ps)
-    # e^{-u/2} L_k(u) obeys the same recurrence; starting from the Gaussian
-    # keeps far cells at 0 where L_n alone would overflow to inf * 0
+    with np.errstate(over="ignore"):
+        u = 2.0 * np.add.outer(np.square(grid.xs), np.square(grid.ys))
+    # e^{-u/2} L_k(u) obeys the same recurrence; starting from the Gaussian keeps far
+    # cells at 0 where L_n alone would overflow to inf * 0, and so does clamping u where
+    # it overflows (|x| or |p| beyond ~1.3e154), where (2k + 1 - u) * 0 would be NaN
+    np.minimum(u, np.finfo(float).max, out=u)
     w_prev, w = 0.0, np.exp(-0.5 * u)
     for k in range(n):
         w, w_prev = ((2 * k + 1 - u) * w - k * w_prev) / (k + 1), w
@@ -612,7 +613,7 @@ def p_representation_grid(rep, sigma, grid):
     if sigma < 2.0 * max(grid.dx, grid.dy):
         warnings.warn(f"P width sigma = {sigma} below 2 grid spacings "
                       f"({grid.dx:.3g}, {grid.dy:.3g}); field is aliased", stacklevel=2)
-    return grid.like(values=p_regularized_eval(rep, sigma, grid.plane()))
+    return grid.like(values=p_regularized_eval(rep, sigma, grid))
 
 
 def wigner_from_p(p_field, grid):

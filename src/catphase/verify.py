@@ -134,9 +134,9 @@ def check_transform_loop():
     gain = AmplifierGain(2.0)
     out = Grid2D(-6.0, 6.0, -6.0, 6.0, 161, 161, axis_semantics="alpha")
     pad = Grid2D(-12.0, 12.0, -12.0, 12.0, 321, 321, axis_semantics="alpha")
-    p_pad = pad.like(values=amplified_p(spec, gain, pad.plane()))
+    p_pad = pad.like(values=amplified_p(spec, gain, pad))
     q_grid = q_from_wigner(wigner_from_p(p_pad, pad), out)
-    q_direct = amplify_q(spec, gain, out.plane())
+    q_direct = amplify_q(spec, gain, out)
     dev = float(np.max(np.abs(np.real(q_grid.values) - q_direct)))
     return dev <= 1e-5, f"max |Q(chain) - Q(direct)| = {dev:.2e}"
 
@@ -199,13 +199,12 @@ def check_q_normalization():
     worst_norm = 0.0
     worst_min = math.inf
     grid = Grid2D(-6.0, 6.0, -6.0, 6.0, 201, 201, axis_semantics="alpha")
-    alpha = grid.plane()
     for _ in range(5):
         r1, r2, rz = rng.uniform(0.3, 2.0, 3)
         t1, t2, tz = rng.uniform(0.0, 2.0 * math.pi, 3)
         spec = CatStateSpec(r1 * np.exp(1j * t1), r2 * np.exp(1j * t2),
                             rz * np.exp(1j * tz))
-        q = grid.like(values=q_function(spec, alpha))
+        q = grid.like(values=q_function(spec, grid))
         worst_norm = max(worst_norm, abs(q.integrate().real - 1.0))
         worst_min = min(worst_min, float(np.min(q.values.real)))
     passed = worst_norm <= 1e-6 and worst_min >= -1e-12

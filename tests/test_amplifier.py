@@ -12,7 +12,7 @@ from catphase.amplifier import AmplifierGain, amplified_p, amplified_p_factored,
 from catphase.quasiprob import Grid2D, gaussian_terms, p_cat_terms, q_from_wigner, q_function, \
     wigner_from_p
 from catphase.states import CatStateSpec
-from test_quasiprob import separated_cat_window
+from test_quasiprob import meshgrid_plane, separated_cat_window
 
 CAT = CatStateSpec(alpha1=1.5, alpha2=-1.5, zeta=1.0)
 COMPLEX_2 = st.builds(complex, st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))
@@ -58,7 +58,7 @@ class TestGainWidth:
 class TestAmplifiedQ:
     @pytest.mark.parametrize("kind", ["grid", "points"])
     def test_unit_gain_is_q_function_exactly(self, kind):
-        alpha = (field_grid(6.0, 41).plane() if kind == "grid"
+        alpha = (meshgrid_plane(field_grid(6.0, 41)) if kind == "grid"
                  else np.array([0.0, 1.5, -0.4 + 0.8j, 3.0 - 2.0j]))
         np.testing.assert_array_equal(amplify_q(CAT, AmplifierGain(1.0), alpha),
                                       q_function(CAT, alpha))
@@ -76,7 +76,7 @@ class TestAmplifiedQ:
         gain = AmplifierGain(g)
         half = g * (max(abs(a1), abs(a2)) + 4.0)
         if kind == "grid":
-            alpha = Grid2D(-half, half, -0.8 * half, 0.8 * half, 23, 19).plane()
+            alpha = meshgrid_plane(Grid2D(-half, half, -0.8 * half, 0.8 * half, 23, 19))
         else:
             rng = np.random.default_rng(seed)
             alpha = rng.uniform(-half, half, 300) + 1j * rng.uniform(-half, half, 300)
@@ -116,7 +116,7 @@ class TestAmplifiedQ:
         assume(spec.norm_A <= 5.0)
         # (1/g^2) Q(alpha / g): the Q window of both peaks scaled by g, at g / 2 spacing
         grid = separated_cat_window(a1, a2, g)
-        alpha = grid.plane()
+        alpha = meshgrid_plane(grid)
         grid.values = amplify_q(spec, AmplifierGain(g), alpha)
         peaks = sum(peak for _, peak in gaussian_terms(p_cat_terms(spec), alpha, g * g, g))
         assert grid.values.min() >= -np.finfo(float).eps * peaks
@@ -167,7 +167,7 @@ class TestAmplifiedP:
         gain = AmplifierGain(g)
         term = p_cat_terms(spec).terms[i]
         for alphas in (np.array([0.3 + 0.2j, -1.0, 2.5j, g * 1.5]),
-                       Grid2D(-4.0, 4.0, -3.0, 3.5, 61, 47).plane()):
+                       meshgrid_plane(Grid2D(-4.0, 4.0, -3.0, 3.5, 61, 47))):
             vals = amplified_p_terms(spec, gain, alphas)[i]
             fac = amplified_p_factored(term, gain, alphas)
             assert fac.shape == alphas.shape
@@ -207,7 +207,7 @@ class TestAmplifiedP:
         # cell alpha = 0.1i is mpmath's at 50 digits
         spec = CatStateSpec(alpha1=20.0, alpha2=-20.0, zeta=1.0)
         grid = Grid2D(-6.0, 6.0, -3.0, 3.0, 121, 61)
-        p = amplified_p(spec, AmplifierGain(2.0), grid.plane())
+        p = amplified_p(spec, AmplifierGain(2.0), meshgrid_plane(grid))
         assert (grid.xs[60], grid.ys[31]) == (0.0, 0.10000000000000009)
         assert p[60, 31] == pytest.approx(-1.4503761523230305e-117, rel=1e-12)
         assert p.min() < 0.0
@@ -243,14 +243,14 @@ class TestAmplifiedP:
             for alpha in layouts:
                 assert amplified_p_factored(term, gain, alpha).shape == alpha.shape
             assert isinstance(amplified_p_factored(term, gain, 0.4 - 1.1j), complex)
-        alpha = Grid2D(-4.0, 4.0, -3.0, 3.0, 21, 17).plane()
+        alpha = meshgrid_plane(Grid2D(-4.0, 4.0, -3.0, 3.0, 21, 17))
         alpha[7, 5] = complex(math.nan, alpha[7, 5].imag)
         got = amplified_p_factored(p_cat_terms(CAT).terms[2], gain, alpha)
         assert np.argwhere(np.isnan(got)).tolist() == [[7, 5]]
         term = p_cat_terms(CatStateSpec(3.0, -3.0, 1.0)).terms[2]
         with pytest.raises(OverflowError) as err:
             amplified_p_factored(term, AmplifierGain(1.005),
-                                 Grid2D(-5.0, 5.0, -5.0, 5.0, 41, 41).plane())
+                                 meshgrid_plane(Grid2D(-5.0, 5.0, -5.0, 5.0, 41, 41)))
         assert str(err.value) == (
             "regularization too small: sigma = 0.07079901129253052 with |Im z| = "
             "3.0149999999999997 overflows; need sigma >= 0.0805793")
@@ -283,7 +283,7 @@ class TestFieldArrays:
     ], ids=["q_function", "amplified_p", "amplify_q"])
     def test_real_field_is_contiguous_and_owns_only_its_values(self, field):
         # a strided view of the complex sum would keep twice the bytes alive
-        values = field(field_grid(6.0, 41).plane())
+        values = field(meshgrid_plane(field_grid(6.0, 41)))
         assert values.dtype == float
         assert values.flags.c_contiguous and values.flags.owndata
         assert values.base is None and values.nbytes == 41 * 41 * 8

@@ -6,6 +6,7 @@ import pytest
 from catphase import blas, quasiprob
 from catphase.quasiprob import Grid2D, _gaussian_convolve, q_function
 from catphase.states import CatStateSpec
+from test_quasiprob import meshgrid_plane
 
 CONTROLS = blas._thread_controls()
 needs_openblas = pytest.mark.skipif(CONTROLS is None, reason="numpy carries no OpenBLAS here")
@@ -50,9 +51,10 @@ def test_convolution_products_run_in_a_section(monkeypatch):
 
 
 @pytest.mark.parametrize("call", [
-    lambda grid: q_function(CatStateSpec(1.5, -1.5, 1.0), grid.plane()),
+    lambda grid: q_function(CatStateSpec(1.5, -1.5, 1.0), meshgrid_plane(grid)),
+    lambda grid: q_function(CatStateSpec(1.5, -1.5, 1.0), grid),
     lambda grid: grid.like(values=np.ones((21, 21), dtype=complex)).integrate()],
-    ids=["field-sum", "integrate"])
+    ids=["field-sum", "field-sum-grid", "integrate"])
 def test_field_sum_and_integral_run_in_a_section(monkeypatch, call):
     entered = []
 

@@ -1,17 +1,20 @@
 import io
 import json
 import math
+import re
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from catphase.amplifier import AmplifierGain, amplify_q
+from catphase.amplifier import AmplifierGain, amplified_p, amplify_q
 from catphase.cli import EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
-from catphase.quasiprob import Grid2D, p_cat_terms, p_representation_grid
+from catphase.quasiprob import Grid2D, p_cat_terms, p_regularized_eval, p_representation_grid, \
+    q_function
 from catphase.reconstruct import RoundTripReport
 from catphase.states import CatStateSpec
+from test_quasiprob import assert_bitwise_equal, meshgrid_plane
 
 STATE = ["--alpha1", "1.5", "0", "--alpha2", "-1.5", "0", "--zeta", "1", "0"]
 SPEC = CatStateSpec(1.5, -1.5, 1.0)
@@ -22,6 +25,63 @@ def run_cli(argv, capsys):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+# NaN or an infinity as repr, JSON or a complex's str writes it
+NON_FINITE = re.compile(r"(?i)(?<![a-z])(?:nan|inf(?:inity)?)j?(?![a-z])")
+
+
+def assert_contract(code, written, err):
+    """The CLI's contract for one run: a known exit code; each stderr line a
+    usage error, a numeric guard or a warning, and none a raw numpy
+    floating-point warning; and on exit 0 only finite numbers in `written`,
+    the text of stdout or of the --out file."""
+    assert code in (EXIT_OK, EXIT_USAGE, EXIT_NUMERIC, EXIT_VERIFY)
+    for line in err.splitlines():
+        assert line.startswith(("usage error:", "numeric guard:", "warning:")), line
+        assert "encountered in" not in line, line
+    if code == EXIT_OK:
+        assert not NON_FINITE.findall(written)
+
+
+def test_contract_catches_non_finite_values_and_raw_warnings():
+    for written in ["x,y,re,im\n0.0,1.0,nan,0.0\n", "# integral = -inf\n",
+                    '{"values": [[Infinity, 0.0]]}', "# zeta = (1+infj)\n"]:
+        with pytest.raises(AssertionError):
+            assert_contract(EXIT_OK, written, "")
+    with pytest.raises(AssertionError):
+        assert_contract(EXIT_OK, "", "warning: overflow encountered in multiply\n")
+    assert_contract(EXIT_OK, "# info = integral 1.5e-300 (finite)\n", "warning: aliased\n")
+
+
+# each alpha field's command, and the library's values of that field
+ALPHA_FIELDS = {
+    "grid-q": (["grid", "--field", "q"], lambda a: q_function(SPEC, a)),
+    "grid-p_regularized": (["grid", "--field", "p_regularized", "--sigma", "0.6"],
+                           lambda a: p_regularized_eval(p_cat_terms(SPEC), 0.6, a)),
+    "amplify-q": (["amplify", "--field", "q", "--gain", "1.7"],
+                  lambda a: amplify_q(SPEC, AmplifierGain(1.7), a)),
+    "amplify-p": (["amplify", "--field", "p", "--gain", "1.7"],
+                  lambda a: amplified_p(SPEC, AmplifierGain(1.7), a)),
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("name", ALPHA_FIELDS)
+def test_alpha_field_reads_back_as_the_library_values(name, fmt, tmp_path, capsys):
+    # the command evaluates on the grid's axes; a library caller on its meshgrid plane
+    argv, field = ALPHA_FIELDS[name]
+    path = tmp_path / f"field.{fmt}"
+    code, out, err = run_cli([*argv, *STATE, "--bounds", "-6", "6.5", "-5", "5.5", "--nx", "51",
+                              "--ny", "43", "--format", fmt, "--out", str(path)], capsys)
+    text = path.read_text()
+    assert_contract(code, text, err)
+    assert (code, out, err) == (EXIT_OK, "", "")
+    read = Grid2D.from_json(text) if fmt == "json" else Grid2D.from_csv(io.StringIO(text))
+    want = Grid2D(-6.0, 6.5, -5.0, 5.5, 51, 43)
+    assert (read.x_min, read.x_max, read.y_min, read.y_max, read.nx, read.ny) == \
+        (want.x_min, want.x_max, want.y_min, want.y_max, want.nx, want.ny)
+    assert_bitwise_equal(read.values, np.asarray(field(meshgrid_plane(want)), dtype=complex))
 
 
 class TestGridCommand:
@@ -86,13 +146,37 @@ class TestGridCommand:
         assert "non-negative integer" in err
 
     def test_regularized_p_below_safe_sigma_is_numeric_error(self, capsys):
-        # min_safe_sigma of the +-1.5 cat's off-diagonal centres is 0.04
+        # at sigma = 0.01 the +-1.5 cat's off-diagonal terms peak beyond double range
         code, out, err = run_cli(
             ["grid", "--field", "p_regularized", "--sigma", "0.01", *STATE, *BOUNDS,
              "--nx", "41"], capsys)
+        assert_contract(code, out, err)
         assert code == EXIT_NUMERIC
         assert out == ""
-        assert "numeric guard" in err and "need sigma >=" in err
+        assert err.splitlines()[-1] == \
+            "numeric guard: regularized P at sigma = 0.01: 525 of 1681 values are not finite"
+
+    @pytest.mark.parametrize("field", [["--field", "wigner", "--fock-n", "2"],
+                                       ["--field", "q", *STATE]], ids=["wigner", "q"])
+    def test_span_that_overflows_is_usage_error(self, field, capsys):
+        # each bound is finite, but x_max - x_min = 2e308 is not: linspace would
+        # make NaN and infinite nodes
+        code, out, err = run_cli(["grid", *field, "--bounds", "-1e308", "1e308", "-1", "1",
+                                  "--nx", "3"], capsys)
+        assert_contract(code, out, err)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.startswith("usage error: bounds and the spans between them must be finite")
+        assert err.count("\n") == 1
+
+    def test_wigner_cells_beyond_overflow_are_zero(self, capsys):
+        # 2 (x^2 + p^2) overflows at |x| = 1e200; those cells are 0, as where e^{-u/2} underflows
+        code, out, err = run_cli(["grid", "--field", "wigner", "--fock-n", "2", "--bounds",
+                                  "-1e200", "1e200", "-10", "10", "--nx", "3"], capsys)
+        assert_contract(code, out, err)
+        assert (code, err) == (EXIT_OK, "")
+        values = Grid2D.from_csv(io.StringIO(out), axis_semantics="xp").values
+        assert not values[[0, 2]].any()
+        assert values[1, 1] == 1.0 / math.pi
 
     def test_separated_cat_q_is_evaluated(self, capsys):
         # <beta|gamma> = e^{-1458} underflows while the Im-axis factor would
@@ -161,7 +245,7 @@ class TestAmplifyCommand:
             capsys)
         assert code == EXIT_OK
         assert "# gain = 1.7" in out.splitlines()
-        want = amplify_q(SPEC, AmplifierGain(1.7), Grid2D(-6, 6, -6, 6, 41, 41).plane())
+        want = amplify_q(SPEC, AmplifierGain(1.7), meshgrid_plane(Grid2D(-6, 6, -6, 6, 41, 41)))
         assert np.array_equal(Grid2D.from_csv(io.StringIO(out)).values, want)
 
     @pytest.mark.parametrize("argv", [["amplify", "--field", "p"], ["amplify", "--field", "q"]])

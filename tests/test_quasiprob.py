@@ -11,7 +11,7 @@ from hypothesis import assume, example, given, reject, settings
 from hypothesis import strategies as st
 from scipy.special import eval_laguerre
 
-from catphase.amplifier import AmplifierGain, amplified_p, amplify_q
+from catphase.amplifier import AmplifierGain, amplified_p, amplified_p_terms, amplify_q
 from catphase.gendelta import cancellation_factor, min_safe_sigma
 from catphase.numerics import complex_from_pairs, complex_pairs, loads_with_pairs, require_count, \
     trapezoid_weights
@@ -43,6 +43,18 @@ def complex_within(radius):
 
 def alpha_grid(half=6.0, n=201):
     return Grid2D(-half, half, -half, half, n, n)
+
+
+def meshgrid_plane(grid):
+    """The alpha = x + i y value of every cell of `grid`, as a library caller builds it."""
+    gx, gy = grid.meshgrid()
+    return gx + 1j * gy
+
+
+def assert_bitwise_equal(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+    assert got.tobytes() == want.tobytes()
 
 
 def separated_cat_window(a1, a2, g=1.0):
@@ -393,7 +405,7 @@ class TestQFunction:
                   (lambda a: amplify_q(SKEW_CAT, gain, a), 0.75),
                   (lambda a: amplified_p(SKEW_CAT, gain, a), 0.75),
                   (lambda a: p_regularized_eval(p_cat_terms(SKEW_CAT), 0.6, a), 1.75)]
-        alpha = alpha_grid(half=7.0, n=401).plane()
+        alpha = meshgrid_plane(alpha_grid(half=7.0, n=401))
         for field, planes in fields:
             tracemalloc.start()
             try:
@@ -402,6 +414,26 @@ class TestQFunction:
             finally:
                 tracemalloc.stop()
             assert peak < planes * alpha.nbytes
+
+    def test_grid_route_memory_bounded(self):
+        # a Grid2D hands over its axes, so no alpha plane is built or scanned:
+        # a real field is its real sum, half a complex plane, and the
+        # regularized P adds the complex plane it returns
+        gain = AmplifierGain(2.0)
+        fields = [(lambda a: q_function(SKEW_CAT, a), 0.6),
+                  (lambda a: amplify_q(SKEW_CAT, gain, a), 0.6),
+                  (lambda a: amplified_p(SKEW_CAT, gain, a), 0.6),
+                  (lambda a: p_regularized_eval(p_cat_terms(SKEW_CAT), 0.6, a), 1.55)]
+        grid = alpha_grid(half=7.0, n=401)
+        plane_bytes = grid.nx * grid.ny * np.dtype(complex).itemsize
+        for field, planes in fields:
+            tracemalloc.start()
+            try:
+                field(grid)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < planes * plane_bytes
 
     def test_nonnegative_on_grid(self):
         grid = alpha_grid()
@@ -425,7 +457,7 @@ class TestQFunction:
         # the window holds every component to 6 widths, where Q is below 1e-15
         half = max(abs(a1), abs(a2)) + 6.0
         grid = Grid2D(-half, half, -half, half, 201, 201)
-        alpha = grid.plane()
+        alpha = meshgrid_plane(grid)
         grid.values = q_function(spec, alpha)
         # Q is a square, so only rounding of its terms can take it below 0
         peaks = sum(peak for _, peak in gaussian_terms(p_cat_terms(spec), alpha, 1.0))
@@ -448,7 +480,7 @@ class TestQFunction:
             reject()
         assume(spec.norm_A <= 5.0)
         grid = separated_cat_window(a1, a2)
-        alpha = grid.plane()
+        alpha = meshgrid_plane(grid)
         grid.values = q_function(spec, alpha)
         peaks = sum(peak for _, peak in gaussian_terms(p_cat_terms(spec), alpha, 1.0))
         assert grid.values.min() >= -np.finfo(float).eps * peaks
@@ -566,7 +598,8 @@ class TestSumTerms:
         t, g = {"q": (1.0, 1.0), "p": (2.0 * sigma * sigma, 1.0),
                 "amp": (gain * gain - 1.0, gain)}[row]
         half = g * max(abs(a1), abs(a2)) + 6.0 * max(1.0, math.sqrt(t / 2.0))
-        alpha = Grid2D(-half, half, -0.8 * half, 0.9 * half, nx, nx if square else ny).plane()
+        grid = Grid2D(-half, half, -0.8 * half, 0.9 * half, nx, nx if square else ny)
+        alpha = meshgrid_plane(grid)
         total, peaks = _sum_terms(rep, alpha, t, g)
         terms = list(gaussian_terms(rep, alpha, t, g))
         want = sum(values for values, _ in terms)
@@ -581,7 +614,7 @@ class TestSumTerms:
         # Q, amplified Q and P at gain 2, regularized P at sigma 0.6: the
         # imaginary product is skipped, so the convolution runs one real chain
         rep = p_cat_terms(spec)
-        alpha = Grid2D(-7.0, 7.0, -6.0, 6.5, 61, 47).plane()
+        alpha = meshgrid_plane(Grid2D(-7.0, 7.0, -6.0, 6.5, 61, 47))
         for t, g in [(1.0, 1.0), (4.0, 2.0), (3.0, 2.0), (0.72, 1.0)]:
             assert _sum_terms(rep, alpha, t, g)[0].dtype == float
         assert not p_regularized_eval(rep, 0.6, alpha).imag.any()
@@ -596,7 +629,7 @@ class TestSumTerms:
             kappa = complex(np.nextafter(last.kappa.real, np.inf), last.kappa.imag)
             last = PTerm(kappa=kappa, beta=last.beta, gamma=last.gamma)
         rep = PRepresentation(terms[:3] if edit == "unpaired" else terms[:3] + (last,))
-        alpha = Grid2D(-6.0, 6.0, -5.0, 5.5, 51, 43).plane()
+        alpha = meshgrid_plane(Grid2D(-6.0, 6.0, -5.0, 5.5, 51, 43))
         total, peaks = _sum_terms(rep, alpha, 1.0)
         want = sum(values for values, _ in gaussian_terms(rep, alpha, 1.0))
         assert total.dtype == complex and total.imag.any()
@@ -604,7 +637,7 @@ class TestSumTerms:
 
     def test_residue_guard_trips_without_partner(self):
         rep = PRepresentation(p_cat_terms(SKEW_CAT).terms[:3])
-        alpha = Grid2D(-6.0, 6.0, -5.0, 5.5, 51, 43).plane()
+        alpha = meshgrid_plane(Grid2D(-6.0, 6.0, -5.0, 5.5, 51, 43))
         with pytest.raises(FloatingPointError, match=r"Q-like: .*imaginary residue [1-9]"):
             _hermitian_sum(rep, alpha, 1.0, 1.0, "Q-like")
 
@@ -656,11 +689,37 @@ class TestPRegularized:
         assert abs(p_regularized_eval(pair, 0.4, 0.5 + 0.5j).imag) < 1e-15
 
 
+GAIN_2 = AmplifierGain(2.0)
+# each evaluator's outputs, as a list
+EVALUATORS = {
+    "q_function": lambda a: [q_function(SKEW_CAT, a)],
+    "amplify_q": lambda a: [amplify_q(SKEW_CAT, GAIN_2, a)],
+    "amplified_p": lambda a: [amplified_p(SKEW_CAT, GAIN_2, a)],
+    "amplified_p_terms": lambda a: amplified_p_terms(SKEW_CAT, GAIN_2, a),
+    "p_regularized_eval": lambda a: [p_regularized_eval(p_cat_terms(SKEW_CAT), 0.6, a)],
+    # three terms without exact partners: a complex sum, from both products
+    "p_regularized_eval-unpaired": lambda a: [p_regularized_eval(
+        PRepresentation(p_cat_terms(SKEW_CAT).terms[:3]), 0.6, a)],
+    "gaussian_terms": lambda a: [v for pair in gaussian_terms(p_cat_terms(SKEW_CAT), a, 0.7, 1.3)
+                                 for v in pair],
+}
+
+
+class TestGridRoute:
+    @pytest.mark.parametrize("name", EVALUATORS)
+    def test_grid_gives_the_plane_result(self, name):
+        grid = Grid2D(-6.0, 6.5, -5.0, 5.5, 51, 43)
+        got, want = EVALUATORS[name](grid), EVALUATORS[name](meshgrid_plane(grid))
+        for g, w in zip(got, want, strict=True):
+            assert_bitwise_equal(g, w)
+
+    @pytest.mark.parametrize("name", EVALUATORS)
+    def test_xp_grid_is_refused(self, name):
+        with pytest.raises(ValueError, match="alpha-plane grid"):
+            EVALUATORS[name](Grid2D(-6.0, 6.0, -6.0, 6.0, 21, 21, axis_semantics="xp"))
+
+
 class TestGrid2D:
-    def test_plane_is_the_meshgrid_sum(self):
-        grid = Grid2D(-1.5, 2.0, -3.0, 0.5, 7, 5)
-        gx, gy = grid.meshgrid()
-        np.testing.assert_array_equal(grid.plane(), gx + 1j * gy)
 
     def test_integrate_constant(self):
         grid = Grid2D(-1.0, 2.0, 0.0, 1.0, 31, 21)
@@ -846,6 +905,19 @@ class TestGrid2D:
         with pytest.raises(ValueError, match="x_min < x_max and y_min < y_max"):
             Grid2D(*bounds, 5, 5)
 
+    def test_rejects_span_that_overflows(self):
+        # each bound is finite, but their difference is not: linspace would make NaN nodes
+        match = "spans between them must be finite"
+        with pytest.raises(ValueError, match=match):
+            Grid2D(-1e308, 1e308, -1.0, 1.0, 3, 3)
+        data = json.loads(Grid2D(-1.0, 1.0, -1.0, 1.0, 3, 3).to_json())
+        data["axes"].update(y_min=-1e308, y_max=1e308)
+        with pytest.raises(ValueError, match=match):
+            Grid2D.from_json(json.dumps(data))
+        rows = [f"{x!r},{y!r},0.0,0.0\n" for x in (-1e308, 0.0, 1e308) for y in (-1.0, 1.0)]
+        with pytest.raises(ValueError, match=match):
+            Grid2D.from_csv(io.StringIO("x,y,re,im\n" + "".join(rows)))
+
     @pytest.mark.parametrize("field,value,match", [
         ("x_max", math.inf, "finite"), ("y_min", -math.inf, "finite"),
         ("x_min", math.nan, "finite"), ("nx", 3.0, "nx must be an integer"),
@@ -887,6 +959,15 @@ class TestWignerFock:
         marginal = np.trapezoid(w.values.real, dx=dp, axis=1)
         want = fock_wavefunction(2, grid.xs) ** 2
         np.testing.assert_allclose(marginal, want, rtol=0, atol=1e-8)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 5])
+    def test_cells_beyond_overflow_are_zero(self, n):
+        # 2 (x^2 + p^2) overflows at |x| = 1e200, where the recurrence would
+        # make NaN; those cells are 0, and the x = 0 cells those of a small grid
+        big = wigner_fock(n, Grid2D(-1e200, 1e200, -10.0, 10.0, 3, 3, axis_semantics="xp"))
+        small = wigner_fock(n, Grid2D(-10.0, 10.0, -10.0, 10.0, 3, 3, axis_semantics="xp"))
+        assert not big.values[[0, 2]].any()
+        assert_bitwise_equal(big.values[1], small.values[1])
 
     def test_rejects_alpha_grid(self):
         with pytest.raises(ValueError, match="XP"):
@@ -1066,10 +1147,10 @@ class TestTransformChainOnCat:
         pad = Grid2D(-9.0, 9.0, -9.0, 9.0, 361, 361)
         w = wigner_from_p(p_representation_grid(rep, sigma, pad), pad)
         inner = np.abs(pad.xs) <= 5.0  # the +-5 window of the padded grid
-        want_w = p_regularized_eval(rep, math.sqrt(sigma * sigma + 0.25), pad.plane())
+        want_w = p_regularized_eval(rep, math.sqrt(sigma * sigma + 0.25), meshgrid_plane(pad))
         np.testing.assert_allclose(w.values[np.ix_(inner, inner)],
                                    want_w[np.ix_(inner, inner)], rtol=0, atol=1e-10)
         out = alpha_grid(half=5.0, n=101)
         q = q_from_wigner(w, out)
-        want_q = p_regularized_eval(rep, math.sqrt(sigma * sigma + 0.5), out.plane())
+        want_q = p_regularized_eval(rep, math.sqrt(sigma * sigma + 0.5), meshgrid_plane(out))
         np.testing.assert_allclose(q.values, want_q, rtol=0, atol=1e-10)
