@@ -157,13 +157,18 @@ def _spec_from(args):
 
 def _grid_from(args, semantics):
     """The requested grid's geometry.  Its values are a read-only zero view,
-    not a plane, since every command replaces them through `like`."""
+    not a plane, since every command replaces them through `like`.  Nodes
+    that round together are refused: their CSV would read back as a
+    smaller grid."""
     _require(args, ["bounds"])
     nx = require_count(args.nx, "nx", 2)
     ny = nx if args.ny is None else require_count(args.ny, "ny", 2)
     x0, x1, y0, y1 = args.bounds
-    return Grid2D(x0, x1, y0, y1, nx, ny, values=np.broadcast_to(0j, (nx, ny)),
+    grid = Grid2D(x0, x1, y0, y1, nx, ny, values=np.broadcast_to(0j, (nx, ny)),
                   axis_semantics=semantics)
+    if not all((np.diff(nodes) > 0).all() for nodes in (grid.xs, grid.ys)):
+        raise UsageError(f"bounds {args.bounds} are too close for {nx} x {ny} distinct nodes")
+    return grid
 
 
 def _output(args):
@@ -176,6 +181,13 @@ def _emit_grid(grid, args, meta):
         meta["timestamp"] = args.timestamp
     # complex amplitudes serialize as "re+imj" strings in both formats
     meta = {k: (str(v) if isinstance(v, complex) else v) for k, v in meta.items()}
+    if args.format == "csv":
+        # the footer's integral is checked before anything is written
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = grid.integrate().real
+        if not math.isfinite(total):
+            raise FloatingPointError(f"the integral over bounds {args.bounds} is {total}: "
+                                     "the cell areas or the values overflow")
     with _output(args) as stream:
         if args.format == "json":
             stream.writelines(grid.json_chunks(meta))
@@ -183,8 +195,7 @@ def _emit_grid(grid, args, meta):
         else:
             grid.to_csv(stream, meta=[f"{k} = {v}" for k, v in meta.items()])
             # footer diagnostics stay comment-prefixed so the file still parses
-            total = grid.integrate()
-            stream.write(f"# integral = {total.real!r}\n")
+            stream.write(f"# integral = {total!r}\n")
             w_min = float(np.min(grid.values.real))
             if w_min < 0.0:
                 stream.write(f"# min = {w_min!r} (negative values present)\n")

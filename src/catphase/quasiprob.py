@@ -7,7 +7,7 @@ alpha = (x + i p) / sqrt(2); `alpha_from_xp` and `xp_from_alpha` convert
 between the two planes.
 
 Every term kappa |gamma><beta| is one Gaussian with complex centres
-(Cahill and Glauber's s-ordered family), evaluated by `gaussian_terms`:
+(Cahill and Glauber's s-ordered family), evaluated in one place, `_sum_terms`:
 
     kappa <beta|gamma> / (pi t) e^{-(alpha - g gamma)(conj(alpha) - g conj(beta)) / t}.
 
@@ -33,8 +33,9 @@ along axis 1 and Im alpha along axis 0) the two factors are an (nx, 1)
 column and a (1, ny) row, so a term costs nx + ny complex exps.  Stacking
 the m terms' columns as C (nx, m) and rows as R (m, ny), their sum is C @ R,
 whose real part is the one real product [Re C, Im C] @ [Re R; -Im R].
-A conjugate pair of terms sums to a real field, so for a cat, whose
-off-diagonal terms are such a pair, that product is the whole field.
+A conjugate pair sums to a real field (a cat's off-diagonal terms are such
+a pair, a diagonal term its own partner); that product is then the sum.
+`gaussian_terms` yields the terms as one-term sums.
 
 The Wigner function is the s = 0 member of the same family.  For a number
 state |n> it has Groenewold's closed form (-1)^n / pi e^{-r^2} L_n(2 r^2)
@@ -56,6 +57,7 @@ from .numerics import complex_from_pairs, dumps_with_pairs, hermite_poly, loads_
 from .states import coherent_overlap
 
 IMAG_RESIDUE_TOL = 1e-12
+_LOWEST = -np.finfo(float).max
 
 
 def alpha_from_xp(x, p):
@@ -151,17 +153,23 @@ def _tensor_axes(alpha):
     if alpha.ndim != 2 or not alpha.size:
         return None
     x, y = alpha.real[:, :1], alpha.imag[:1, :]
-    if (alpha.real == x).all() and (alpha.imag == y).all():
-        return x, y
-    return None
+    return (x, y) if (alpha.real == x).all() and (alpha.imag == y).all() else None
 
 
-def _axis_square(u, centre):
-    """(u - centre)^2, one axis's part of a term's exponent (module docstring),
-    complex even for a real centre, so that it can take the other's in place."""
-    d = u - complex(centre)
+def _axis_square(u, centre, out=None):
+    """(u - centre)^2 into `out` (new if None), one axis's part of a term's exponent
+    (module docstring), complex even for a real centre to take the other's in place."""
+    d = np.subtract(u, complex(centre), out=out)
     d *= d
     return d
+
+
+def _scale(z, factor):
+    """z times a real factor in place, on its real view: in a complex product the
+    factor's 0j would meet an overflowed square (|u| > 1.3e154) as inf * 0 = NaN."""
+    parts = z.view(float)
+    parts *= factor
+    return z
 
 
 def _axis_factors(rep, x, y, t, g):
@@ -176,9 +184,11 @@ def _axis_factors(rep, x, y, t, g):
     rows = np.empty((len(rep.terms), y.shape[1]), dtype=complex)
     peaks = np.empty(len(rep.terms))
     for k, term in enumerate(rep.terms):
-        ex = _axis_square(x[:, 0], g * term.center_r) / -t
-        ey = _axis_square(y[0], g * term.center_i) / -t
-        log_w, top_x, top_y = term.log_weight(t), ex.real.max(), ey.real.max()
+        ex = _scale(_axis_square(x[:, 0], g * term.center_r), -1.0 / t)
+        ey = _scale(_axis_square(y[0], g * term.center_i), -1.0 / t)
+        # a top of -inf, where every square overflowed, is clamped to keep the shift finite
+        top_x, top_y = ex.real.max(initial=_LOWEST), ey.real.max(initial=_LOWEST)
+        log_w = term.log_weight(t)
         shift = (log_w + top_y - top_x) / 2.0
         # every step is conjugation-symmetric, so partners get exact conjugate factors;
         # kappa stays out of the log, so kappas an ulp apart do not (see _conjugate_paired)
@@ -186,43 +196,6 @@ def _axis_factors(rep, x, y, t, g):
         rows[k] = np.exp(ey + (log_w - shift))
         peaks[k] = abs(term.kappa) * np.exp(log_w.real + top_x + top_y)
     return cols, rows, peaks
-
-
-def _pointwise_terms(rep, alpha, t, g):
-    """gaussian_terms off a tensor grid: the two exponents and the log weight
-    are summed in place before one exp per point."""
-    points = np.atleast_1d(np.asarray(alpha, dtype=complex))  # a scalar too is written in place
-    x, y = points.real, points.imag
-    for term in rep.terms:
-        ex = _axis_square(x, g * term.center_r)
-        ex += _axis_square(y, g * term.center_i)
-        ex /= -t
-        ex += term.log_weight(t)
-        top = np.max(ex.real, initial=-np.inf)
-        np.exp(ex, out=ex)
-        ex *= term.kappa
-        yield ex.reshape(np.shape(alpha)), float(abs(term.kappa) * np.exp(top))
-
-
-def gaussian_terms(rep, alpha, t, g=1.0):
-    """Each term of `rep` as the complex-centred Gaussian of width t and
-    centre scale g (module docstring), yielded in order as (values, peak)
-    pairs, peak = max |values|.
-
-    Each term is evaluated in its factored form, one Gaussian along Re alpha
-    times one along Im alpha, its log weight added to the exponents.  On a
-    tensor grid, an alpha Grid2D or its plane, the factors are a column and
-    a row (`_axis_factors`), and each term is their outer product; any other
-    alpha (scalars, scattered points, "xy" meshgrids, NaN cells) sums the
-    exponents before one exp per point.
-    """
-    axes = _tensor_axes(alpha)
-    if axes:
-        cols, rows, peaks = _axis_factors(rep, *axes, t, g)
-        for k, peak in enumerate(peaks):
-            yield cols[:, k:k + 1] * rows[k:k + 1], peak
-    else:
-        yield from _pointwise_terms(rep, alpha, t, g)
 
 
 def _conjugate_paired(cols, rows):
@@ -265,29 +238,45 @@ def _factor_sum(cols, rows, real):
 
 
 def _sum_terms(rep, alpha, t, g=1.0):
-    """Sum of gaussian_terms and the sum of their peaks.  A real sum has an
-    imaginary part of exactly 0 (a complex one may too).
+    """Sum of the terms of `rep`, each the complex-centred Gaussian of width t
+    and centre scale g (module docstring), and the sum of their peaks (max
+    |term|): the one evaluator of the terms.  A real sum has an imaginary
+    part of exactly 0 (a complex one may too).
 
     On a tensor grid `_factor_sum` gives the sum, into an array reserved
     first so that a grid too large to hold fails before its factors are
-    built; elsewhere the terms are added one at a time into a complex sum.
-    A term is non-finite only where its peak overflows; the guards refuse it.
+    built.  Elsewhere each term's exponents and log weight are summed in one
+    buffer pair, reused across the terms, before one exp per point.  A term
+    is non-finite only where its peak overflows; the guards refuse it.
     """
     axes = _tensor_axes(alpha)
-    # overflow reaches the callers' guards as non-finite values; the errstate
-    # stays out of the generator, where it would leak while it is suspended
+    # overflow reaches the callers' guards as non-finite values
     with np.errstate(over="ignore", invalid="ignore"):
         if axes:
             real = np.empty((axes[0].shape[0], axes[1].shape[1]))
             cols, rows, peaks = _axis_factors(rep, *axes, t, g)
             return _factor_sum(cols, rows, real), sum(peaks)
-        total = np.zeros(np.shape(alpha), dtype=complex)
+        points = np.atleast_1d(np.asarray(alpha, dtype=complex))
+        total, ex, ey = (np.zeros(points.shape, dtype=complex) for _ in range(3))
         peak_sum = 0.0
-        for values, peak in _pointwise_terms(rep, alpha, t, g):
-            total += values
-            del values  # so only one term is alive while the next is built
-            peak_sum += peak
-    return total, peak_sum
+        for term in rep.terms:
+            _axis_square(points.real, g * term.center_r, ex)
+            ex += _axis_square(points.imag, g * term.center_i, ey)
+            _scale(ex, -1.0 / t)
+            ex += term.log_weight(t)
+            peak_sum += abs(term.kappa) * np.exp(np.max(ex.real, initial=-np.inf))
+            np.exp(ex, out=ex)
+            ex *= term.kappa
+            total += ex
+    return total.reshape(np.shape(alpha)), peak_sum
+
+
+def gaussian_terms(rep, alpha, t, g=1.0):
+    """Each term of `rep` as its one-term `_sum_terms`, yielded in order as
+    (values, peak) pairs, peak = max |values|.  On a tensor grid a term
+    that is its own conjugate (a diagonal one) comes back real."""
+    for term in rep.terms:
+        yield _sum_terms(PRepresentation((term,)), alpha, t, g)
 
 
 def _require_finite(values, what):
@@ -602,9 +591,7 @@ def _gaussian_convolve(src, out_grid, method="separable"):
         vals.real = kx @ values.real @ ky.T
         # NaN is nonzero, so a NaN imaginary cell still reaches the output
         vals.imag = kx @ values.imag @ ky.T if values.imag.any() else 0.0
-    parts = vals.view(float)  # real and imaginary parts, scaled in one real pass
-    parts *= 2.0 / math.pi
-    return out_grid.like(values=vals)
+    return out_grid.like(values=_scale(vals, 2.0 / math.pi))
 
 
 def p_representation_grid(rep, sigma, grid):

@@ -163,7 +163,7 @@ class TestAmplifiedP:
     @pytest.mark.parametrize("spec", [CAT, CatStateSpec(1.2 + 0.4j, -0.9 - 0.6j, 0.8 - 0.3j)])
     @pytest.mark.parametrize("i", range(4))
     def test_factored_form_matches_per_term_values(self, i, spec, g):
-        # scattered points, and a plane, where gaussian_terms takes its tensor path
+        # scattered points, and a plane, where _sum_terms takes its tensor path
         gain = AmplifierGain(g)
         term = p_cat_terms(spec).terms[i]
         for alphas in (np.array([0.3 + 0.2j, -1.0, 2.5j, g * 1.5]),

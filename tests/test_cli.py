@@ -4,9 +4,12 @@ import math
 import re
 import tracemalloc
 import warnings
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from catphase.amplifier import AmplifierGain, amplified_p, amplify_q
 from catphase.cli import EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
@@ -82,6 +85,76 @@ def test_alpha_field_reads_back_as_the_library_values(name, fmt, tmp_path, capsy
     assert (read.x_min, read.x_max, read.y_min, read.y_max, read.nx, read.ny) == \
         (want.x_min, want.x_max, want.y_min, want.y_max, want.nx, want.ny)
     assert_bitwise_equal(read.values, np.asarray(field(meshgrid_plane(want)), dtype=complex))
+
+
+# the contract test's inputs: bounds from 0 through subnormals to where squares
+# (1e154), cell areas (1e200) and spans (1.7e308) overflow; float flags from 0, a
+# subnormal and values whose squares overflow to values of a few hundred
+CONTRACT_BOUNDS = st.sampled_from([0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1.0, -1.0, 1e154,
+                                   -1e154, 1e200, -1e200, 1e300, -1e300, 1.7e308, -1.7e308])
+AMPLITUDES = st.one_of(st.sampled_from([0.0, 5e-324, 1e-300, 1e154, -1e300]),
+                       st.floats(-300.0, 300.0))
+WIDTHS = st.one_of(st.sampled_from([5e-324, 1e-300, 1e154]), st.floats(-1.0, 10.0))
+GAINS = st.one_of(st.sampled_from([1.0, 1.0000000000000002, 1e154, 1e300]), st.floats(0.0, 10.0))
+FOCK_NS = st.one_of(st.integers(-2, 70), st.just(10**30))
+
+
+@st.composite
+def grid_argv(draw):
+    """argv of one grid or amplify run, all but --format, with nx and ny at most 9."""
+    command, field = draw(st.sampled_from([("grid", "q"), ("grid", "wigner"),
+                                           ("grid", "p_regularized"), ("amplify", "q"),
+                                           ("amplify", "p")]))
+    bounds = [repr(draw(CONTRACT_BOUNDS)) for _ in range(4)]
+    argv = [command, "--field", field, "--bounds", *bounds, "--nx", str(draw(st.integers(-1, 9)))]
+    if draw(st.booleans()):
+        argv += ["--ny", str(draw(st.integers(-1, 9)))]
+    if field == "wigner":
+        return [*argv, "--fock-n", str(draw(FOCK_NS))]
+    for flag in ("--alpha1", "--alpha2", "--zeta"):
+        argv += [flag, repr(draw(AMPLITUDES)), repr(draw(AMPLITUDES))]
+    if field == "p_regularized":
+        argv += ["--sigma", repr(draw(WIDTHS))]
+    if command == "amplify":
+        argv += ["--gain", repr(draw(GAINS))]
+    return argv
+
+
+@settings(max_examples=300)
+@given(argv=grid_argv())
+# squares that overflow; cell areas that overflow; nodes 2 ulps and one subnormal apart
+@example(argv=["grid", "--field", "q", *STATE, "--bounds", "-8e307", "8e307", "-8e307", "8e307",
+               "--nx", "3"])
+@example(argv=["grid", "--field", "wigner", "--fock-n", "2", "--bounds", "-8e307", "8e307",
+               "-8e307", "8e307", "--nx", "3"])
+@example(argv=["amplify", "--field", "p", "--gain", "2", *STATE, "--bounds", "-1e200", "1e200",
+               "-1e200", "1e200", "--nx", "3"])
+@example(argv=["grid", "--field", "q", "--alpha1", "1", "0", "--alpha2", "-1", "0", "--zeta",
+               "1", "0", "--bounds", "1", "1.0000000000000004", "0", "1", "--nx", "9"])
+@example(argv=["grid", "--field", "q", *STATE, "--bounds", "0", "5e-324", "0", "1", "--nx", "3"])
+def test_grid_commands_keep_the_contract(argv):
+    # in both formats a run either writes nothing or writes a grid that reads back,
+    # the same grid in each
+    read = {}
+    for fmt in ("csv", "json"):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main([*argv, "--format", fmt])
+        assert_contract(code, out.getvalue(), err.getvalue())
+        if code != EXIT_OK:
+            assert out.getvalue() == ""
+        elif fmt == "json":
+            read[fmt] = Grid2D.from_json(out.getvalue())
+        else:
+            semantics = "xp" if "wigner" in argv else "alpha"
+            read[fmt] = Grid2D.from_csv(io.StringIO(out.getvalue()), axis_semantics=semantics)
+    for grid in read.values():
+        assert np.isfinite(grid.values).all()
+    if len(read) == 2:
+        csv, jsn = read["csv"], read["json"]
+        for name in ("x_min", "x_max", "y_min", "y_max", "nx", "ny", "axis_semantics"):
+            assert getattr(csv, name) == getattr(jsn, name)
+        assert_bitwise_equal(csv.values, jsn.values)
 
 
 class TestGridCommand:
@@ -177,6 +250,37 @@ class TestGridCommand:
         values = Grid2D.from_csv(io.StringIO(out), axis_semantics="xp").values
         assert not values[[0, 2]].any()
         assert values[1, 1] == 1.0 / math.pi
+
+    def test_q_beyond_square_overflow_is_evaluated(self, capsys):
+        # the far nodes' squares overflow; Q is 0 there, not refused as NaN
+        code, out, err = run_cli(["grid", "--field", "q", *STATE, "--bounds", "-8e307", "8e307",
+                                  "-8e307", "8e307", "--nx", "3", "--format", "json"], capsys)
+        assert_contract(code, out, err)
+        assert (code, err) == (EXIT_OK, "")
+        values = Grid2D.from_json(out).values
+        assert np.count_nonzero(values) == 1
+        assert values[1, 1] == pytest.approx(q_function(SPEC, 0.0), rel=1e-14)
+
+    @pytest.mark.parametrize("argv", [
+        ["grid", "--field", "wigner", "--fock-n", "2", "--bounds", "-8e307", "8e307", "-8e307",
+         "8e307"],
+        ["amplify", "--field", "p", "--gain", "2", *STATE, "--bounds", "-1e200", "1e200", "-1e200",
+         "1e200"]], ids=["wigner", "amplify-p"])
+    def test_integral_that_overflows_is_numeric_error(self, argv, tmp_path, capsys):
+        # the values are finite, but the cell areas (8e307^2 and 1e200^2) overflow, so
+        # the CSV footer's integral would be inf; nothing is written, no file is made
+        path = tmp_path / "field.csv"
+        code, out, err = run_cli([*argv, "--nx", "3", "--out", str(path)], capsys)
+        assert_contract(code, out, err)
+        assert (code, out) == (EXIT_NUMERIC, "")
+        assert err == f"numeric guard: the integral over bounds {[float(b) for b in argv[-4:]]} " \
+                      "is inf: the cell areas or the values overflow\n"
+        assert not path.exists()
+        # JSON has no integral to write
+        code, out, err = run_cli([*argv, "--nx", "3", "--format", "json"], capsys)
+        assert_contract(code, out, err)
+        assert (code, err) == (EXIT_OK, "")
+        assert np.isfinite(Grid2D.from_json(out).values).all()
 
     def test_separated_cat_q_is_evaluated(self, capsys):
         # <beta|gamma> = e^{-1458} underflows while the Im-axis factor would
@@ -447,7 +551,14 @@ class TestConfigAndDeterminism:
                                       ["grid", "--field", "q", *STATE,
                                        "--bounds", "6", "-6", "-6", "6", "--nx", "41"],
                                       ["grid", "--field", "q", *STATE,
-                                       "--bounds", "-6", "6", "2", "2", "--nx", "41"]])
+                                       "--bounds", "-6", "6", "2", "2", "--nx", "41"],
+                                      # nodes that round together: 9 across 2 ulps are 3, whose
+                                      # CSV would read back as a 3 x 9 grid
+                                      ["grid", "--field", "q", *STATE,
+                                       "--bounds", "1", "1.0000000000000004", "0", "1",
+                                       "--nx", "9"],
+                                      ["grid", "--field", "wigner", "--fock-n", "1",
+                                       "--bounds", "0", "1", "0", "5e-324", "--nx", "3"]])
     def test_unparsable_or_invalid_flag_is_usage_error(self, argv, capsys):
         code, out, err = run_cli(argv, capsys)
         assert code == EXIT_USAGE

@@ -515,6 +515,19 @@ class TestGaussianTerms:
         for values, peak in gaussian_terms(p_cat_terms(SKEW_CAT), alpha, 0.3, 1.2):
             assert peak == pytest.approx(np.max(np.abs(values)), rel=1e-13)
 
+    @pytest.mark.parametrize("kind", ["grid", "scattered"])
+    def test_terms_are_one_term_sums(self, kind):
+        # a diagonal term is its own conjugate partner, so on a grid it comes back real
+        grid = Grid2D(-6.0, 6.5, -5.0, 5.5, 51, 43)
+        alpha = grid if kind == "grid" else field_inputs(kind, 6.0, np.random.default_rng(5))
+        rep = p_cat_terms(SKEW_CAT)
+        terms = gaussian_terms(rep, alpha, 0.7, 1.3)
+        for term, (values, peak) in zip(rep.terms, terms, strict=True):
+            assert values.dtype == (float if term.is_diagonal and kind == "grid" else complex)
+            total, peak_sum = _sum_terms(PRepresentation((term,)), alpha, 0.7, 1.3)
+            assert_bitwise_equal(values, total)
+            assert peak == peak_sum
+
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(a1=COMPLEX_2, a2=COMPLEX_2, zeta=COMPLEX_2, row=st.sampled_from(["q", "p", "amp"]),
            width=st.floats(1.0, 3.0), gain=st.floats(1.2, 3.0),
@@ -712,6 +725,22 @@ class TestGridRoute:
         got, want = EVALUATORS[name](grid), EVALUATORS[name](meshgrid_plane(grid))
         for g, w in zip(got, want, strict=True):
             assert_bitwise_equal(g, w)
+
+    @pytest.mark.parametrize("name", EVALUATORS)
+    def test_cells_beyond_square_overflow_are_zero(self, name):
+        # beyond |u| ~ 1.3e154 a term's squares overflow to inf -/+ inf i; scaled on
+        # their real view they give 0, not NaN, also where every node of an axis overflows
+        wide = EVALUATORS[name](Grid2D(-8e307, 8e307, -8e307, 8e307, 3, 3))
+        for got, want in zip(wide, EVALUATORS[name](np.zeros((1, 1))), strict=True):
+            got = np.asarray(got)
+            assert np.isfinite(got).all() and np.count_nonzero(got) <= 1
+            centre = got[1, 1] if got.ndim else got
+            assert complex(centre) == pytest.approx(complex(np.ravel(want)[0]), rel=1e-14)
+        for alpha in (Grid2D(1e200, 1e300, 1e200, 1e300, 3, 3),
+                      Grid2D(-1.0, 1.0, 1e200, 1e300, 3, 3),
+                      np.array([8e307 + 8e307j, -1e300 + 0.5j, 1e200 - 1e200j])):
+            for got in EVALUATORS[name](alpha):
+                assert np.isfinite(got).all() and not np.any(got)
 
     @pytest.mark.parametrize("name", EVALUATORS)
     def test_xp_grid_is_refused(self, name):
