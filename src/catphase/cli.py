@@ -17,8 +17,8 @@ import numpy as np
 from .amplifier import AmplifierGain, amplified_p, amplify_q
 from .gendelta import AnalyticTestFunction, cancellation_factor, sift, sift_shifted_line
 from .numerics import QuadratureSpec, complex_pairs, require_count, require_positive
-from .quasiprob import Grid2D, opened, p_cat_terms, p_representation_grid, q_function, \
-    wigner_fock
+from .quasiprob import Grid2D, _distinct_nodes, opened, p_cat_terms, p_representation_grid, \
+    q_function, wigner_fock
 from .reconstruct import roundtrip_report
 from .states import CatStateSpec
 from .verify import run_all
@@ -166,7 +166,7 @@ def _grid_from(args, semantics):
     x0, x1, y0, y1 = args.bounds
     grid = Grid2D(x0, x1, y0, y1, nx, ny, values=np.broadcast_to(0j, (nx, ny)),
                   axis_semantics=semantics)
-    if not all((np.diff(nodes) > 0).all() for nodes in (grid.xs, grid.ys)):
+    if not _distinct_nodes(grid):
         raise UsageError(f"bounds {args.bounds} are too close for {nx} x {ny} distinct nodes")
     return grid
 

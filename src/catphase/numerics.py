@@ -1,5 +1,6 @@
 """Shared numerical kernels: Hermite polynomials, Gaussian moment
-integrals, and fixed-node quadrature on the real line.
+integrals, fixed-node quadrature and Chebyshev interpolation on the real
+line.
 
 All routines are pure functions of their arguments and accept complex
 inputs wherever that makes sense.
@@ -54,6 +55,27 @@ def trapezoid_weights(n, h):
     w = np.full(n, h)
     w[0] = w[-1] = 0.5 * h
     return w
+
+
+def chebyshev_lagrange(nodes, m):
+    """The m first-kind Chebyshev points spanning the increasing `nodes`, and
+    the (nodes, m) barycentric Lagrange matrix from them to the nodes (Berrut
+    and Trefethen, SIAM Review 46, 501 (2004)): row j interpolates at nodes[j]
+    from values at the points."""
+    half = (nodes[-1] - nodes[0]) / 2.0
+    theta = (np.arange(m) + 0.5) * (math.pi / m)
+    points = nodes[0] + half * (1.0 + np.cos(theta))
+    # gaps to the rounded points, in half-spans: no nonzero gap is small enough
+    # for its reciprocal to overflow
+    gap = np.subtract.outer(nodes, points) / half
+    hit = gap == 0.0
+    gap[hit] = 1.0
+    lagrange = (-1.0) ** np.arange(m) * np.sin(theta) / gap
+    lagrange /= lagrange.sum(axis=1, keepdims=True)
+    # a node on a point takes that point's value alone
+    on_point = hit.any(axis=1)
+    lagrange[on_point] = hit[on_point]
+    return points, lagrange
 
 
 def complex_pairs(values):

@@ -36,7 +36,9 @@ def test_section_without_openblas_is_a_no_op(monkeypatch):
     np.testing.assert_array_equal(product, np.arange(3.0))
 
 
-def test_convolution_products_run_in_a_section(monkeypatch):
+# exact kernels at 21 nodes, Chebyshev factors at 201
+@pytest.mark.parametrize("n", [21, 201])
+def test_convolution_products_run_in_a_section(monkeypatch, n):
     entered = []
 
     @contextmanager
@@ -45,8 +47,8 @@ def test_convolution_products_run_in_a_section(monkeypatch):
         yield
 
     monkeypatch.setattr(quasiprob, "single_blas_thread", recording)
-    grid = Grid2D(-3.0, 3.0, -3.0, 3.0, 21, 21)
-    _gaussian_convolve(grid.like(values=np.ones((21, 21), dtype=complex)), grid)
+    grid = Grid2D(-3.0, 3.0, -3.0, 3.0, n, n)
+    _gaussian_convolve(grid.like(values=np.ones((n, n), dtype=complex)), grid)
     assert entered == [True]
 
 

@@ -15,10 +15,10 @@ from catphase.amplifier import AmplifierGain, amplified_p, amplified_p_terms, am
 from catphase.gendelta import cancellation_factor, min_safe_sigma
 from catphase.numerics import complex_from_pairs, complex_pairs, loads_with_pairs, require_count, \
     trapezoid_weights
-from catphase.quasiprob import Grid2D, PRepresentation, PTerm, _gaussian_convolve, \
-    _hermitian_sum, _sum_terms, alpha_from_xp, fock_wavefunction, gaussian_terms, p_cat_terms, p_regularized_eval, \
-    opened, p_representation_grid, q_fourier_term, q_from_wigner, q_function, wigner_fock, \
-    wigner_from_p, xp_from_alpha
+from catphase.quasiprob import Grid2D, PRepresentation, PTerm, _axis_kernel, \
+    _gaussian_convolve, _hermitian_sum, _sum_terms, alpha_from_xp, fock_wavefunction, \
+    gaussian_terms, opened, p_cat_terms, p_regularized_eval, p_representation_grid, \
+    q_fourier_term, q_from_wigner, q_function, wigner_fock, wigner_from_p, xp_from_alpha
 from catphase.states import CatStateSpec, cat_density_matrix, coherent_fock_coeffs, \
     coherent_overlap
 from test_numerics import FLOAT_PART, GOOD_PAIRS, MALFORMED_PAIRS
@@ -766,6 +766,17 @@ class TestGrid2D:
         assert back.xs == pytest.approx(grid.xs)
         np.testing.assert_allclose(back.values, grid.values, rtol=0, atol=0)
 
+    @pytest.mark.parametrize("grid", [Grid2D(1.0, 1.0000000000000004, 0.0, 1.0, 9, 9),
+                                      Grid2D(0.0, 1.0, 0.0, 5e-324, 3, 3)],
+                             ids=["9-x-nodes-across-2-ulps", "3-y-nodes-across-a-subnormal"])
+    def test_csv_of_nodes_that_round_together_is_refused(self, grid, tmp_path):
+        # its rows would read back as a smaller grid; nothing is opened or written
+        path, buf = tmp_path / "grid.csv", io.StringIO()
+        for target in (str(path), buf):
+            with pytest.raises(ValueError, match="are not distinct"):
+                grid.to_csv(target)
+        assert not path.exists() and buf.getvalue() == ""
+
     def test_csv_missing_row_rejected(self):
         buf = io.StringIO()
         Grid2D(-1.0, 1.0, -1.0, 1.0, 3, 3).to_csv(buf)
@@ -1083,6 +1094,58 @@ class TestConvolutionTransforms:
         if not part:
             assert not a.values.imag.any()
 
+    # (source, output, complex field?, factors per x and y kernel): half-spans 2..16
+    # at 61..801 nodes; 2.9 takes an odd number of points, the middle one on node 0;
+    # at [-10, 10] m = 172, so m (n + n) < n^2 only at 401 nodes
+    @pytest.mark.parametrize("src,out,part,factors", [
+        (Grid2D(-2.0, 2.0, -2.0, 2.0, 101, 101), None, 0.0, (2, 2)),
+        (Grid2D(-2.9, 2.9, -2.9, 2.9, 201, 201), None, 1j, (2, 2)),
+        (Grid2D(-4.0, 4.0, -4.0, 4.0, 61, 61), None, 1j, (1, 1)),
+        (Grid2D(-4.0, 4.0, -4.0, 4.0, 201, 201), None, 0.0, (2, 2)),
+        (Grid2D(-6.5, 6.5, -6.5, 6.5, 401, 401), None, 1j, (2, 2)),
+        (Grid2D(-8.0, 8.0, -8.0, 8.0, 401, 401), None, 0.0, (2, 2)),
+        (Grid2D(-10.0, 10.0, -10.0, 10.0, 401, 401), None, 1j, (2, 2)),
+        (Grid2D(-10.0, 10.0, -10.0, 10.0, 101, 101), None, 0.0, (1, 1)),
+        (Grid2D(-12.0, 12.0, -12.0, 12.0, 801, 801), None, 0.0, (2, 2)),
+        (Grid2D(-16.0, 16.0, -16.0, 16.0, 801, 801), None, 1j, (2, 2)),
+        (Grid2D(-12.0, 12.0, -3.0, 3.0, 801, 61), None, 1j, (2, 1)),
+        (Grid2D(-7.0, 5.0, -10.0, 10.0, 301, 401), None, 0.0, (2, 2)),
+        (Grid2D(-12.0, 12.0, -12.0, 12.0, 321, 321), Grid2D(-6.0, 6.0, -6.0, 6.0, 161, 161),
+         0.0, (1, 1)),
+        (Grid2D(-12.0, 12.0, -12.0, 12.0, 801, 801), Grid2D(-6.0, 6.0, -6.0, 6.0, 401, 401),
+         1j, (2, 2)),
+        (Grid2D(-8.0, 8.0, -8.0, 8.0, 401, 401), Grid2D(-9.0, 3.0, -2.0, 2.0, 301, 101),
+         1j, (2, 1))],
+        ids=["2-101", "2.9-201-odd-points", "4-61", "4-201", "6.5-401", "8-401", "10-401",
+             "10-101", "12-801", "16-801", "non-square-801x61", "non-square-301x401",
+             "verify-321-to-161", "801-to-401", "401-to-301x101"])
+    def test_factored_kernels_agree_with_exact(self, src, out, part, factors):
+        # within 4e-15 of the output maximum of today's exact product; the field
+        # is a cat's Q spread over the grid, turned by a phase when complex
+        out = out or src
+        reach = min(src.x_max - src.x_min, src.y_max - src.y_min) / 5.0
+        gx, gy = src.meshgrid()
+        q = q_function(CatStateSpec(reach + 0.5j * reach, -reach, 0.8 - 0.3j), src)
+        src = src.like(values=q * np.exp(part * (gx + 2.0 * gy)))
+        axes = [(o, s, trapezoid_weights(len(s), d))
+                for o, s, d in ((out.xs, src.xs, src.dx), (out.ys, src.ys, src.dy))]
+        assert tuple(len(_axis_kernel(*axis)) for axis in axes) == factors
+        kx, ky = (np.exp(-2.0 * np.subtract.outer(o, s) ** 2) * w for o, s, w in axes)
+        want = (2.0 / math.pi) * (kx @ src.values @ ky.T)
+        got = _gaussian_convolve(src, out).values
+        assert np.max(np.abs(got - want)) <= 4e-15 * np.max(np.abs(want))
+        assert bool(part) == bool(got.imag.any())
+
+    @pytest.mark.parametrize("half", [2.0, 2.9, 4.0, 6.5, 10.0, 12.0, 16.0, 24.0, 32.0])
+    def test_factored_kernel_bound(self, half):
+        # m = ceil(16 L) + 12 points keep A @ B within 2.5e-15 of the weighted kernel's peak
+        nodes = np.linspace(-half, half, 1601)
+        weights = trapezoid_weights(len(nodes), nodes[1] - nodes[0])
+        a, b = _axis_kernel(nodes, nodes, weights)
+        assert a.shape[1] == math.ceil(16.0 * half) + 12
+        exact = np.exp(-2.0 * np.subtract.outer(nodes, nodes) ** 2) * weights
+        assert np.max(np.abs(a @ b - exact)) <= 2.5e-15 * weights.max()
+
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(a1=complex_within(2.0), a2=complex_within(2.0), zeta=complex_within(2.0))
     def test_cat_regularized_p_is_exactly_real(self, a1, a2, zeta):
@@ -1106,8 +1169,8 @@ class TestConvolutionTransforms:
         assert np.isfinite(out.real).all()
 
     def test_convolution_memory_bounded(self):
-        # real kernels and products: the output, one shared kernel and the
-        # real intermediates, where complex products needed 5 planes
+        # real factored kernels and products: the output, one real product and
+        # the small factors; 2.5 planes with exact kernels, 5 with complex ones
         grid = alpha_grid(n=401)
         src = p_representation_grid(p_cat_terms(SKEW_CAT), 0.6, grid)
         tracemalloc.start()
@@ -1116,7 +1179,7 @@ class TestConvolutionTransforms:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 3 * src.values.nbytes
+        assert peak <= 1.95 * src.values.nbytes
 
     def test_unknown_method_rejected(self):
         src = alpha_grid(n=11)
