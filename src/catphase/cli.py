@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 usage error, 2 numeric guard tripped,
 """
 
 import argparse
+import cmath
 import json
 import math
 import re
@@ -17,8 +18,8 @@ import numpy as np
 from .amplifier import AmplifierGain, amplified_p, amplify_q
 from .gendelta import AnalyticTestFunction, cancellation_factor, sift, sift_shifted_line
 from .numerics import QuadratureSpec, complex_pairs, require_count, require_positive
-from .quasiprob import Grid2D, _distinct_nodes, opened, p_cat_terms, p_representation_grid, \
-    q_function, wigner_fock
+from .quasiprob import Grid2D, _comment_lines, _distinct_nodes, opened, p_cat_terms, \
+    p_representation_grid, q_function, wigner_fock
 from .reconstruct import roundtrip_report
 from .states import CatStateSpec
 from .verify import run_all
@@ -182,7 +183,8 @@ def _emit_grid(grid, args, meta):
     # complex amplitudes serialize as "re+imj" strings in both formats
     meta = {k: (str(v) if isinstance(v, complex) else v) for k, v in meta.items()}
     if args.format == "csv":
-        # the footer's integral is checked before anything is written
+        # the metadata lines and the footer's integral are checked before anything is written
+        lines = _comment_lines(f"{k} = {v}" for k, v in meta.items())
         with np.errstate(over="ignore", invalid="ignore"):
             total = grid.integrate().real
         if not math.isfinite(total):
@@ -193,7 +195,7 @@ def _emit_grid(grid, args, meta):
             stream.writelines(grid.json_chunks(meta))
             stream.write("\n")
         else:
-            grid.to_csv(stream, meta=[f"{k} = {v}" for k, v in meta.items()])
+            grid.to_csv(stream, meta=lines)
             # footer diagnostics stay comment-prefixed so the file still parses
             stream.write(f"# integral = {total!r}\n")
             w_min = float(np.min(grid.values.real))
@@ -276,13 +278,18 @@ def cmd_sift(args):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         direct = complex_pairs([sift(f, z0, s, quad) for s in sigmas])
+    shifted = complex_pairs([sift_shifted_line(f, z0, s, quad) for s in sigmas])
+    continuation = f(z0)
+    if not cmath.isfinite(continuation):
+        raise FloatingPointError(f"the continuation f(z0) at z0 = {z0} is {continuation}, "
+                                 "not a finite number")
     record = {
         "z0": [z0.real, z0.imag],
         "function": f_desc,
         "sigma_schedule": sigmas,
         "direct": direct,
-        "shifted": complex_pairs([sift_shifted_line(f, z0, s, quad) for s in sigmas]),
-        "continuation": complex_pairs(f(z0))[0],
+        "shifted": shifted,
+        "continuation": complex_pairs(continuation)[0],
         "cancellation_factor": [cancellation_factor(z0, s) for s in sigmas],
     }
     with _output(args) as stream:

@@ -10,6 +10,7 @@ real Gaussian weight and is the numerically trusted path; the two are
 equal analytically.
 """
 
+import cmath
 import enum
 import math
 import warnings
@@ -134,18 +135,22 @@ class AnalyticTestFunction:
     @classmethod
     def gaussian_envelope(cls, scale, coeffs=(1.0,)):
         require_positive(scale, "scale")
+        if math.isinf(float(scale) * float(scale)):
+            raise ValueError(f"scale = {scale} is too large: its square overflows")
         return cls(family="gaussian_envelope", scale=float(scale),
                    coeffs=tuple(complex(c) for c in coeffs))
 
     def __call__(self, z):
+        """f(z); a value that overflows comes back non-finite, for the caller's guard."""
         z = np.asarray(z, dtype=complex)
-        if self.family == "monomial":
-            out = z ** self.degree
-        else:
-            poly = np.zeros_like(z)
-            for c in reversed(self.coeffs):
-                poly = poly * z + c
-            out = poly * np.exp(-z * z / (2.0 * self.scale ** 2))
+        with np.errstate(over="ignore", invalid="ignore"):
+            if self.family == "monomial":
+                out = z ** self.degree
+            else:
+                poly = np.zeros_like(z)
+                for c in reversed(self.coeffs):
+                    poly = poly * z + c
+                out = poly * np.exp(-z * z / (2.0 * self.scale ** 2))
         return out if out.shape else complex(out)
 
 
@@ -163,7 +168,8 @@ def delta_moment(n, z, sigma):
         sum over m of n! / (m! (n - 2m)!) * (sigma^2 / 2)^m * z^(n - 2m),
 
     which tends to z^n as sigma -> 0.  Raises OverflowError, naming n, z
-    and sigma, when a power of z or a coefficient leaves double precision.
+    and sigma, when a power of z, a coefficient or the sum leaves double
+    precision (a complex power that overflows may come back NaN, not raise).
     """
     n = require_order(n)
     require_positive(sigma, "sigma")
@@ -174,6 +180,8 @@ def delta_moment(n, z, sigma):
             log_coeff = (log_factorial(n) - log_factorial(m) - log_factorial(n - 2 * m)
                          + m * math.log(sigma * sigma / 2.0))
             total += math.exp(log_coeff) * z ** (n - 2 * m)
+        if not cmath.isfinite(total) and cmath.isfinite(z):
+            raise OverflowError
     except OverflowError:
         raise OverflowError(f"moment of order {n} at z = {z} with sigma = {sigma} "
                             f"overflows double precision") from None

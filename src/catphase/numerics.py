@@ -168,6 +168,17 @@ def loads_with_pairs(text, key):
     return json.loads(text) if data is None else data
 
 
+def json_members(data, names, what):
+    """The members `names` of the JSON object `data`, in order; ValueError
+    naming `what` when `data` is no object, or naming the member it lacks."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} must be a JSON object, got {type(data).__name__}")
+    missing = [name for name in names if name not in data]
+    if missing:
+        raise ValueError(f"{what} has no member {missing[0]!r}")
+    return [data[name] for name in names]
+
+
 def require_positive(value, name):
     """Raise ValueError unless value > 0 and its square is not 0; NaN is refused too."""
     if not value > 0:
@@ -226,10 +237,12 @@ def gaussian_moment_integral(n, a, b):
 
 def quad_real_line(f, spec):
     """Composite trapezoid approximation of the integral of f over the
-    window of `spec`.  f is called once on the full node array.
+    window of `spec`.  f is called once on the full node array; a value
+    that overflows raises FloatingPointError, without a numpy warning.
     """
     x = spec.nodes
-    y = np.asarray(f(x), dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = np.asarray(f(x), dtype=complex)
     bad = ~np.isfinite(y)
     if bad.any():
         idx = int(np.argmax(bad))

@@ -53,6 +53,7 @@ and 201-node ones above 5.5, it keeps the exact matrix (`_axis_kernel`).
 """
 
 import math
+import numbers
 import warnings
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -61,8 +62,8 @@ import numpy as np
 
 from .blas import single_blas_thread
 from .numerics import chebyshev_lagrange, complex_from_pairs, dumps_with_pairs, hermite_poly, \
-    loads_with_pairs, log_factorial, require_count, require_order, require_positive, \
-    trapezoid_weights
+    json_members, loads_with_pairs, log_factorial, require_count, require_order, \
+    require_positive, trapezoid_weights
 from .states import coherent_overlap
 
 IMAG_RESIDUE_TOL = 1e-12
@@ -357,6 +358,7 @@ def p_regularized_eval(rep, sigma, alpha):
 # grids
 
 _AXIS_SEMANTICS = ("alpha", "xp")
+_BOUNDS = ("x_min", "x_max", "y_min", "y_max")
 
 
 def opened(target, mode="r"):
@@ -370,6 +372,16 @@ def _distinct_nodes(grid):
     it, since library callers build grids on every call; a grid whose nodes
     round together reads back from CSV as a smaller one."""
     return all((np.diff(nodes) > 0).all() for nodes in (grid.xs, grid.ys))
+
+
+def _comment_lines(meta):
+    """The CSV metadata lines `meta` as a list; ValueError when one holds a
+    line break, after which the rest of it would read back as data."""
+    meta = list(meta or [])
+    for line in meta:
+        if "\n" in line or "\r" in line:
+            raise ValueError(f"metadata line {line!r} holds a line break")
+    return meta
 
 
 @dataclass
@@ -392,6 +404,9 @@ class Grid2D:
     def __post_init__(self):
         self.nx, self.ny = require_count(self.nx, "nx", 2), require_count(self.ny, "ny", 2)
         bounds = (self.x_min, self.x_max, self.y_min, self.y_max)
+        for name, bound in zip(_BOUNDS, bounds):
+            if isinstance(bound, bool) or not isinstance(bound, numbers.Real):
+                raise ValueError(f"{name} must be a real number, got {bound!r}")
         spans = (float(self.x_max) - float(self.x_min), float(self.y_max) - float(self.y_min))
         if not all(map(math.isfinite, bounds + spans)):
             raise ValueError(f"bounds and the spans between them must be finite, got {bounds}")
@@ -448,12 +463,14 @@ class Grid2D:
         Each axis is formatted once; the file is written one grid row (one
         x) at a time, so memory beyond the grid is bounded by one row.
         Raises ValueError, before the stream is opened, when an axis's nodes
-        round together: `from_csv` would read the rows back as a smaller grid."""
+        round together: `from_csv` would read the rows back as a smaller grid;
+        and when a meta line holds a line break, after which it would read as data."""
         if not _distinct_nodes(self):
             raise ValueError(f"the {self.nx} x {self.ny} nodes of bounds "
                              f"{[self.x_min, self.x_max, self.y_min, self.y_max]} are not distinct")
+        meta = _comment_lines(meta)
         with opened(stream, "w") as out:
-            for line in (meta or []):
+            for line in meta:
                 out.write(f"# {line}\n")
             out.write("x,y,re,im\n")
             ys = [f",{y!r}," for y in self.ys.tolist()]
@@ -510,13 +527,14 @@ class Grid2D:
 
     @classmethod
     def from_json(cls, text):
-        data = loads_with_pairs(text, "values")
-        ax = data["axes"]
-        flat = complex_from_pairs(data["values"])
+        ax, values, nx, ny = json_members(loads_with_pairs(text, "values"),
+                                          ("axes", "values", "nx", "ny"), "grid")
+        bounds = json_members(ax, _BOUNDS, "grid member 'axes'")
+        flat = complex_from_pairs(values)
         # sizes are checked before numpy reshapes by them
-        nx, ny = require_count(data["nx"], "nx", 2), require_count(data["ny"], "ny", 2)
-        return cls(ax["x_min"], ax["x_max"], ax["y_min"], ax["y_max"], nx, ny,
-                   values=flat.reshape(nx, ny), axis_semantics=ax.get("semantics", "alpha"))
+        nx, ny = require_count(nx, "nx", 2), require_count(ny, "ny", 2)
+        return cls(*bounds, nx, ny, values=flat.reshape(nx, ny),
+                   axis_semantics=ax.get("semantics", "alpha"))
 
 
 # ---------------------------------------------------------------------------

@@ -17,35 +17,40 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .blas import single_blas_thread
 from .gendelta import cancellation_factor, sifting_axis
 from .numerics import log_factorial, require_count
 from .states import FockDensityMatrix, _coherent_column, cat_density_matrix
-from .quasiprob import p_cat_terms
+from .quasiprob import PRepresentation, p_cat_terms
 
 NUMERIC_AMPLIFICATION_GUARD = 1e10
 NUMERIC_MOMENT_ORDER_MAX = 12
 TERM_TOL = 1e-12
 
 
-def rho_from_pterm(term, n_max):
-    """Closed-form density matrix of one P-representation term:
-
-        rho_jk = kappa e^{-(|beta|^2 + |gamma|^2)/2} gamma^j conj(beta)^k / sqrt(j! k!),
-
-    i.e. kappa |gamma><beta| in the truncated number basis.
-    """
-    col = _coherent_column(complex(term.gamma), n_max)
-    row = _coherent_column(complex(term.beta).conjugate(), n_max)
-    return FockDensityMatrix(n_max=n_max, entries=term.kappa * np.outer(col, row))
+def _term_factors(rep, n_max):
+    """Columns C (n_max + 1, m) and rows R (m, n_max + 1) of the terms of `rep`: term k,
+    kappa |gamma><beta|, is C[:, k:k+1] * R[k:k+1], and its entry jk is
+    kappa e^{-(|beta|^2 + |gamma|^2)/2} gamma^j conj(beta)^k / sqrt(j! k!)."""
+    n_max = require_count(n_max, "n_max")
+    cols = np.empty((n_max + 1, len(rep.terms)), dtype=complex)
+    rows = np.empty((len(rep.terms), n_max + 1), dtype=complex)
+    for k, term in enumerate(rep.terms):
+        cols[:, k] = _coherent_column(complex(term.gamma), n_max)
+        rows[k] = term.kappa * _coherent_column(complex(term.beta).conjugate(), n_max)
+    return cols, rows
 
 
 def reconstruct_rho(rep, n_max):
-    """Sum of the closed-form single-term reconstructions."""
-    n_max = require_count(n_max, "n_max")
-    total = np.zeros((n_max + 1, n_max + 1), dtype=complex)
-    for term in rep.terms:
-        total = total + rho_from_pterm(term, n_max).entries
-    return FockDensityMatrix(n_max=n_max, entries=total)
+    """Sum of the closed-form terms: one product of their factors, on one BLAS thread."""
+    cols, rows = _term_factors(rep, n_max)
+    with single_blas_thread():
+        return FockDensityMatrix(n_max=n_max, entries=cols @ rows)
+
+
+def rho_from_pterm(term, n_max):
+    """Closed-form density matrix kappa |gamma><beta| of one term: its one-term reconstruct_rho."""
+    return reconstruct_rho(PRepresentation((term,)), n_max)
 
 
 def _axis_moments(center, sigma, quad, order):
@@ -124,24 +129,18 @@ class RoundTripReport:
 
 
 def roundtrip_report(spec, n_max):
-    """Direct density matrix vs the sum of the reconstructed terms, in one
-    pass: each term is built once, checked against the expected coherent
-    outer product kappa |gamma><beta| from one column per amplitude, and
-    added to the reconstruction.
-    """
+    """Direct density matrix vs the reconstructed one: each term's factors are checked
+    against the amplitudes' columns, the direct matrix is subtracted in place from their
+    product C @ R (peak: cat_density_matrix's own), and the trace is that of R @ C."""
     rho_direct = cat_density_matrix(spec, n_max)
     column = {a: _coherent_column(a, n_max) for a in (spec.alpha1, spec.alpha2)}
-    total = 0
-    checks = []
-    for i, term in enumerate(p_cat_terms(spec).terms):
-        got = rho_from_pterm(term, n_max).entries
-        want = term.kappa * np.outer(column[term.gamma], column[term.beta].conj())
-        checks.append((i, float(np.max(np.abs(got - want))) < TERM_TOL))
-        total = total + got
-    rho_recon = FockDensityMatrix(n_max=n_max, entries=total)
-    return RoundTripReport(
-        n_max=rho_recon.n_max,
-        max_abs_deviation=float(np.max(np.abs(rho_recon.entries - rho_direct.entries))),
-        trace_deviation=abs(rho_recon.trace() - 1.0),
-        per_term_checks=tuple(checks),
-    )
+    rep = p_cat_terms(spec)
+    cols, rows = _term_factors(rep, n_max)
+    checks = tuple((k, float(max(np.max(np.abs(cols[:, k] - column[t.gamma])), np.max(
+        np.abs(rows[k] - t.kappa * column[t.beta].conj())))) < TERM_TOL)
+        for k, t in enumerate(rep.terms))
+    with single_blas_thread():
+        deviation = cols @ rows
+    deviation -= rho_direct.entries
+    return RoundTripReport(rho_direct.n_max, float(np.max(np.abs(deviation))),
+                           abs(complex(np.trace(rows @ cols)).real - 1.0), checks)

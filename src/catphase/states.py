@@ -8,8 +8,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import complex_from_pairs, dumps_with_pairs, loads_with_pairs, log_factorial, \
-    require_count
+from .numerics import complex_from_pairs, dumps_with_pairs, json_members, loads_with_pairs, \
+    log_factorial, require_count
 
 TAIL_MASS_WARN = 1e-10
 
@@ -123,9 +123,10 @@ class FockDensityMatrix:
 
     @classmethod
     def from_json(cls, text):
-        data = loads_with_pairs(text, "entries")
-        n = require_count(data["n_max"], "n_max")  # checked before numpy reshapes by it
-        return cls(n_max=n, entries=complex_from_pairs(data["entries"]).reshape(n + 1, n + 1))
+        n, entries = json_members(loads_with_pairs(text, "entries"), ("n_max", "entries"),
+                                  "density matrix")
+        n = require_count(n, "n_max")  # checked before numpy reshapes by it
+        return cls(n_max=n, entries=complex_from_pairs(entries).reshape(n + 1, n + 1))
 
 
 def cat_density_matrix(spec, n_max):

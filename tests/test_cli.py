@@ -157,6 +157,54 @@ def test_grid_commands_keep_the_contract(argv):
         assert_bitwise_equal(csv.values, jsn.values)
 
 
+@st.composite
+def sift_argv(draw):
+    """argv of one sift run, with at most 2001 nodes and 4 levels."""
+    argv = ["sift", "--z0", repr(draw(AMPLITUDES)), repr(draw(AMPLITUDES)),
+            "--sigma0", repr(draw(WIDTHS)), "--levels", str(draw(st.integers(1, 4))),
+            "--nodes", str(draw(st.integers(2, 2001))),
+            "--halfwidth", repr(draw(st.one_of(st.sampled_from([1e154, 1e300]),
+                                               st.floats(-1.0, 20.0))))]
+    if draw(st.booleans()):
+        return [*argv, "--monomial", str(draw(st.integers(-1, 66)))]
+    coeffs = draw(st.lists(AMPLITUDES, min_size=1, max_size=3))
+    return [*argv, "--envelope-scale", repr(draw(st.one_of(WIDTHS, st.just(1e300)))),
+            "--envelope-coeffs", *map(repr, coeffs)]
+
+
+@settings(max_examples=200)
+@given(argv=sift_argv())
+# a moment and a continuation that come back NaN; an envelope exponent, a polynomial
+# and a scale's square that overflow; a cancellation factor that overflows; a
+# continuation that overflows between the shifted line's nodes; and a shifted-line
+# integrand that overflows at z0
+@example(argv=["sift", "--z0", "-1e154", "1.7e308", "--sigma0", "2.5", "--levels", "1",
+               "--nodes", "2", "--halfwidth", "0.05", "--monomial", "64"])
+@example(argv=["sift", "--z0", "1", "0.4", "--sigma0", "0.4", "--envelope-scale", "1e-155"])
+@example(argv=["sift", "--z0", "1", "0.4", "--sigma0", "0.4", "--envelope-scale", "1",
+               "--envelope-coeffs", "1.7e308"])
+@example(argv=["sift", "--z0", "1", "0.4", "--sigma0", "0.4", "--envelope-scale", "1e300"])
+@example(argv=["sift", "--z0", "0", "1", "--sigma0", "0.01", "--monomial", "2"])
+@example(argv=["sift", "--z0", "0", "37.679", "--sigma0", "2", "--levels", "1", "--nodes", "2",
+               "--halfwidth", "0.5", "--envelope-scale", "1"])
+@example(argv=["sift", "--z0", "0", "1", "--sigma0", "1e154", "--levels", "1", "--nodes", "3",
+               "--halfwidth", "1e154", "--envelope-scale", "0.015625", "--envelope-coeffs", "0",
+               "5e-324"])
+def test_sift_command_keeps_the_contract(argv):
+    # the cancellation factor reads Infinity by design once e^{b^2 / 2 sigma^2}
+    # overflows; every sifted value and the continuation are finite
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    written = out.getvalue()
+    if code == EXIT_OK:
+        data = json.loads(written)
+        written = json.dumps([data["direct"], data["shifted"], data["continuation"]])
+    else:
+        assert written == ""
+    assert_contract(code, written, err.getvalue())
+
+
 class TestGridCommand:
     def test_q_csv_normalized_footer(self, capsys):
         code, out, _ = run_cli(
@@ -210,6 +258,21 @@ class TestGridCommand:
             assert json.loads(out)["meta"]["timestamp"] == "2020-01-02T03:04:05Z"
         else:
             assert "# timestamp = 2020-01-02T03:04:05Z" in out.splitlines()
+
+    # a second line, and a data row injected after the comment
+    @pytest.mark.parametrize("stamp", ["a\nb", "a\n1,2,3,4", "a\rb"])
+    def test_timestamp_with_a_line_break_is_refused_in_csv(self, stamp, tmp_path, capsys):
+        argv = ["grid", "--field", "q", *STATE, *BOUNDS, "--nx", "21", "--timestamp", stamp]
+        path = tmp_path / "q.csv"
+        for target in ([], ["--out", str(path)]):
+            code, out, err = run_cli([*argv, *target], capsys)
+            assert (code, out) == (EXIT_USAGE, "")
+            assert err == f"usage error: metadata line {'timestamp = ' + stamp!r} " \
+                          "holds a line break\n"
+        assert not path.exists()
+        # JSON escapes the break
+        code, out, _ = run_cli([*argv, "--format", "json"], capsys)
+        assert code == EXIT_OK and json.loads(out)["meta"]["timestamp"] == stamp
 
     def test_negative_fock_n_is_usage_error(self, capsys):
         code, out, err = run_cli(
@@ -452,6 +515,24 @@ class TestSiftCommand:
         assert out == ""
         assert err.startswith("numeric guard: sifting quadrature cannot resolve sigma = 0.3")
         assert err.count("\n") == 1
+
+    def test_continuation_that_is_not_finite_is_numeric_error(self, capsys):
+        # e^{-z^2 / 2} at z0 = 37.679i is e^{709.85}, past the largest double; the
+        # shifted line's two nodes, 0.5 either side of z0, stay below it
+        code, out, err = run_cli(["sift", "--z0", "0", "37.679", "--sigma0", "2", "--levels", "1",
+                                  "--nodes", "2", "--halfwidth", "0.5", "--envelope-scale", "1"],
+                                 capsys)
+        assert (code, out) == (EXIT_NUMERIC, "")
+        assert err.startswith("numeric guard: the continuation f(z0) at z0 = 37.679j is ")
+        assert err.count("\n") == 1
+
+    def test_envelope_scale_whose_square_overflows_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "sift.json"
+        code, out, err = run_cli(["sift", "--z0", "1", "0.4", "--sigma0", "0.4",
+                                  "--envelope-scale", "1e300", "--out", str(path)], capsys)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == "usage error: scale = 1e+300 is too large: its square overflows\n"
+        assert not path.exists()
 
     @pytest.mark.parametrize("z0,degree", [("1e300", "3"), ("1e100", "4")])
     def test_moment_that_overflows_is_numeric_error(self, z0, degree, capsys):

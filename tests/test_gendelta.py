@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -121,6 +122,13 @@ class TestDeltaMoment:
         oracle = quad_real_line(lambda x: x**2 * delta_kernel(x - z, sigma), quad)
         assert delta_moment(2, z, sigma) == pytest.approx(oracle, rel=1e-10)
 
+    def test_power_that_comes_back_nan_raises(self):
+        # Python's complex power raises on an infinite result, not on a NaN one
+        z = complex(-1e154, 1.7e308)
+        assert cmath.isnan(z ** 64)
+        with pytest.raises(OverflowError, match="moment of order 64 at z = .* overflows"):
+            delta_moment(64, z, 2.5)
+
     def test_small_sigma_limit(self):
         assert delta_moment(4, 1.0j, 1e-8) == pytest.approx(1.0)
 
@@ -242,6 +250,21 @@ class TestAnalyticTestFunction:
     def test_envelope_validation(self):
         with pytest.raises(ValueError):
             AnalyticTestFunction.gaussian_envelope(scale=0.0)
+
+    def test_envelope_scale_whose_square_overflows_is_refused(self):
+        # the mirror of require_positive's refusal of a square that underflows
+        with pytest.raises(ValueError, match="scale = 1e[+]300 is too large: its square overflows"):
+            AnalyticTestFunction.gaussian_envelope(scale=1e300)
+        AnalyticTestFunction.gaussian_envelope(scale=1e154)
+
+    @pytest.mark.parametrize("f", [AnalyticTestFunction.gaussian_envelope(scale=1e-155),
+                                   AnalyticTestFunction.gaussian_envelope(1.0, (1.7e308, 1.7e308)),
+                                   AnalyticTestFunction.monomial(64)],
+                             ids=["exponent", "polynomial", "power"])
+    def test_overflow_comes_back_non_finite_without_a_warning(self, f):
+        # RuntimeWarnings from catphase fail the test run
+        values = f(np.array([0.5 + 0.4j, 1e300 + 1e300j]))
+        assert not np.isfinite(values).all()
 
     def test_polynomial_evaluation(self):
         f = AnalyticTestFunction.gaussian_envelope(scale=2.0, coeffs=(1.0, 0.0, 3.0))

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -107,6 +108,34 @@ PAIR_READERS = {
          "nx": 3, "ny": 3, "values": pairs})),
     "FockDensityMatrix": lambda pairs: FockDensityMatrix.from_json(json.dumps(
         {"n_max": 2, "entries": pairs})),
+}
+
+# documents that are no grid or density matrix: the reader, and the ValueError
+# naming the missing or malformed member
+GRID_AXES = {"x_min": -1.0, "x_max": 1.0, "y_min": -1.0, "y_max": 1.0}
+GRID_DOC = {"axes": GRID_AXES, "nx": 3, "ny": 3, "values": GOOD_PAIRS}
+MALFORMED_DOCUMENTS = {
+    "grid-values-only": (Grid2D, {"values": []}, "grid has no member 'axes'"),
+    "grid-list": (Grid2D, [GRID_DOC], "grid must be a JSON object, got list"),
+    "grid-no-ny": (Grid2D, {k: v for k, v in GRID_DOC.items() if k != "ny"},
+                   "grid has no member 'ny'"),
+    "grid-axes-number": (Grid2D, {**GRID_DOC, "axes": 1},
+                         "grid member 'axes' must be a JSON object, got int"),
+    "grid-no-y_max": (Grid2D, {**GRID_DOC, "axes": {k: v for k, v in GRID_AXES.items()
+                                                     if k != "y_max"}},
+                      "grid member 'axes' has no member 'y_max'"),
+    "grid-x_min-null": (Grid2D, {**GRID_DOC, "axes": {**GRID_AXES, "x_min": None}},
+                        "x_min must be a real number, got None"),
+    "grid-x_max-string": (Grid2D, {**GRID_DOC, "axes": {**GRID_AXES, "x_max": "1"}},
+                          "x_max must be a real number, got '1'"),
+    "grid-y_min-bool": (Grid2D, {**GRID_DOC, "axes": {**GRID_AXES, "y_min": False}},
+                        "y_min must be a real number, got False"),
+    "matrix-no-n_max": (FockDensityMatrix, {"entries": GOOD_PAIRS},
+                        "density matrix has no member 'n_max'"),
+    "matrix-no-entries": (FockDensityMatrix, {"n_max": 2},
+                          "density matrix has no member 'entries'"),
+    "matrix-list": (FockDensityMatrix, [2, GOOD_PAIRS],
+                    "density matrix must be a JSON object, got list"),
 }
 
 # any float, often one that JSON writes specially or whose sign or scale is easily lost
@@ -267,6 +296,13 @@ class TestQuadRealLine:
         with pytest.raises(FloatingPointError, match="node 2"), np.errstate(divide="ignore"):
             quad_real_line(lambda x: 1.0 / x, spec)
 
+    def test_overflowing_sample_raises_without_a_warning(self):
+        # e^{800} overflows and inf * 0 is NaN; a numpy warning would raise here instead
+        spec = QuadratureSpec(center=0.0, halfwidth=1.0, node_count=5)
+        with pytest.raises(FloatingPointError, match="node 2"), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            quad_real_line(lambda x: np.exp(800.0 * (1.0 - x * x)) * (1.0 - 1j), spec)
+
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             QuadratureSpec(center=0.0, halfwidth=0.0, node_count=10)
@@ -299,6 +335,12 @@ class TestComplexPairs:
         got = complex_from_pairs(pairs)
         assert got.tobytes() == complex_from_pairs(GOOD_PAIRS).tobytes()
         assert not np.shares_memory(got, pairs)
+
+    @pytest.mark.parametrize("name", MALFORMED_DOCUMENTS)
+    def test_malformed_document_is_value_error(self, name):
+        reader, doc, message = MALFORMED_DOCUMENTS[name]
+        with pytest.raises(ValueError, match=re.escape(message)):
+            reader.from_json(json.dumps(doc))
 
     @pytest.mark.parametrize("reader", PAIR_READERS)
     @pytest.mark.parametrize("pairs", MALFORMED_PAIRS.values(), ids=MALFORMED_PAIRS)

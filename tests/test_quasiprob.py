@@ -13,8 +13,8 @@ from scipy.special import eval_laguerre
 
 from catphase.amplifier import AmplifierGain, amplified_p, amplified_p_terms, amplify_q
 from catphase.gendelta import cancellation_factor, min_safe_sigma
-from catphase.numerics import complex_from_pairs, complex_pairs, loads_with_pairs, require_count, \
-    trapezoid_weights
+from catphase.numerics import complex_from_pairs, complex_pairs, json_members, loads_with_pairs, \
+    require_count, trapezoid_weights
 from catphase.quasiprob import Grid2D, PRepresentation, PTerm, _axis_kernel, \
     _gaussian_convolve, _hermitian_sum, _sum_terms, alpha_from_xp, fock_wavefunction, \
     gaussian_terms, opened, p_cat_terms, p_regularized_eval, p_representation_grid, \
@@ -188,12 +188,12 @@ def reference_to_json(grid, meta=None):
 
 def reference_from_json(text):
     """Grid2D.from_json as json.loads of the whole text and complex_from_pairs."""
-    data = json.loads(text)
-    ax = data["axes"]
-    flat = complex_from_pairs(data["values"])
-    nx, ny = require_count(data["nx"], "nx", 2), require_count(data["ny"], "ny", 2)
-    return Grid2D(ax["x_min"], ax["x_max"], ax["y_min"], ax["y_max"], nx, ny,
-                  values=flat.reshape(nx, ny), axis_semantics=ax.get("semantics", "alpha"))
+    ax, values, nx, ny = json_members(json.loads(text), ("axes", "values", "nx", "ny"), "grid")
+    bounds = json_members(ax, ("x_min", "x_max", "y_min", "y_max"), "grid member 'axes'")
+    flat = complex_from_pairs(values)
+    nx, ny = require_count(nx, "nx", 2), require_count(ny, "ny", 2)
+    return Grid2D(*bounds, nx, ny, values=flat.reshape(nx, ny),
+                  axis_semantics=ax.get("semantics", "alpha"))
 
 
 def outcome(read, text):
@@ -775,6 +775,16 @@ class TestGrid2D:
         for target in (str(path), buf):
             with pytest.raises(ValueError, match="are not distinct"):
                 grid.to_csv(target)
+        assert not path.exists() and buf.getvalue() == ""
+
+    # a second line, a data row injected after the comment, and a carriage return
+    @pytest.mark.parametrize("line", ["timestamp = a\nb", "timestamp = a\n1,2,3,4", "note = a\rb"])
+    def test_csv_meta_line_with_a_line_break_is_refused(self, line, tmp_path):
+        # what follows the break would read back as data; nothing is opened or written
+        grid, path, buf = Grid2D(-1.0, 1.0, -1.0, 1.0, 3, 3), tmp_path / "grid.csv", io.StringIO()
+        for target in (str(path), buf):
+            with pytest.raises(ValueError, match="holds a line break"):
+                grid.to_csv(target, meta=["field = q", line])
         assert not path.exists() and buf.getvalue() == ""
 
     def test_csv_missing_row_rejected(self):

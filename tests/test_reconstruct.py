@@ -13,15 +13,26 @@ from catphase.numerics import QuadratureSpec, gaussian_moment_integral, log_fact
     trapezoid_weights
 from catphase.quasiprob import PRepresentation, PTerm, p_cat_terms
 from catphase.reconstruct import NUMERIC_AMPLIFICATION_GUARD, NUMERIC_MOMENT_ORDER_MAX, \
-    _axis_moments, reconstruct_rho, reconstruct_rho_numeric, rho_from_pterm, \
+    _axis_moments, _term_factors, reconstruct_rho, reconstruct_rho_numeric, rho_from_pterm, \
     roundtrip_report
-from catphase.states import CatStateSpec, FockDensityMatrix, cat_density_matrix, \
-    coherent_fock_coeffs, recommended_n_max
+from catphase.states import CatStateSpec, FockDensityMatrix, _coherent_column, \
+    cat_density_matrix, coherent_fock_coeffs, recommended_n_max
 
 
 def polar(r_min, r_max):
     return st.builds(lambda r, t: r * complex(math.cos(t), math.sin(t)),
                      st.floats(r_min, r_max), st.floats(-math.pi, math.pi))
+
+
+def reference_reconstruct_rho(rep, n_max):
+    """The per-term oracle for reconstruct_rho: each term kappa |gamma><beta|
+    built as its own outer product and added in order."""
+    total = np.zeros((n_max + 1, n_max + 1), dtype=complex)
+    for term in rep.terms:
+        col = _coherent_column(complex(term.gamma), n_max)
+        row = _coherent_column(complex(term.beta).conjugate(), n_max)
+        total = total + term.kappa * np.outer(col, row)
+    return FockDensityMatrix(n_max=n_max, entries=total)
 
 
 def reference_reconstruct_numeric(rep, sigma, n_max, quad):
@@ -140,6 +151,22 @@ class TestFullReconstruction:
         rho = reconstruct_rho(p_cat_terms(spec), recommended_n_max(spec))
         assert abs(rho.trace() - 1.0) <= 1e-9
         assert rho.hermiticity_defect() < 1e-14
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(a1=polar(0.0, 6.0), a2=polar(0.0, 6.0), zeta=polar(0.2, 2.0))
+    def test_product_matches_per_term_sum(self, a1, a2, zeta):
+        # the one product of the factors sums the four terms in another order
+        # than the oracle does, so the two differ by rounding only
+        assume(abs(a1 - a2) >= 0.3)
+        spec = CatStateSpec(a1, a2, zeta)
+        rep, n_max = p_cat_terms(spec), recommended_n_max(spec)
+        got = reconstruct_rho(rep, n_max).entries
+        want = reference_reconstruct_rho(rep, n_max).entries
+        assert np.max(np.abs(got - want)) <= 4e-15 * np.max(np.abs(want))
+
+    def test_empty_representation_reconstructs_to_zero(self):
+        rho = reconstruct_rho(PRepresentation(()), 3)
+        np.testing.assert_array_equal(rho.entries, np.zeros((4, 4)))
 
 
 class TestNumericReconstruction:
@@ -271,21 +298,36 @@ class TestRoundTripReport:
         def counted(fn):
             return lambda *args: calls.append(fn.__name__) or fn(*args)
 
-        monkeypatch.setattr("catphase.reconstruct.rho_from_pterm", counted(rho_from_pterm))
+        monkeypatch.setattr("catphase.reconstruct._term_factors", counted(_term_factors))
         for module in ("states", "reconstruct"):
             monkeypatch.setattr(f"catphase.{module}.coherent_fock_coeffs",
                                 counted(coherent_fock_coeffs), raising=False)
         report = roundtrip_report(SPECS[2], n_max=20)
         assert len(report.per_term_checks) == 4
-        assert sorted(calls) == ["coherent_fock_coeffs"] * 2 + ["rho_from_pterm"] * 4
+        assert sorted(calls) == ["_term_factors"] + ["coherent_fock_coeffs"] * 2
 
     def test_term_checks_catch_swapped_bra_and_ket(self, monkeypatch):
-        monkeypatch.setattr(
-            "catphase.reconstruct.rho_from_pterm",
-            lambda t, n_max: rho_from_pterm(PTerm(t.kappa, beta=t.gamma, gamma=t.beta), n_max))
+        def swapped(rep, n_max):
+            return _term_factors(PRepresentation(
+                [PTerm(t.kappa, beta=t.gamma, gamma=t.beta) for t in rep.terms]), n_max)
+
+        monkeypatch.setattr("catphase.reconstruct._term_factors", swapped)
         report = roundtrip_report(SPECS[0], n_max=30)
         # only the off-diagonal terms have bra != ket
         assert report.per_term_checks == ((0, True), (1, True), (2, False), (3, False))
+
+    def test_peak_memory_is_the_direct_matrix(self):
+        # cat_density_matrix peaks at 3 (n_max + 1)^2 complex matrices; the
+        # reconstruction holds one more, the product, only after that peak
+        n_max = 600
+        tracemalloc.start()
+        try:
+            report = roundtrip_report(CatStateSpec(10.0, -10.0, 1.0), n_max)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.max_abs_deviation < 1e-10
+        assert peak <= 3.25 * (n_max + 1) ** 2 * 16
 
     def test_truncation_shows_up_in_trace(self):
         # n_max far below the photon content leaves visible trace deficit
