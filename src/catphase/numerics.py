@@ -247,7 +247,8 @@ def quad_real_line(f, spec):
     if bad.any():
         idx = int(np.argmax(bad))
         raise FloatingPointError(
-            f"integrand non-finite at node {idx} (x = {x[idx]!r}, value = {y[idx]!r})")
+            f"integrand non-finite at node {idx} (x = {float(x[idx])!r}, "
+            f"value = {complex(y[idx])!r})")
     return complex(np.dot(spec.weights, y))
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from catphase import blas, quasiprob
-from catphase.quasiprob import Grid2D, _gaussian_convolve, q_function
+from catphase.quasiprob import Grid2D, _gaussian_convolve, q_function, wigner_fock
 from catphase.states import CatStateSpec
 from test_quasiprob import meshgrid_plane
 
@@ -55,8 +55,9 @@ def test_convolution_products_run_in_a_section(monkeypatch, n):
 @pytest.mark.parametrize("call", [
     lambda grid: q_function(CatStateSpec(1.5, -1.5, 1.0), meshgrid_plane(grid)),
     lambda grid: q_function(CatStateSpec(1.5, -1.5, 1.0), grid),
-    lambda grid: grid.like(values=np.ones((21, 21), dtype=complex)).integrate()],
-    ids=["field-sum", "field-sum-grid", "integrate"])
+    lambda grid: grid.like(values=np.ones((21, 21), dtype=complex)).integrate(),
+    lambda grid: wigner_fock(3, Grid2D(-8.0, 8.0, -8.0, 8.0, 21, 21, axis_semantics="xp"))],
+    ids=["field-sum", "field-sum-grid", "integrate", "wigner-fock"])
 def test_field_sum_and_integral_run_in_a_section(monkeypatch, call):
     entered = []
 

@@ -526,6 +526,15 @@ class TestSiftCommand:
         assert err.startswith("numeric guard: the continuation f(z0) at z0 = 37.679j is ")
         assert err.count("\n") == 1
 
+    def test_non_finite_integrand_refusal_prints_plain_numbers(self, capsys):
+        # the envelope's 1e-155 squared is subnormal, so the integrand is NaN at a node;
+        # the refusal names that node's x and value as Python numbers, not numpy reprs
+        code, out, err = run_cli(["sift", "--z0", "1", "0.4", "--sigma0", "0.4",
+                                  "--envelope-scale", "1e-155"], capsys)
+        assert (code, out) == (EXIT_NUMERIC, "")
+        assert err.startswith("numeric guard: ") and err.count("\n") == 1
+        assert "np." not in err
+
     def test_envelope_scale_whose_square_overflows_is_usage_error(self, tmp_path, capsys):
         path = tmp_path / "sift.json"
         code, out, err = run_cli(["sift", "--z0", "1", "0.4", "--sigma0", "0.4",

@@ -5,6 +5,7 @@ import math
 import tracemalloc
 from contextlib import nullcontext
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, reject, settings
@@ -13,8 +14,8 @@ from scipy.special import eval_laguerre
 
 from catphase.amplifier import AmplifierGain, amplified_p, amplified_p_terms, amplify_q
 from catphase.gendelta import cancellation_factor, min_safe_sigma
-from catphase.numerics import complex_from_pairs, complex_pairs, json_members, loads_with_pairs, \
-    require_count, trapezoid_weights
+from catphase.numerics import HERMITE_N_MAX, complex_from_pairs, complex_pairs, json_members, \
+    loads_with_pairs, require_count, trapezoid_weights
 from catphase.quasiprob import Grid2D, PRepresentation, PTerm, _axis_kernel, \
     _gaussian_convolve, _hermitian_sum, _sum_terms, alpha_from_xp, fock_wavefunction, \
     gaussian_terms, opened, p_cat_terms, p_regularized_eval, p_representation_grid, \
@@ -116,6 +117,19 @@ def reference_wigner_fock(n, grid, q_halfwidth=10.0, q_nodes=2001):
         fock_wavefunction(n, xs[:, None] - q[None, :])
     phases = np.exp(-2j * np.outer(q, ps)) * wq[:, None]
     return (c @ phases) / math.pi
+
+
+def mp_wigner_fock(n, x, p):
+    """Groenewold's closed form (-1)^n / pi e^{-r^2} L_n(2 r^2) at 40 digits, at the
+    float nodes x and p as they are: no rounding of 2 x^2 or 2 p^2, no overflow."""
+    with mpmath.workdps(40):
+        r_sq = mpmath.mpf(x) ** 2 + mpmath.mpf(p) ** 2
+        return float((-1) ** n / mpmath.pi * mpmath.exp(-r_sq) * mpmath.laguerre(n, 0, 2 * r_sq))
+
+
+def wigner_rounding(n):
+    """(n + 1) eps / pi: n + 1 products of axis factors of order 1, times 1/pi."""
+    return (n + 1) * np.finfo(float).eps / math.pi
 
 
 def reference_gaussian_terms(rep, alpha, t, g=1.0):
@@ -1057,7 +1071,44 @@ class TestWignerFock:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 100 * n * n
+        # the real product (8 B a cell) and the complex grid made from it (16)
+        assert peak < 26 * n * n
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 5, 10, 20, 40, HERMITE_N_MAX])
+    def test_matches_mpmath_oracle(self, n):
+        # at the origin, at random cells of a grid holding the state and the 5 x 5
+        # cells nearest its origin, where the terms cancel most, and at cells where
+        # 2 x^2 alone (x = 1e154: x^2 is finite) or 2 p^2 alone (p = 1e200)
+        # overflows, every value is within (n + 1) eps / pi of the 40-digit one
+        half = 2.0 * math.sqrt(n) + 6.0
+        inner = Grid2D(-half, half, -0.9 * half, 1.1 * half, 61, 53, axis_semantics="xp")
+        far_x = Grid2D(-1e154, 1e154, -half, half, 3, 41, axis_semantics="xp")
+        far_p = Grid2D(-half, half, -1e200, 1e200, 41, 3, axis_semantics="xp")
+        assert far_x.xs[1] == far_x.ys[20] == far_p.ys[1] == 0.0
+        rng = np.random.default_rng(n)
+        cells = [(inner, rng.integers(61), rng.integers(53)) for _ in range(40)]
+        cells += [(inner, i, j) for i in range(28, 33) for j in range(22, 27)]
+        cells += [(grid, i, j) for grid in (far_x, far_p)
+                  for i in range(grid.nx) for j in range(grid.ny)]
+        values = {id(grid): wigner_fock(n, grid).values for grid in (inner, far_x, far_p)}
+        for grid, i, j in cells:
+            got = values[id(grid)][i, j]
+            assert got.imag == 0.0
+            want = mp_wigner_fock(n, grid.xs[i], grid.ys[j])
+            assert abs(got.real - want) <= wigner_rounding(n), (grid.xs[i], grid.ys[j])
+
+    @given(n=st.integers(0, HERMITE_N_MAX), spacing=st.floats(0.1, 0.2),
+           shifts=st.tuples(*[st.floats(-1.0, 1.0)] * 4))
+    @settings(max_examples=30)
+    def test_normalized_and_bounded(self, n, spacing, shifts):
+        # on any window holding the state, at spacings that resolve its ripples,
+        # the trapezoid integral is 1 and no value exceeds 1/pi beyond rounding
+        half = 2.0 * math.sqrt(n) + 7.0
+        lo_x, hi_x, lo_p, hi_p = (s + b for s, b in zip(shifts, (-half, half, -half, half)))
+        nx, ny = (math.ceil((hi - lo) / spacing) + 1 for lo, hi in ((lo_x, hi_x), (lo_p, hi_p)))
+        w = wigner_fock(n, Grid2D(lo_x, hi_x, lo_p, hi_p, nx, ny, axis_semantics="xp"))
+        assert abs(w.integrate() - 1.0) <= 1e-10
+        assert np.abs(w.values.real).max() <= 1.0 / math.pi + wigner_rounding(n)
 
 
 class TestConvolutionTransforms:
@@ -1156,6 +1207,19 @@ class TestConvolutionTransforms:
         exact = np.exp(-2.0 * np.subtract.outer(nodes, nodes) ** 2) * weights
         assert np.max(np.abs(a @ b - exact)) <= 2.5e-15 * weights.max()
 
+    # exact kernels at 101 and 401 nodes (401 from half-span 12 on), factors at 1601
+    @pytest.mark.parametrize("nodes", [101, 401, 1601])
+    @pytest.mark.parametrize("half", [10.0, 12.0, 16.0, 24.0, 32.0])
+    def test_kernel_has_no_subnormal_entry(self, half, nodes):
+        # entries below e^{-72} (nodes more than 6 apart) are exactly 0, so no
+        # product multiplies a subnormal kernel entry
+        axis = np.linspace(-half, half, nodes)
+        factors = _axis_kernel(axis, axis, trapezoid_weights(nodes, axis[1] - axis[0]))
+        for factor in factors:
+            magnitude = np.abs(factor)
+            assert not ((magnitude > 0.0) & (magnitude < np.finfo(float).tiny)).any()
+        assert (factors[0] == 0.0).any()
+
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(a1=complex_within(2.0), a2=complex_within(2.0), zeta=complex_within(2.0))
     def test_cat_regularized_p_is_exactly_real(self, a1, a2, zeta):
@@ -1179,8 +1243,8 @@ class TestConvolutionTransforms:
         assert np.isfinite(out.real).all()
 
     def test_convolution_memory_bounded(self):
-        # real factored kernels and products: the output, one real product and
-        # the small factors; 2.5 planes with exact kernels, 5 with complex ones
+        # the chain's real product, then the output reserved once the kernels and
+        # the chain's temporaries are freed: 1.5 planes
         grid = alpha_grid(n=401)
         src = p_representation_grid(p_cat_terms(SKEW_CAT), 0.6, grid)
         tracemalloc.start()
@@ -1189,7 +1253,7 @@ class TestConvolutionTransforms:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.95 * src.values.nbytes
+        assert peak <= 1.55 * src.values.nbytes
 
     def test_unknown_method_rejected(self):
         src = alpha_grid(n=11)
