@@ -5,12 +5,29 @@ threads keep spinning for tens of milliseconds after the call has
 returned.  On a shared two-core machine the second core is often busy:
 a split product then waits for it, so the same product takes a
 different time from one call to the next.  Real products of a few
-hundred rows lose little on one thread, so the Gaussian convolution
-runs its products inside `single_blas_thread`.
+hundred rows lose little on one thread, so every BLAS product of
+catphase (each `@`, `np.dot`, `np.vdot`, `np.matmul` and
+`np.linalg.multi_dot`) runs inside `single_blas_thread`; a test walks the
+source to keep it so.
+
+A product outside a section wakes the worker pool, and the spinning
+workers then take CPU from the calls that follow it.  With numpy's pool
+of two threads on a shared 2-core x86_64, `verify`'s sifting criterion
+took a median of about 21 ms in one process and 70 ms in the next (its
+transform-loop 13 or 26 ms) while `quad_real_line`'s `np.dot` ran outside
+a section; with every product in a section, 15-22 ms (transform-loop
+11-14 ms) in each of eight processes.
+
+The CLI never uses the pool, so it starts OpenBLAS on one thread
+(`catphase.cli` sets OPENBLAS_NUM_THREADS to 1 unless it is set or numpy
+is already loaded); starting the pool cost about a third of a fresh
+`import catphase.cli`.  A library process keeps the pool it started.
 
 The thread count is process-wide state of the library.  It is read and
 set through OpenBLAS's own C functions; where numpy carries another BLAS,
 or OpenBLAS is not where numpy's wheels put it, the section is a no-op.
+Sections do not nest: the lock that orders them is not reentrant, so a
+section wraps a product expression, never a call that may open one.
 """
 
 import ctypes

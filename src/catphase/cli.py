@@ -3,26 +3,31 @@ round-trip reports, sifting studies, and the verification suite.
 
 Exit codes: 0 success, 1 usage error, 2 numeric guard tripped,
 3 verification failure.
+
+Every BLAS product of catphase runs on one thread (catphase.blas), so the
+CLI starts OpenBLAS with one thread rather than a worker pool it would not
+use: OPENBLAS_NUM_THREADS defaults to 1 when this module loads before
+numpy.  A value the user set wins, and a process that loaded numpy first
+keeps its pool and its environment.  Each command imports the modules it
+uses.
 """
 
 import argparse
 import cmath
 import json
 import math
+import os
 import re
 import sys
 import warnings
 
-import numpy as np
+# OpenBLAS reads its thread count once, as numpy loads
+if "numpy" not in sys.modules:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from .amplifier import AmplifierGain, amplified_p, amplify_q
-from .gendelta import AnalyticTestFunction, cancellation_factor, sift, sift_shifted_line
-from .numerics import QuadratureSpec, complex_pairs, require_count, require_positive
-from .quasiprob import Grid2D, _comment_lines, _distinct_nodes, opened, p_cat_terms, \
-    p_representation_grid, q_function, wigner_fock
-from .reconstruct import roundtrip_report
-from .states import CatStateSpec
-from .verify import run_all
+import numpy as np  # noqa: E402
+
+from .numerics import complex_pairs, opened, require_count, require_positive  # noqa: E402
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -152,6 +157,8 @@ def _require(args, names):
 
 
 def _spec_from(args):
+    from .states import CatStateSpec
+
     _require(args, ["alpha1", "alpha2", "zeta"])
     return CatStateSpec(complex(*args.alpha1), complex(*args.alpha2), complex(*args.zeta))
 
@@ -161,6 +168,8 @@ def _grid_from(args, semantics):
     not a plane, since every command replaces them through `like`.  Nodes
     that round together are refused: their CSV would read back as a
     smaller grid."""
+    from .quasiprob import Grid2D, _distinct_nodes
+
     _require(args, ["bounds"])
     nx = require_count(args.nx, "nx", 2)
     ny = nx if args.ny is None else require_count(args.ny, "ny", 2)
@@ -178,6 +187,8 @@ def _output(args):
 
 
 def _emit_grid(grid, args, meta):
+    from .quasiprob import _comment_lines
+
     if args.timestamp is not None:
         meta["timestamp"] = args.timestamp
     # complex amplitudes serialize as "re+imj" strings in both formats
@@ -204,6 +215,8 @@ def _emit_grid(grid, args, meta):
 
 
 def cmd_grid(args):
+    from .quasiprob import p_cat_terms, p_representation_grid, q_function, wigner_fock
+
     _require(args, ["field"])
     field = args.field
     if field == "wigner":
@@ -227,6 +240,8 @@ def cmd_grid(args):
 
 
 def cmd_amplify(args):
+    from .amplifier import AmplifierGain, amplified_p, amplify_q
+
     _require(args, ["gain", "field"])
     spec = _spec_from(args)
     grid = _grid_from(args, "alpha")
@@ -248,6 +263,8 @@ def cmd_amplify(args):
 
 
 def cmd_roundtrip(args):
+    from .reconstruct import roundtrip_report
+
     spec = _spec_from(args)
     report = roundtrip_report(spec, args.n_max)
     print(report.to_json())
@@ -258,6 +275,9 @@ def cmd_roundtrip(args):
 
 
 def cmd_sift(args):
+    from .gendelta import AnalyticTestFunction, cancellation_factor, sift, sift_shifted_line
+    from .numerics import QuadratureSpec
+
     _require(args, ["z0", "sigma0"])
     if args.monomial is not None:
         f = AnalyticTestFunction.monomial(args.monomial)
@@ -298,6 +318,8 @@ def cmd_sift(args):
 
 
 def cmd_verify(_args):
+    from .verify import run_all
+
     results = run_all()
     all_ok = True
     for record in results:

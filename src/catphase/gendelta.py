@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .blas import single_blas_thread
 from .numerics import log_factorial, quad_real_line, require_order, require_positive, \
     trapezoid_weights
 
@@ -268,4 +269,5 @@ def delta2_sift(f, z, sigma, quad):
     xr, wr = sifting_axis(z.real, sigma, quad)
     xi, wi = sifting_axis(z.imag, sigma, quad)
     vals = np.asarray(f(xr[:, None], xi[None, :]), dtype=complex)
-    return complex(wr @ vals @ wi)
+    with single_blas_thread():
+        return complex(wr @ vals @ wi)

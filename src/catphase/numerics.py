@@ -1,8 +1,8 @@
 """Shared numerical kernels: Hermite polynomials, Gaussian moment
 integrals, fixed-node quadrature and Chebyshev interpolation on the real
-line.
+line, and the one path-or-stream opener of the serializers.
 
-All routines are pure functions of their arguments and accept complex
+All numerical routines are pure functions of their arguments and accept complex
 inputs wherever that makes sense.
 """
 
@@ -11,9 +11,12 @@ import json
 import math
 import numbers
 import re
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
+
+from .blas import single_blas_thread
 
 # Largest order require_order accepts (hermite_poly, delta_moment and
 # wigner_fock's Laguerre recurrence).  None forms a factorial, and
@@ -179,6 +182,12 @@ def json_members(data, names, what):
     return [data[name] for name in names]
 
 
+def opened(target, mode="r"):
+    """Context manager for a path or a stream: a path is opened in `mode`
+    and closed on exit; a stream is yielded unchanged and left open."""
+    return open(target, mode) if isinstance(target, (str, bytes)) else nullcontext(target)
+
+
 def require_positive(value, name):
     """Raise ValueError unless value > 0 and its square is not 0; NaN is refused too."""
     if not value > 0:
@@ -249,7 +258,8 @@ def quad_real_line(f, spec):
         raise FloatingPointError(
             f"integrand non-finite at node {idx} (x = {float(x[idx])!r}, "
             f"value = {complex(y[idx])!r})")
-    return complex(np.dot(spec.weights, y))
+    with single_blas_thread():
+        return complex(np.dot(spec.weights, y))
 
 
 def log_factorial(n):

@@ -58,14 +58,13 @@ and 201-node ones above 5.5, it keeps the exact matrix (`_axis_kernel`).
 import math
 import numbers
 import warnings
-from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
 
 from .blas import single_blas_thread
 from .numerics import chebyshev_lagrange, complex_from_pairs, dumps_with_pairs, hermite_poly, \
-    json_members, loads_with_pairs, log_factorial, require_count, require_order, \
+    json_members, loads_with_pairs, log_factorial, opened, require_count, require_order, \
     require_positive, trapezoid_weights
 from .states import coherent_overlap
 
@@ -362,12 +361,6 @@ def p_regularized_eval(rep, sigma, alpha):
 
 _AXIS_SEMANTICS = ("alpha", "xp")
 _BOUNDS = ("x_min", "x_max", "y_min", "y_max")
-
-
-def opened(target, mode="r"):
-    """Context manager for a path or a stream: a path is opened in `mode`
-    and closed on exit; a stream is yielded unchanged and left open."""
-    return open(target, mode) if isinstance(target, (str, bytes)) else nullcontext(target)
 
 
 def _distinct_nodes(grid):
@@ -697,16 +690,13 @@ def _gaussian_convolve(src, out_grid, method="separable"):
     kx = _axis_kernel(out_grid.xs, src.xs, trapezoid_weights(src.nx, src.dx))
     square = all((g.x_min, g.x_max, g.nx) == (g.y_min, g.y_max, g.ny) for g in (src, out_grid))
     ky = kx if square else _axis_kernel(out_grid.ys, src.ys, trapezoid_weights(src.ny, src.dy))
-
-    def chain(part):
-        return np.linalg.multi_dot([*kx, part, *(f.T for f in reversed(ky))])
-
+    kyt = [f.T for f in reversed(ky)]
     with single_blas_thread():
-        real = chain(values.real)
+        real = np.linalg.multi_dot([*kx, values.real, *kyt])
         # NaN is nonzero, so a NaN imaginary cell still reaches the output
-        imag = chain(values.imag) if values.imag.any() else 0.0
+        imag = np.linalg.multi_dot([*kx, values.imag, *kyt]) if values.imag.any() else 0.0
     # the output is reserved only once the kernels and the chains' temporaries are freed
-    del kx, ky
+    del kx, ky, kyt
     vals = np.empty((out_grid.nx, out_grid.ny), dtype=complex)
     vals.real, vals.imag = real, imag
     return out_grid.like(values=_scale(vals, 2.0 / math.pi))

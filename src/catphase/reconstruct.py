@@ -58,7 +58,8 @@ def _axis_moments(center, sigma, quad, order):
     sifting_axis window of `center`: the paper's x^n -> z^n sifting of each
     monomial against the complex-centred kernel, one Vandermonde product."""
     x, w = sifting_axis(center, sigma, quad)
-    return (w * np.exp(-x * x)) @ np.vander(x, order + 1, increasing=True)
+    with single_blas_thread():
+        return (w * np.exp(-x * x)) @ np.vander(x, order + 1, increasing=True)
 
 
 def reconstruct_rho_numeric(rep, sigma, n_max, quad):
@@ -141,6 +142,7 @@ def roundtrip_report(spec, n_max):
         for k, t in enumerate(rep.terms))
     with single_blas_thread():
         deviation = cols @ rows
+        trace = complex(np.trace(rows @ cols))
     deviation -= rho_direct.entries
     return RoundTripReport(rho_direct.n_max, float(np.max(np.abs(deviation))),
-                           abs(complex(np.trace(rows @ cols)).real - 1.0), checks)
+                           abs(trace.real - 1.0), checks)

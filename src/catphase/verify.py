@@ -9,6 +9,7 @@ import numpy as np
 
 from .amplifier import AmplifierGain, amplified_p, amplified_p_factored, \
     amplified_p_terms, amplify_q, sigma_of_gain
+from .blas import single_blas_thread
 from .gendelta import AnalyticTestFunction, cancellation_factor, delta_moment, sift, \
     sift_shifted_line, sifting_axis
 from .numerics import QuadratureSpec, trapezoid_weights
@@ -104,7 +105,8 @@ def check_wigner_marginal():
     worst = 0.0
     for n in (0, 1, 2):
         w = _wigner_grid(n)
-        marginal = np.real(w.values) @ trapezoid_weights(w.ny, w.dy)
+        with single_blas_thread():
+            marginal = np.real(w.values) @ trapezoid_weights(w.ny, w.dy)
         target = fock_wavefunction(n, w.xs) ** 2
         worst = max(worst, float(np.max(np.abs(marginal - target))))
     return worst <= 1e-6, f"max marginal deviation = {worst:.2e}"
@@ -164,7 +166,8 @@ def weak_convergence_integral(term, gain):
     term's weight times one sifting sum per axis, each 501 nodes on [-5, 5]."""
     (x, wx), (y, wy) = (sifting_axis(gain.g * c, gain.sigma, QuadratureSpec(0.0, 5.0, 501))
                         for c in (term.center_r, term.center_i))
-    return term.weight * (wx @ np.exp(-x * x)) * (wy @ np.exp(-y * y))
+    with single_blas_thread():
+        return term.weight * (wx @ np.exp(-x * x)) * (wy @ np.exp(-y * y))
 
 
 def check_weak_convergence():
@@ -187,8 +190,9 @@ def check_overlap_consistency():
     """Analytic coherent overlap vs the truncated Fock inner product."""
     amplitudes = (0.0, 0.7, -1.3, 2.0, 1.0j, 1.0 + 1.0j, -1.5 + 0.5j, 0.3 - 1.9j)
     columns = [coherent_fock_coeffs(a, 40) for a in amplitudes]
-    worst = max(abs(np.vdot(ca, cb) - coherent_overlap(a, b))
-                for a, ca in zip(amplitudes, columns) for b, cb in zip(amplitudes, columns))
+    with single_blas_thread():
+        worst = max(abs(np.vdot(ca, cb) - coherent_overlap(a, b))
+                    for a, ca in zip(amplitudes, columns) for b, cb in zip(amplitudes, columns))
     return worst <= 1e-10, f"max |analytic - truncated| = {worst:.2e}"
 
 

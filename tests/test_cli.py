@@ -461,7 +461,7 @@ class TestRoundtripCommand:
     def test_nan_deviation_is_verification_failure(self, monkeypatch, capsys):
         report = RoundTripReport(n_max=5, max_abs_deviation=math.nan,
                                  trace_deviation=0.0, per_term_checks=())
-        monkeypatch.setattr("catphase.cli.roundtrip_report", lambda spec, n_max: report)
+        monkeypatch.setattr("catphase.reconstruct.roundtrip_report", lambda spec, n_max: report)
         code, out, _ = run_cli(["roundtrip", *STATE, "--n-max", "5"], capsys)
         assert code == EXIT_VERIFY
         assert math.isnan(json.loads(out)["max_abs_deviation"])
@@ -686,7 +686,7 @@ class TestConfigAndDeterminism:
     def test_bare_memory_error_is_numeric_error(self, monkeypatch, capsys):
         def fail(*_):
             raise MemoryError
-        monkeypatch.setattr("catphase.cli.roundtrip_report", fail)
+        monkeypatch.setattr("catphase.reconstruct.roundtrip_report", fail)
         code, out, err = run_cli(["roundtrip", *STATE], capsys)
         assert (code, out, err) == (EXIT_NUMERIC, "", "numeric guard: out of memory\n")
 
