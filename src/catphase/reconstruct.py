@@ -3,15 +3,14 @@
 The closed-form route applies the complex-center sifting result
 analytically: each term collapses to kappa |gamma><beta| with the bra
 and ket taking *different* amplitudes for off-diagonal terms.  The
-numeric route re-derives the same matrix from one-axis sifted moments:
-each monomial x^m is sifted against the regularized kernel on the
-real-part and on the imaginary-part axis, and the binomial theorem
-combines the two.  It exists to demonstrate the sifting mechanism and
-is gated behind strict cancellation guards.
+numeric route sifts each monomial x^m on the real-part and imaginary-part
+axes and combines the moments by one real table K of (n_max + 1)^2
+(2 n_max + 1) entries, the coefficients of (1-s)^j (1+s)^k: with u = -iy,
+(x+iy)^j (x-iy)^k = (x-u)^j (x+u)^k = sum_a K[j,k,a] x^(j+k-a) u^a.  It
+demonstrates the sifting mechanism behind strict cancellation guards.
 """
 
 import json
-import math
 import warnings
 from dataclasses import dataclass
 
@@ -62,22 +61,35 @@ def _axis_moments(center, sigma, quad, order):
         return (w * np.exp(-x * x)) @ np.vander(x, order + 1, increasing=True)
 
 
+def _binomial_table(n_max):
+    """K[j, k, a], the coefficient of s^a in (1 - s)^j (1 + s)^k, over sqrt(j! k!)."""
+    table = np.zeros((n_max + 1, n_max + 1, 2 * n_max + 1))
+    table[0, 0, 0] = 1.0
+    for m in range(1, n_max + 1):  # times (1 + s) along k
+        table[0, m] = table[0, m - 1] + np.roll(table[0, m - 1], 1)
+    for m in range(1, n_max + 1):  # times (1 - s) along j
+        table[m] = table[m - 1] - np.roll(table[m - 1], 1, axis=1)
+    inv_sqrt_fact = np.exp(-0.5 * np.array([log_factorial(k) for k in range(n_max + 1)]))
+    table *= np.multiply.outer(inv_sqrt_fact, inv_sqrt_fact)[:, :, None]
+    return table
+
+
 def reconstruct_rho_numeric(rep, sigma, n_max, quad):
     """Reconstruction by quadrature against the regularized P-function,
-    from one-axis sifted moments.  For each term the coherent-projector
-    kernel e^{-x^2 - y^2} (x+iy)^j (x-iy)^k / sqrt(j!k!) is a polynomial
-    times a Gaussian on each axis, so the binomial theorem gives
+    from one-axis sifted moments.  Each term's coherent-projector kernel
+    e^{-x^2 - y^2} (x+iy)^j (x-iy)^k / sqrt(j!k!) expands, with u = -iy, as
+    (x-u)^j (x+u)^k = sum_a K'[j,k,a] x^(j+k-a) u^a, K'[j,k,.] the
+    coefficients of (1-s)^j (1+s)^k.  With the real table K = K' / sqrt(j!k!)
+    and Mx, My the sifted moments of the real-part and imaginary-part axes
+    (sifting_axis windows) to order 2 n_max, the terms' sum is one contraction
 
-        G_jk = sum_{P<=j, Q<=k} C(j,P) i^P C(k,Q) (-i)^Q Mx[j+k-P-Q] My[P+Q]
+        G_jk = sum_a K[j,k,a] H[j+k,a],  H[s,a] = sum of weight Mx[s-a] (-i)^a My[a]
 
-    with Mx and My the moments of the real-part and imaginary-part axes
-    (sifting_axis windows) up to order 2 n_max.  The sum runs one P at a
-    time, so memory stays (n_max + 1)^3 beside one node_count x
-    (2 n_max + 1) Vandermonde.
-
-    Raises when e^{|Im center|^2 / 2 sigma^2} exceeds the amplification
-    guard, and warns when n_max exceeds 12 (polynomial moment growth
-    dominates the quadrature error there).
+    over a sliding window of H.  K is built once per call, after the moments:
+    memory is the larger of K and one node_count x (2 n_max + 1) Vandermonde.
+    Raises when e^{|Im center|^2 / 2 sigma^2} exceeds the amplification guard,
+    and warns when n_max exceeds 12 (polynomial moment growth dominates the
+    quadrature error there).
     """
     n_max = require_count(n_max, "n_max")
     if n_max > NUMERIC_MOMENT_ORDER_MAX:
@@ -85,32 +97,21 @@ def reconstruct_rho_numeric(rep, sigma, n_max, quad):
             f"numeric path is only certified for n_max <= {NUMERIC_MOMENT_ORDER_MAX}; "
             f"the entries of n_max = {n_max} carry larger quadrature error",
             stacklevel=2)
-    factor = max(cancellation_factor(c, sigma)
-                 for t in rep.terms for c in (t.center_r, t.center_i))
+    factor = max((cancellation_factor(c, sigma)
+                  for t in rep.terms for c in (t.center_r, t.center_i)), default=1.0)
     if factor > NUMERIC_AMPLIFICATION_GUARD:
         raise OverflowError(
             f"regularization too small: cancellation factor {factor:.3e} exceeds "
             f"{NUMERIC_AMPLIFICATION_GUARD:.0e} for sigma = {sigma}")
 
-    n = np.arange(n_max + 1)
-    inv_sqrt_fact = np.exp(-0.5 * np.array([log_factorial(k) for k in n]))
-    binom = np.array([[math.comb(j, p) for p in n] for j in n], dtype=float)
-    i_pow = np.array([(1, 1j, -1, -1j)[p % 4] for p in n])
-    # C(k,Q) (-i)^Q from (x - iy)^k; zero where Q > k
-    bra = binom * i_pow.conj()
-    # j + k - Q; less P it indexes Mx, clipped at 0 where C(j,P) or C(k,Q) is zero
-    shift = n[:, None, None] + n[None, :, None] - n[None, None, :]
-    total = np.zeros((n_max + 1, n_max + 1), dtype=complex)
-    for term in rep.terms:
-        mx = _axis_moments(term.center_r, sigma, quad, 2 * n_max)
-        my = _axis_moments(term.center_i, sigma, quad, 2 * n_max)
-        g = np.zeros_like(total)
-        for p in n:
-            inner = np.einsum("jkq,kq->jk", mx[np.maximum(shift - p, 0)],
-                              bra * my[p:p + n_max + 1])
-            g += (i_pow[p] * binom[:, p])[:, None] * inner
-        total = total + term.weight * g * np.outer(inv_sqrt_fact, inv_sqrt_fact)
-    return FockDensityMatrix(n_max=n_max, entries=total)
+    orders = np.arange(2 * n_max + 1)
+    i_pow = np.array([1, -1j, -1, 1j])[orders % 4]  # exact; numpy's (-1j) ** a is not from 100
+    h = np.zeros((orders.size, orders.size), dtype=complex)
+    for t in rep.terms:  # tril zeros the wrapped Mx[s - a] of a > s
+        mx, my = (_axis_moments(c, sigma, quad, 2 * n_max) for c in (t.center_r, t.center_i))
+        h += t.weight * np.tril(mx[np.subtract.outer(orders, orders)]) * i_pow * my
+    window = np.lib.stride_tricks.sliding_window_view(h, n_max + 1, axis=0)  # [j,a,k]: h[j+k,a]
+    return FockDensityMatrix(n_max, np.einsum("jka,jak->jk", _binomial_table(n_max), window))
 
 
 @dataclass(frozen=True)

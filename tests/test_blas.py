@@ -105,7 +105,17 @@ def test_cli_loaded_after_numpy_leaves_the_environment_alone():
 
 # -- every BLAS product runs in a section -------------------------------------
 
-PRODUCT_CALLS = {"np.dot", "np.vdot", "np.matmul", "np.inner", "np.linalg.multi_dot"}
+PRODUCT_CALLS = {"np.dot", "np.vdot", "np.matmul", "np.inner", "np.linalg.multi_dot",
+                 "np.tensordot"}
+
+
+def _is_product_call(node):
+    """A product call, or an np.einsum that numpy's optimizer may route
+    through tensordot: one given any optimize= other than a literal False."""
+    name = _dotted(node.func)
+    optimized = any(kw.arg == "optimize" and not (
+        isinstance(kw.value, ast.Constant) and kw.value.value is False) for kw in node.keywords)
+    return name in PRODUCT_CALLS or name == "np.einsum" and optimized
 
 
 def _dotted(node):
@@ -135,7 +145,7 @@ def _unsectioned_products(tree):
         if not inside:
             if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
                 found.append((node.lineno, "@"))
-            elif isinstance(node, ast.Call) and _dotted(node.func) in PRODUCT_CALLS:
+            elif isinstance(node, ast.Call) and _is_product_call(node):
                 found.append((node.lineno, _dotted(node.func)))
         for child in ast.iter_child_nodes(node):
             visit(child, inside)
@@ -158,5 +168,10 @@ def test_product_guard_sees_products_outside_sections():
                      "    def later():\n"
                      "        return np.dot(b, c)\n"
                      "d = np.linalg.multi_dot([a, b])\n"
-                     "d @= e\n")
-    assert _unsectioned_products(tree) == [(4, "np.dot"), (5, "np.linalg.multi_dot"), (6, "@")]
+                     "d @= e\n"
+                     "f = np.tensordot(a, b, axes=1)\n"
+                     "g = np.einsum('ij,jk->ik', a, b, optimize=True)\n"
+                     "h = np.einsum('ij,jk->ik', a, b)\n"
+                     "k = np.einsum('ij,jk->ik', a, b, optimize=False)\n")
+    assert _unsectioned_products(tree) == [(4, "np.dot"), (5, "np.linalg.multi_dot"), (6, "@"),
+                                           (7, "np.tensordot"), (8, "np.einsum")]

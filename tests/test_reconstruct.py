@@ -164,8 +164,12 @@ class TestFullReconstruction:
         want = reference_reconstruct_rho(rep, n_max).entries
         assert np.max(np.abs(got - want)) <= 4e-15 * np.max(np.abs(want))
 
-    def test_empty_representation_reconstructs_to_zero(self):
-        rho = reconstruct_rho(PRepresentation(()), 3)
+    @pytest.mark.parametrize("reconstruct", [
+        lambda rep: reconstruct_rho(rep, 3),
+        lambda rep: reconstruct_rho_numeric(rep, 0.4, 3, QuadratureSpec(0.0, 3.0, 101))],
+        ids=["closed-form", "numeric"])
+    def test_empty_representation_reconstructs_to_zero(self, reconstruct):
+        rho = reconstruct(PRepresentation(()))
         np.testing.assert_array_equal(rho.entries, np.zeros((4, 4)))
 
 
@@ -233,8 +237,8 @@ class TestNumericReconstruction:
         assert peak < 16e6
 
     def test_working_set_stays_cubic_in_n_max(self):
-        # a few (n_max + 1)^3 tables at n_max = 40 take about 2.3 MB; the
-        # 41^4 complex tensor of the unsplit binomial sum would take 45 MB
+        # the 41 x 41 x 81 real binomial table at n_max = 40 takes 1.1 MB and
+        # the whole call peaks near 1.3 MB; a 41^4 complex tensor would take 45 MB
         rep = p_cat_terms(SPECS[0])
         quad = QuadratureSpec(center=0.0, halfwidth=3.0, node_count=301)
         tracemalloc.start()
@@ -259,20 +263,22 @@ class TestNumericReconstruction:
                 for m in range(25)]
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
+    @pytest.mark.filterwarnings("ignore:numeric path is only certified:UserWarning")
+    @pytest.mark.parametrize("n_max", [12, 24])
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(spec=perfbench_like_cats())
-    def test_moment_form_matches_per_node_oracle(self, spec):
+    def test_moment_form_matches_per_node_oracle(self, spec, n_max):
         # the benchmark's inputs: the smallest width of at least 0.2 whose
-        # cancellation factor is at most 1e6, halfwidth 10 sigma, n_max 12,
-        # and its doubled-node tolerance
+        # cancellation factor is at most 1e6, halfwidth 10 sigma, n_max 12
+        # (and twice that), and its doubled-node tolerance
         rep = p_cat_terms(spec)
         worst = max(max(abs(np.imag(t.center_r)), abs(np.imag(t.center_i)))
                     for t in rep.terms)
         sigma = max(0.2, worst / math.sqrt(2.0 * math.log(1e6)))
         factor = max(1.0, cancellation_factor(1j * worst, sigma))
         quad = QuadratureSpec(center=0.0, halfwidth=10.0 * sigma, node_count=201)
-        got = reconstruct_rho_numeric(rep, sigma, 12, quad).entries
-        want = reference_reconstruct_numeric(rep, sigma, 12, quad).entries
+        got = reconstruct_rho_numeric(rep, sigma, n_max, quad).entries
+        want = reference_reconstruct_numeric(rep, sigma, n_max, quad).entries
         assert np.max(np.abs(got - want)) <= 1e-13 * factor * np.max(np.abs(want))
 
 
