@@ -120,9 +120,10 @@ _FLOAT = r"(?:-?(?:0|[1-9][0-9]*)(?:\.[0-9]+(?:[eE][-+]?[0-9]+)?|[eE][-+]?[0-9]+
 # where a fullmatch of a repeated group keeps backtracking state for each pair.
 # The patterns compile on first use (re caches them), not when catphase loads.
 _PAIR = rf"\[{_WS}{_FLOAT}{_WS},{_WS}{_FLOAT}{_WS}\]{_WS}(?:,{_WS}(?=\[)|(?=\]))"
-_OPEN, _EMPTY = rf"\[{_WS}\[", rf"\[{_WS}\]"
+_OPEN = rf"\[{_WS}\["
 _COLON, _TAIL = rf"{_WS}:{_WS}", rf"\]{_WS}\}}{_WS}"
 _BLANK = str.maketrans("[]", "  ")
+_SLICE = 1 << 20  # characters of pairs text that _parse_pairs reads at a time
 
 
 def _loads_fast(text, key):
@@ -140,9 +141,8 @@ def _loads_fast(text, key):
     if colon is None or not text[:at].rstrip(" \t\n\r").endswith(("{", ",")):
         return None
     start = colon.end()
-    pairs = text[start:end]
-    rest, count = re.subn(_PAIR, "", pairs)
-    if not (re.match(_OPEN, pairs) and re.fullmatch(_EMPTY, rest)):
+    first = re.compile(_OPEN).match(text, start)
+    if first is None:
         return None
     try:
         # null followed by the closing brace is the top-level object's last
@@ -150,12 +150,41 @@ def _loads_fast(text, key):
         data = json.loads(text[:start] + "null" + text[end:])
     except ValueError:
         return None
-    pairs = pairs.translate(_BLANK)  # the bracketed copy is freed before numpy parses
-    numbers = np.fromstring(pairs, sep=",")
-    if numbers.size != 2 * count:  # numpy stops early at any number it cannot read
+    pairs = _parse_pairs(text, first.end() - 1, end)
+    if pairs is None:
         return None
-    data[key] = numbers.reshape(count, 2)
+    data[key] = pairs
     return data
+
+
+def _parse_pairs(text, start, end):
+    """The (n, 2) float array of the pairs from text[start], the first
+    pair's '[', to the array's closing ']' at text[end - 1]; None unless they
+    are [re, im] float pairs in JSON's grammar.
+
+    The text is read in slices of about _SLICE characters, each cut at a
+    pair's '[' (inside the array a '[' only opens a pair), so the whole
+    array's text is never copied.  A slice ends with the '[' of the next
+    one, which `_PAIR`'s lookahead reads and no pair consumes, so that '['
+    (the closing ']' for the last slice) must be all `_PAIR` leaves of it.
+    numpy parses each slice's numbers into the array, sized beforehand by
+    the count of '['."""
+    pair = re.compile(_PAIR)
+    out = np.empty((text.count("[", start, end), 2))
+    row = 0
+    while True:
+        cut = text.find("[", start + _SLICE, end)
+        chunk = text[start:cut + 1 if cut >= 0 else end]
+        rest, count = pair.subn("", chunk)
+        if rest != ("[" if cut >= 0 else "]"):
+            return None
+        # count stops numpy at the last pair, before a middle slice's trailing comma
+        chunk = chunk.translate(_BLANK)
+        out[row:row + count] = np.fromstring(chunk, sep=",", count=2 * count).reshape(count, 2)
+        row += count
+        if cut < 0:
+            return out
+        start = cut
 
 
 def loads_with_pairs(text, key):
@@ -163,10 +192,11 @@ def loads_with_pairs(text, key):
     float array equal to the list of pairs; complex_from_pairs reads either.
 
     Where data[key] is an array of float pairs and the top-level object's
-    last member, as dumps_with_pairs writes it, the array is checked against
-    JSON's grammar, parsed by numpy in one call and cut out of the text that
-    json.loads reads, in about twice the text's memory.  Any other text goes
-    to json.loads whole, so it raises as json.loads does."""
+    last member, as dumps_with_pairs writes it, the array is cut out of the
+    text that json.loads reads, then checked against JSON's grammar and
+    parsed by numpy in slices of about 1 MB: beyond the text, memory is the
+    array and one slice's copies.  Any other text goes to json.loads whole,
+    so it raises as json.loads does."""
     data = _loads_fast(text, key) if isinstance(text, str) else None
     return json.loads(text) if data is None else data
 

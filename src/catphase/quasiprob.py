@@ -380,6 +380,41 @@ def _comment_lines(meta):
     return meta
 
 
+def _cells_in_order(rows):
+    """(xs, ys, values) of CSV rows (x, y, re, im) listed as `to_csv` writes
+    them: x-major, each x repeated over the same ys bit for bit, and both
+    node sets strictly increasing; None for rows in any other order."""
+    if not len(rows):
+        return None
+    ny = int(np.argmax(rows[:, 0] != rows[0, 0]))  # the first change of x
+    if ny < 2 or len(rows) % ny:
+        return None
+    cells = rows.reshape(-1, ny, 4)
+    xs, ys = cells[:, 0, 0], cells[0, :, 1]
+    bits = cells.view(np.int64)  # rows mixing -0.0 and 0.0 are left to np.unique
+    if not ((bits[:, :, 0] == bits[:, :1, 0]).all() and (bits[:, :, 1] == bits[:1, :, 1]).all()
+            and (xs[1:] > xs[:-1]).all() and (ys[1:] > ys[:-1]).all()):
+        return None
+    return xs, ys, rows[:, 2:].copy().view(complex).reshape(len(xs), ny)
+
+
+def _cells_sorted(rows):
+    """(xs, ys, values) of CSV rows (x, y, re, im) in any order, by sorting
+    each node set; ValueError unless every cell appears exactly once."""
+    xs, xi = np.unique(rows[:, 0], return_inverse=True)
+    ys, yi = np.unique(rows[:, 1], return_inverse=True)
+    values = np.zeros((len(xs), len(ys)), dtype=complex)
+    values.real[xi, yi] = rows[:, 2]
+    values.imag[xi, yi] = rows[:, 3]
+    filled = np.zeros(values.shape, dtype=bool)
+    filled[xi, yi] = True
+    # a missing or repeated (x, y) would leave a cell a silent zero;
+    # a file without data rows is no grid
+    if not len(rows) or len(rows) != filled.size or not filled.all():
+        raise ValueError(f"{len(rows)} rows do not fill a {len(xs)} x {len(ys)} grid")
+    return xs, ys, values
+
+
 @dataclass
 class Grid2D:
     """Uniformly sampled complex field over a rectangle.
@@ -478,7 +513,11 @@ class Grid2D:
     @classmethod
     def from_csv(cls, stream, axis_semantics="alpha"):
         """Inverse of `to_csv`: rows may come in any order, but every
-        (x, y) cell of the rectangle must appear exactly once."""
+        (x, y) cell of the rectangle must appear exactly once.
+
+        Rows in `to_csv`'s order are copied into the grid as they stand, so
+        memory beyond the parsed rows is the grid; rows in any other order
+        are sorted by `np.unique`, which takes about two planes more."""
         with opened(stream) as lines, warnings.catch_warnings():
             # an empty file is reported below as 0 rows
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")
@@ -488,17 +527,7 @@ class Grid2D:
         if len(rows) and rows.shape[1] != 4:
             raise ValueError(f"rows have {rows.shape[1]} fields, expected 4 (x,y,re,im)")
         rows = rows.reshape(-1, 4)  # an empty file loads as shape (0, 1)
-        xs, xi = np.unique(rows[:, 0], return_inverse=True)
-        ys, yi = np.unique(rows[:, 1], return_inverse=True)
-        values = np.zeros((len(xs), len(ys)), dtype=complex)
-        values.real[xi, yi] = rows[:, 2]
-        values.imag[xi, yi] = rows[:, 3]
-        filled = np.zeros(values.shape, dtype=bool)
-        filled[xi, yi] = True
-        # a missing or repeated (x, y) would leave a cell a silent zero;
-        # a file without data rows is no grid
-        if not len(rows) or len(rows) != filled.size or not filled.all():
-            raise ValueError(f"{len(rows)} rows do not fill a {len(xs)} x {len(ys)} grid")
+        xs, ys, values = _cells_in_order(rows) or _cells_sorted(rows)
         grid = cls(float(xs[0]), float(xs[-1]), float(ys[0]), float(ys[-1]),
                    len(xs), len(ys), values=values, axis_semantics=axis_semantics)
         # cells sampled off the evenly spaced nodes would be relabelled onto them
@@ -694,12 +723,15 @@ def _gaussian_convolve(src, out_grid, method="separable"):
     with single_blas_thread():
         real = np.linalg.multi_dot([*kx, values.real, *kyt])
         # NaN is nonzero, so a NaN imaginary cell still reaches the output
-        imag = np.linalg.multi_dot([*kx, values.imag, *kyt]) if values.imag.any() else 0.0
-    # the output is reserved only once the kernels and the chains' temporaries are freed
+        imag = np.linalg.multi_dot([*kx, values.imag, *kyt]) if values.imag.any() else None
+    # the output is made only once the kernels and the chains' temporaries are freed
     del kx, ky, kyt
-    vals = np.empty((out_grid.nx, out_grid.ny), dtype=complex)
-    vals.real, vals.imag = real, imag
-    return out_grid.like(values=_scale(vals, 2.0 / math.pi))
+    real *= 2.0 / math.pi
+    vals = real.astype(complex)
+    if imag is not None:
+        imag *= 2.0 / math.pi
+        vals.imag = imag
+    return out_grid.like(values=vals)
 
 
 def p_representation_grid(rep, sigma, grid):

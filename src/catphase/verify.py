@@ -195,16 +195,30 @@ def check_overlap_consistency():
     return worst <= 1e-10, f"max |analytic - truncated| = {worst:.2e}"
 
 
+# Five random cats as (r1, r2, rz, t1, t2, tz): moduli uniform in [0.3, 2],
+# phases uniform in [0, 2 pi), the draws of np.random.default_rng(173504) in
+# that order, written out so that `verify` does not load numpy.random.
+Q_NORMALIZATION_CATS = (
+    (0.31870184905953025, 1.907824108535127, 0.6756229109992313,
+     3.7908742578428996, 0.35104944359426377, 4.077218810445264),
+    (0.6546936228054788, 1.574733459185634, 1.8011041066946025,
+     3.438086462981895, 4.381242510471128, 6.231505522416724),
+    (0.8831270466881971, 1.1064110398055946, 0.9647106237333236,
+     1.1371102470027752, 3.8138471612913305, 4.02035480704729),
+    (0.6950166078283148, 1.9441827868738535, 1.8575371769131648,
+     4.42290063125332, 1.1253528285145233, 0.6910270431296585),
+    (1.970760059634391, 0.7215423150246137, 1.101157751792768,
+     2.554457662134041, 5.445439092810191, 4.686727502631595),
+)
+
+
 def check_q_normalization():
-    """Q integrates to 1 within 1e-6 and stays nonnegative for five
-    seeded random cat specs."""
-    rng = np.random.default_rng(173504)
+    """Q integrates to 1 within 1e-6 and stays nonnegative for the five
+    random cat specs of Q_NORMALIZATION_CATS."""
     worst_norm = 0.0
     worst_min = math.inf
     grid = Grid2D(-6.0, 6.0, -6.0, 6.0, 201, 201, axis_semantics="alpha")
-    for _ in range(5):
-        r1, r2, rz = rng.uniform(0.3, 2.0, 3)
-        t1, t2, tz = rng.uniform(0.0, 2.0 * math.pi, 3)
+    for r1, r2, rz, t1, t2, tz in Q_NORMALIZATION_CATS:
         spec = CatStateSpec(r1 * np.exp(1j * t1), r2 * np.exp(1j * t2),
                             rz * np.exp(1j * tz))
         q = grid.like(values=q_function(spec, grid))

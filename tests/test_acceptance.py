@@ -7,6 +7,7 @@ at sigma = 0.05), three orders of magnitude above the demanded 1e-6.
 The assertion is kept at the demanded tolerance rather than weakened.
 """
 
+import math
 import tracemalloc
 import warnings
 
@@ -17,7 +18,7 @@ from catphase.amplifier import AmplifierGain, amplified_p_factored
 from catphase.numerics import trapezoid_weights
 from catphase.quasiprob import p_cat_terms
 from catphase.states import CatStateSpec
-from catphase.verify import CRITERIA, weak_convergence_integral
+from catphase.verify import CRITERIA, Q_NORMALIZATION_CATS, weak_convergence_integral
 
 
 @pytest.mark.parametrize("name,fn", CRITERIA, ids=[name for name, _ in CRITERIA])
@@ -27,6 +28,12 @@ def test_criterion(name, fn, capsys):
         status = "PASS" if passed else "FAIL"
         print(f"[{status}] {name}: {details}")
     assert passed, f"{name}: {details}"
+
+
+def test_q_normalization_cats_are_the_seeded_draws():
+    rng = np.random.default_rng(173504)
+    draws = [(*rng.uniform(0.3, 2.0, 3), *rng.uniform(0.0, 2.0 * math.pi, 3)) for _ in range(5)]
+    assert [tuple(map(float, cat)) for cat in draws] == list(Q_NORMALIZATION_CATS)
 
 
 @pytest.mark.parametrize("name", ["wigner-marginal", "wigner-negativity"])

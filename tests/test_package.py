@@ -83,3 +83,10 @@ def test_sift_loads_only_the_modules_it_uses(tmp_path):
             "             if m in sys.modules))")
     assert run_fresh(code, cwd=tmp_path) == "[]"
     assert (tmp_path / "sift.json").stat().st_size > 0
+
+
+def test_verify_leaves_numpy_random_unloaded(tmp_path):
+    code = ("import sys, catphase.cli\n"
+            "assert catphase.cli.main(['verify']) == 3\n"  # sifting fails by design
+            "print('numpy.random' in sys.modules)")
+    assert run_fresh(code, cwd=tmp_path).splitlines()[-1] == "False"

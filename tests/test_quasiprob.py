@@ -2,6 +2,7 @@ import cmath
 import io
 import json
 import math
+import re
 import tracemalloc
 from contextlib import nullcontext
 
@@ -12,6 +13,7 @@ from hypothesis import assume, example, given, reject, settings
 from hypothesis import strategies as st
 from scipy.special import eval_laguerre
 
+from catphase import numerics
 from catphase.amplifier import AmplifierGain, amplified_p, amplified_p_terms, amplify_q
 from catphase.gendelta import cancellation_factor, min_safe_sigma
 from catphase.numerics import HERMITE_N_MAX, complex_from_pairs, complex_pairs, json_members, \
@@ -301,6 +303,46 @@ ACCEPTED_JSON = {
 NUMPY_READ_JSON = {"meta-holds-values", "meta-holds-values-text", "values-repeated",
                    "json-whitespace", "indented", "no-spaces", "trailing-newline", "exponents",
                    "extremes", "non-finite", "long-mantissa"}
+
+
+def slice_cuts(text, key="values"):
+    """Where loads_with_pairs cuts the pairs of `text` into slices: the '['
+    found first at least numerics._SLICE characters past the previous cut,
+    the first cut being the first pair's '['."""
+    at, cuts = text.index("[", text.rindex(f'"{key}"')) + 1, []
+    while (at := text.find("[", at + numerics._SLICE)) >= 0:
+        cuts.append(at)
+    return cuts
+
+
+def number_spans(text, cut):
+    """The (start, end) of the number that opens the pair at `cut` and of
+    the number that closes the pair before it."""
+    after = re.compile(r"[-+.0-9eE]+").match(text, cut + 1)
+    close = text.rindex("]", 0, cut)
+    before = re.compile(r"[-+.0-9eE]+$").search(text, 0, close)
+    return (after.start(), after.end()), (before.start(), before.end())
+
+
+def replace_numbers(new):
+    return lambda text, cut: [text[:a] + new + text[b:] for a, b in number_spans(text, cut)]
+
+
+# edits made at a slice cut: each returns the edited texts for one cut
+SLICE_EDITS = {
+    "pair-without-comma": lambda text, cut: [text[:cut] + text[cut:].replace(",", "", 1)],
+    "pair-unclosed": lambda text, cut: [text[:text.rindex("]", 0, cut)]
+                                        + text[text.rindex("]", 0, cut) + 1:]],
+    "pair-nested": lambda text, cut: [text[:cut] + "[" + text[cut:]],
+    "pair-trailing-comma": lambda text, cut: [text[:cut] + "[1.0, 2.0,]" + text[cut:]],
+    "bool": replace_numbers("true"),
+    "integer": replace_numbers("1"),
+    "negative-integer-zero": replace_numbers("-0"),
+    "numpy-only-number": replace_numbers("nan"),
+    "newline": lambda text, cut: [text[:text.rindex(",", 0, cut)] + " \n,\r\n\t" + text[cut:]],
+    "vertical-tab": lambda text, cut: [text[:text.rindex(",", 0, cut)] + ",\v" + text[cut:]],
+}
+
 
 @st.composite
 def json_grids(draw):
@@ -864,7 +906,53 @@ class TestGrid2D:
         finally:
             tracemalloc.stop()
         np.testing.assert_array_equal(back.values, grid.values)
-        assert peak < 120 * n * n
+        # the parsed rows (32 B per cell) and the grid (16 B): no sort, no inverse index
+        assert peak < 50 * n * n
+
+    @pytest.mark.parametrize("order", ["shuffled", "reversed", "y-major", "x-blocks-swapped",
+                                       "y-reversed-under-each-x"])
+    def test_csv_rows_out_of_to_csv_order_read_to_the_same_grid(self, order):
+        grid = Grid2D(-1.0, 1.0, -0.0, 2.0, 6, 5, axis_semantics="xp")
+        grid.values = np.random.default_rng(8).normal(size=(6, 5)) * (1 - 3j)
+        grid.values[2, 3] = complex(-0.0, math.nan)
+        buf = io.StringIO()
+        grid.to_csv(buf, meta=["field = test"])
+        head, *rows = buf.getvalue().splitlines(keepends=True)[1:]
+        if order == "shuffled":
+            np.random.default_rng(9).shuffle(rows)
+        elif order == "reversed":
+            rows.reverse()
+        elif order == "y-major":
+            rows = [rows[i * 5 + j] for j in range(5) for i in range(6)]
+        elif order == "x-blocks-swapped":
+            rows = rows[5:10] + rows[:5] + rows[10:]
+        else:
+            rows = [rows[i * 5 + j] for i in range(6) for j in reversed(range(5))]
+
+        def read(text):
+            return Grid2D.from_csv(io.StringIO(text), axis_semantics="xp")
+
+        text = head + "".join(rows)
+        assert outcome(read, text) == outcome(read, buf.getvalue())
+        assert read(text).values.tobytes() == grid.values.tobytes()
+
+    # a 4 x 5 file in to_csv's order with one edit, refused as an unsorted file is
+    @pytest.mark.parametrize("edit,message", [
+        (lambda rows: rows[:-1], "19 rows do not fill a 4 x 5 grid"),
+        (lambda rows: rows[:7] + rows[8:], "19 rows do not fill a 4 x 5 grid"),
+        (lambda rows: rows[:7] + rows[6:7] + rows[8:], "20 rows do not fill a 4 x 5 grid"),
+        (lambda rows: rows + rows[-1:], "21 rows do not fill a 4 x 5 grid"),
+        (lambda rows: rows[:5] * 2 + rows[10:], "20 rows do not fill a 3 x 5 grid"),
+        (lambda rows: rows[:10] + rows[:5] + rows[15:], "20 rows do not fill a 3 x 5 grid"),
+        (lambda rows: rows[:5] + rows[10:], "not the evenly spaced nodes of a 3 x 5 grid"),
+    ], ids=["missing-last", "missing-interior", "repeated-neighbour", "repeated-at-end",
+            "repeated-x", "repeated-x-apart", "missing-x"])
+    def test_csv_in_order_with_a_missing_or_repeated_cell_is_refused(self, edit, message):
+        buf = io.StringIO()
+        Grid2D(-1.0, 1.0, -2.0, 2.0, 4, 5).to_csv(buf)
+        head, *rows = buf.getvalue().splitlines(keepends=True)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            Grid2D.from_csv(io.StringIO(head + "".join(edit(rows))))
 
     def test_csv_write_memory_bounded_by_one_row(self):
         class Discard:
@@ -940,7 +1028,8 @@ class TestGrid2D:
         assert (tmp_path / "grid.json").read_text() == reference_to_json(grid, {"field": "test"})
         assert peak < 1e6
 
-    def test_json_read_memory_below_three_texts(self):
+    def test_json_read_memory_two_planes_beyond_the_text(self):
+        # the parsed pairs and the grid, plus one slice's copies of the text
         n = 401
         grid = Grid2D(-5.0, 5.0, -4.0, 4.0, n, n)
         grid.values = np.random.default_rng(6).normal(size=(n, n)) * (1 + 2j)
@@ -952,7 +1041,37 @@ class TestGrid2D:
         finally:
             tracemalloc.stop()
         assert back.values.tobytes() == grid.values.tobytes()
-        assert peak < 3 * len(text)
+        assert peak < 2.1 * grid.values.nbytes + 1.5e6
+
+    def test_json_of_several_slices_reads_back_bitwise(self):
+        grid = Grid2D(-5.0, 5.0, -4.0, 4.0, 301, 280)
+        grid.values = np.random.default_rng(10).normal(size=(301, 280)) * (1 - 0.5j)
+        grid.values.flat[::97] = complex(-0.0, math.inf)
+        grid.values.flat[5::89] = complex(math.nan, -math.inf)
+        text = grid.to_json({"field": "q"})
+        assert len(slice_cuts(text)) >= 2
+        assert isinstance(loads_with_pairs(text, "values")["values"], np.ndarray)
+        assert outcome(Grid2D.from_json, text) == outcome(reference_from_json, text)
+        assert Grid2D.from_json(text).values.tobytes() == grid.values.tobytes()
+
+    @pytest.mark.parametrize("edit", SLICE_EDITS)
+    def test_edit_at_a_slice_cut_reads_as_json_loads_reads_it(self, edit, monkeypatch):
+        # slices of a few pairs, so that every few pairs meet at a cut
+        monkeypatch.setattr(numerics, "_SLICE", 40)
+        grid = Grid2D(-1.0, 1.0, -1.0, 1.0, 4, 4)
+        grid.values = np.arange(16).reshape(4, 4) / 8.0 - 0.25j
+        text = grid.to_json()
+        cuts = slice_cuts(text)
+        assert len(cuts) >= 5
+        assert outcome(Grid2D.from_json, text) == outcome(reference_from_json, text)
+        for cut in cuts:
+            for edited_text in SLICE_EDITS[edit](text, cut):
+                want = outcome(reference_from_json, edited_text)
+                assert outcome(Grid2D.from_json, edited_text) == want
+                if edit in ("newline", "integer", "negative-integer-zero"):
+                    assert not isinstance(want[0], type), "json.loads reads this text"
+                    values = loads_with_pairs(edited_text, "values")["values"]
+                    assert isinstance(values, np.ndarray) == (edit == "newline")
 
     def test_rejects_bad_semantics(self):
         with pytest.raises(ValueError, match="axis_semantics"):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from catphase import numerics
 from catphase.numerics import complex_pairs, loads_with_pairs
 from catphase.states import CatStateSpec, FockDensityMatrix, cat_density_matrix, \
     cat_normalization, coherent_fock_coeffs, coherent_overlap, recommended_n_max
@@ -163,6 +164,14 @@ class TestFockDensityMatrixSerialization:
         assert isinstance(loads_with_pairs(want, "entries")["entries"], np.ndarray)
         back = FockDensityMatrix.from_json(want)
         assert back.n_max == n_max and back.entries.tobytes() == entries.tobytes()
+
+    def test_json_of_several_slices_reads_back_bitwise(self):
+        dm = cat_density_matrix(CatStateSpec(3.0 + 1.0j, -3.0 + 0.5j, 0.8 - 0.1j), 250)
+        text = dm.to_json()
+        assert len(text) > 2 * numerics._SLICE  # read in three slices or more
+        assert isinstance(loads_with_pairs(text, "entries")["entries"], np.ndarray)
+        back = FockDensityMatrix.from_json(text)
+        assert back.n_max == 250 and back.entries.tobytes() == dm.entries.tobytes()
 
     def test_numpy_integer_n_max_becomes_int(self):
         dm = cat_density_matrix(CatStateSpec(1.0, -1.0, 0.5j), np.int64(12))
