@@ -112,23 +112,15 @@ def dumps_with_pairs(doc, key, values):
 
 
 _WS = "[ \t\n\r]*"  # JSON's whitespace; re's \s also takes \v, \f and Unicode spaces
-# A float as json.dumps writes it.  A bare integer takes the json.loads path:
-# it decodes as an int, so "-0" would lose the sign that numpy's parser keeps.
-_FLOAT = r"(?:-?(?:0|[1-9][0-9]*)(?:\.[0-9]+(?:[eE][-+]?[0-9]+)?|[eE][-+]?[0-9]+)|NaN|-?Infinity)"
-# One [re, im] pair with what follows it: a comma before the next pair, or the
-# closing bracket (not consumed).  re.subn deletes these in one linear pass,
-# where a fullmatch of a repeated group keeps backtracking state for each pair.
 # The patterns compile on first use (re caches them), not when catphase loads.
-_PAIR = rf"\[{_WS}{_FLOAT}{_WS},{_WS}{_FLOAT}{_WS}\]{_WS}(?:,{_WS}(?=\[)|(?=\]))"
 _OPEN = rf"\[{_WS}\["
 _COLON, _TAIL = rf"{_WS}:{_WS}", rf"\]{_WS}\}}{_WS}"
-_BLANK = str.maketrans("[]", "  ")
-_SLICE = 1 << 20  # characters of pairs text that _parse_pairs reads at a time
+_SLICE = 1 << 18  # characters of pairs text that _parse_pairs reads at a time
 
 
 def _loads_fast(text, key):
-    """loads_with_pairs(text, key) where data[key] is an array of float pairs
-    and the top-level object's last member; None for any other text."""
+    """loads_with_pairs(text, key) where data[key] is an array of number
+    pairs and the top-level object's last member; None for any other text."""
     end = text.rfind("]") + 1
     if not end or not re.compile(_TAIL).fullmatch(text, end - 1):
         return None
@@ -158,45 +150,49 @@ def _loads_fast(text, key):
 
 
 def _parse_pairs(text, start, end):
-    """The (n, 2) float array of the pairs from text[start], the first
-    pair's '[', to the array's closing ']' at text[end - 1]; None unless they
-    are [re, im] float pairs in JSON's grammar.
+    """The flat complex array of the pairs from text[start], the first
+    pair's '[', to the array's closing ']' at text[end - 1]; None unless
+    json.loads reads them as [re, im] pairs of numbers.
 
-    The text is read in slices of about _SLICE characters, each cut at a
-    pair's '[' (inside the array a '[' only opens a pair), so the whole
-    array's text is never copied.  A slice ends with the '[' of the next
-    one, which `_PAIR`'s lookahead reads and no pair consumes, so that '['
-    (the closing ']' for the last slice) must be all `_PAIR` leaves of it.
-    numpy parses each slice's numbers into the array, sized beforehand by
-    the count of '['."""
-    pair = re.compile(_PAIR)
-    out = np.empty((text.count("[", start, end), 2))
+    json.loads reads slices of about _SLICE characters, each cut at a pair's
+    '[' (inside the array a '[' only opens a pair), into the output sized
+    beforehand by the count of '['.  A slice must read as int64 or float64
+    pairs without true or false: numpy takes a bool for a number, and other
+    dtypes, such as uint64 for pairs of 2^63 alone, may convert integers
+    otherwise than the whole array's dtype would."""
+    out = np.empty(text.count("[", start, end), complex)
+    pairs = out.view(float).reshape(-1, 2)
     row = 0
     while True:
         cut = text.find("[", start + _SLICE, end)
-        chunk = text[start:cut + 1 if cut >= 0 else end]
-        rest, count = pair.subn("", chunk)
-        if rest != ("[" if cut >= 0 else "]"):
+        chunk = text[start:cut if cut >= 0 else end].rstrip(" \t\n\r")
+        # a slice ends with the comma before the next one, the last with the array's ']'
+        if not chunk.endswith("," if cut >= 0 else "]"):
             return None
-        # count stops numpy at the last pair, before a middle slice's trailing comma
-        chunk = chunk.translate(_BLANK)
-        out[row:row + count] = np.fromstring(chunk, sep=",", count=2 * count).reshape(count, 2)
-        row += count
+        try:
+            arr = np.asarray(json.loads(f"[{chunk[:-1]}]"))
+        except (ValueError, RecursionError):
+            return None
+        if (arr.dtype not in (np.int64, np.float64) or arr.shape[1:] != (2,)
+                or "true" in chunk or "false" in chunk):
+            return None
+        pairs[row:row + len(arr)] = arr
+        row += len(arr)
         if cut < 0:
             return out
         start = cut
 
 
 def loads_with_pairs(text, key):
-    """json.loads(text), except that data[key] may come back as an (n, 2)
-    float array equal to the list of pairs; complex_from_pairs reads either.
+    """json.loads(text), except that data[key] may come back as the flat
+    complex array of its [re, im] pairs, which a reader takes as it is.
 
-    Where data[key] is an array of float pairs and the top-level object's
+    Where data[key] is an array of number pairs and the top-level object's
     last member, as dumps_with_pairs writes it, the array is cut out of the
-    text that json.loads reads, then checked against JSON's grammar and
-    parsed by numpy in slices of about 1 MB: beyond the text, memory is the
-    array and one slice's copies.  Any other text goes to json.loads whole,
-    so it raises as json.loads does."""
+    text that json.loads reads, then read by json.loads in slices of 256 k
+    characters: beyond the text, memory is the array and one slice's lists.
+    Any other text goes to json.loads whole, so it raises as json.loads
+    does; its data[key] is a list, which complex_from_pairs reads."""
     data = _loads_fast(text, key) if isinstance(text, str) else None
     return json.loads(text) if data is None else data
 

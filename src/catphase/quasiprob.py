@@ -555,7 +555,7 @@ class Grid2D:
         ax, values, nx, ny = json_members(loads_with_pairs(text, "values"),
                                           ("axes", "values", "nx", "ny"), "grid")
         bounds = json_members(ax, _BOUNDS, "grid member 'axes'")
-        flat = complex_from_pairs(values)
+        flat = values if isinstance(values, np.ndarray) else complex_from_pairs(values)
         # sizes are checked before numpy reshapes by them
         nx, ny = require_count(nx, "nx", 2), require_count(ny, "ny", 2)
         return cls(*bounds, nx, ny, values=flat.reshape(nx, ny),

@@ -126,7 +126,8 @@ class FockDensityMatrix:
         n, entries = json_members(loads_with_pairs(text, "entries"), ("n_max", "entries"),
                                   "density matrix")
         n = require_count(n, "n_max")  # checked before numpy reshapes by it
-        return cls(n_max=n, entries=complex_from_pairs(entries).reshape(n + 1, n + 1))
+        flat = entries if isinstance(entries, np.ndarray) else complex_from_pairs(entries)
+        return cls(n_max=n, entries=flat.reshape(n + 1, n + 1))
 
 
 def cat_density_matrix(spec, n_max):

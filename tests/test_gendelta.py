@@ -214,6 +214,11 @@ class TestSifting:
 
 
 class TestDelta2Sift:
+    def test_window_below_eight_sigma_warns(self):
+        quad = QuadratureSpec(center=0.0, halfwidth=0.5, node_count=101)
+        with pytest.warns(UserWarning, match="window truncates the regularized delta"):
+            delta2_sift(lambda x, y: x + 1j * y, 1.0, 0.1, quad)
+
     def test_constant(self):
         quad = QuadratureSpec(center=0.0, halfwidth=2.0, node_count=801)
         got = delta2_sift(lambda x, y: np.ones(np.broadcast_shapes(x.shape, y.shape)),
