@@ -10,6 +10,10 @@ use: OPENBLAS_NUM_THREADS defaults to 1 when this module loads before
 numpy.  A value the user set wins, and a process that loaded numpy first
 keeps its pool and its environment.  Each command imports the modules it
 uses.
+
+`grid` and `amplify` format a large grid's text in two processes, forking
+one worker (quasiprob.Grid2D._write), where no other thread runs: when
+this module loaded numpy on one OpenBLAS thread.
 """
 
 import argparse
@@ -21,9 +25,13 @@ import re
 import sys
 import warnings
 
-# OpenBLAS reads its thread count once, as numpy loads
+# OpenBLAS reads its thread count once, as numpy loads.  The grid writers
+# fork only where numpy loads here on one OpenBLAS thread: a process that
+# loaded it before, or an OpenBLAS pool, may run other threads, which a
+# fork would copy in whatever state they hold.
+_FORK_WRITES = False
 if "numpy" not in sys.modules:
-    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    _FORK_WRITES = os.environ.setdefault("OPENBLAS_NUM_THREADS", "1") == "1"
 
 import numpy as np  # noqa: E402
 
@@ -195,18 +203,17 @@ def _emit_grid(grid, args, meta):
     meta = {k: (str(v) if isinstance(v, complex) else v) for k, v in meta.items()}
     if args.format == "csv":
         # the metadata lines and the footer's integral are checked before anything is written
-        lines = _comment_lines(f"{k} = {v}" for k, v in meta.items())
+        meta = _comment_lines(f"{k} = {v}" for k, v in meta.items())
         with np.errstate(over="ignore", invalid="ignore"):
             total = grid.integrate().real
         if not math.isfinite(total):
             raise FloatingPointError(f"the integral over bounds {args.bounds} is {total}: "
                                      "the cell areas or the values overflow")
     with _output(args) as stream:
+        grid._write(stream, grid._text(args.format, meta), fork=_FORK_WRITES)
         if args.format == "json":
-            stream.writelines(grid.json_chunks(meta))
             stream.write("\n")
         else:
-            grid.to_csv(stream, meta=lines)
             # footer diagnostics stay comment-prefixed so the file still parses
             stream.write(f"# integral = {total!r}\n")
             w_min = float(np.min(grid.values.real))

@@ -99,16 +99,29 @@ def complex_from_pairs(pairs):
     return arr.astype(float).view(complex).ravel()
 
 
-def dumps_with_pairs(doc, key, values):
+def pairs_text(doc, key, values):
     """The text of json.dumps({**doc, key: complex_pairs(values)}), byte for
-    byte, in chunks: the head, then the pairs of one row of `values` (one
-    index of its first axis) at a time, then the closing brace.  `key` must
-    not be in `doc`, so that the pairs come last."""
+    byte, as (head, rows, tail): rows(start, stop) is the text of the pairs
+    of rows start:stop of `values` (indices of its first axis), so head, the
+    rows of consecutive spans from 0 to len(values), and tail join to the
+    whole text.  `key` must not be in `doc`, so that the pairs come last."""
+    values = np.asarray(values, dtype=complex)
     head = json.dumps({**doc, key: None})
-    yield head[:-len("null}")] + "["
-    for i, row in enumerate(np.asarray(values, dtype=complex)):
-        yield (", " if i else "") + json.dumps(complex_pairs(row))[1:-1]
-    yield "]}"
+
+    def rows(start, stop):
+        return (", " if start else "") + json.dumps(complex_pairs(values[start:stop]))[1:-1]
+
+    return head[:-len("null}")] + "[", rows, "]}"
+
+
+def dumps_with_pairs(doc, key, values):
+    """The text of json.dumps({**doc, key: complex_pairs(values)}) in chunks
+    (see pairs_text): the head, the pairs of one row of `values` at a time,
+    then the closing brace."""
+    head, rows, tail = pairs_text(doc, key, values)
+    yield head
+    yield from map(rows, range(len(values)), range(1, len(values) + 1))
+    yield tail
 
 
 _WS = "[ \t\n\r]*"  # JSON's whitespace; re's \s also takes \v, \f and Unicode spaces

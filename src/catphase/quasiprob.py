@@ -57,6 +57,8 @@ and 201-node ones above 5.5, it keeps the exact matrix (`_axis_kernel`).
 
 import math
 import numbers
+import os
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -64,8 +66,8 @@ import numpy as np
 
 from .blas import single_blas_thread
 from .numerics import chebyshev_lagrange, complex_from_pairs, dumps_with_pairs, hermite_poly, \
-    json_members, loads_with_pairs, log_factorial, opened, require_count, require_order, \
-    require_positive, trapezoid_weights
+    json_members, loads_with_pairs, log_factorial, opened, pairs_text, require_count, \
+    require_order, require_positive, trapezoid_weights
 from .states import coherent_overlap
 
 IMAG_RESIDUE_TOL = 1e-12
@@ -415,6 +417,85 @@ def _cells_sorted(rows):
     return xs, ys, values
 
 
+# Cells from which the CLI formats a grid's text in two processes.  In
+# medians of 7 to 9 alternating writes on a shared 2-core x86_64, two
+# processes took 1.06 to 1.85 times the one-process time at 151^2 and
+# 201^2 cells, 0.72 to 1.06 at 251^2, and 0.54 to 0.87 from 301^2 to 801^2.
+_FORK_CELLS = 300 * 300
+# Cells in a block of rows that the two processes pass between them.  Rows
+# handed over one at a time keep the processes waking each other, and the
+# scheduler then often runs both on one core: at 251^2 cells it did so in 9
+# of 12 CSV writes, and in none with blocks of 8 or 16 rows.
+_FORK_BLOCK_CELLS = 8192
+
+
+def _cpu_count():
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _write_forked(out, rows, spans):
+    """Write rows(start, stop) for each (start, stop) of `spans` to `out`
+    in order, formatting the even blocks here while a forked worker formats
+    the odd ones.
+
+    The worker sends each block's text through a pipe, preceded by its
+    length in bytes.  A write to a full pipe blocks, so the worker runs at
+    most one block ahead and each process holds about one block's text.
+    Buffers are flushed before the fork and the worker leaves through
+    os._exit, so it writes nothing of this process's.  Where the worker
+    stops early, or cannot be forked, this process formats the blocks it
+    did not send.  The worker is reaped on every way out, after the pipe's
+    read end is closed, which stops a worker still writing."""
+    for stream in (out, sys.stdout, sys.stderr):
+        stream.flush()
+    read_end, write_end = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        pid = None
+    if pid == 0:
+        _send_blocks(rows, spans[1::2], read_end, write_end)
+    os.close(write_end)
+    try:
+        with open(read_end, "rb") as pipe:
+            for k, span in enumerate(spans):
+                text = _received(pipe) if k % 2 else None
+                out.write(rows(*span) if text is None else text)
+    finally:
+        if pid is not None:
+            os.waitpid(pid, 0)
+
+
+def _send_blocks(rows, spans, read_end, write_end):
+    """The worker of `_write_forked`; it leaves only through os._exit, which
+    flushes no buffer and runs no cleanup inherited from the parent."""
+    code = 1
+    try:
+        os.close(read_end)
+        with open(write_end, "wb") as pipe:
+            for span in spans:
+                data = rows(*span).encode()
+                pipe.write(len(data).to_bytes(8, "little"))
+                pipe.write(data)
+                pipe.flush()
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _received(pipe):
+    """The next block's text from the worker, or None once it has stopped."""
+    head = pipe.read(8)
+    if len(head) < 8:
+        return None
+    size = int.from_bytes(head, "little")
+    data = pipe.read(size)
+    return data.decode() if len(data) == size else None
+
+
 @dataclass
 class Grid2D:
     """Uniformly sampled complex field over a rectangle.
@@ -496,19 +577,9 @@ class Grid2D:
         Raises ValueError, before the stream is opened, when an axis's nodes
         round together: `from_csv` would read the rows back as a smaller grid;
         and when a meta line holds a line break, after which it would read as data."""
-        if not _distinct_nodes(self):
-            raise ValueError(f"the {self.nx} x {self.ny} nodes of bounds "
-                             f"{[self.x_min, self.x_max, self.y_min, self.y_max]} are not distinct")
-        meta = _comment_lines(meta)
+        text = self._text("csv", meta)
         with opened(stream, "w") as out:
-            for line in meta:
-                out.write(f"# {line}\n")
-            out.write("x,y,re,im\n")
-            ys = [f",{y!r}," for y in self.ys.tolist()]
-            for x, row in zip(map(repr, self.xs.tolist()), self.values):
-                re = map(repr, row.real.tolist())
-                im = map(repr, row.imag.tolist())
-                out.write("".join([f"{x}{y}{r},{i}\n" for y, r, i in zip(ys, re, im)]))
+            self._write(out, text)
 
     @classmethod
     def from_csv(cls, stream, axis_semantics="alpha"):
@@ -536,16 +607,64 @@ class Grid2D:
                              f"{len(xs)} x {len(ys)} grid")
         return grid
 
-    def json_chunks(self, meta=None):
-        """The text of `to_json(meta)` in chunks, one grid row of values at a
-        time, so a writer holds one row's text beyond the grid."""
-        return dumps_with_pairs({
+    def _json_doc(self, meta):
+        """The grid's JSON object but its values (see numerics.pairs_text)."""
+        return {
             "meta": meta or {},
             "axes": {"x_min": self.x_min, "x_max": self.x_max,
                      "y_min": self.y_min, "y_max": self.y_max,
                      "semantics": self.axis_semantics},
             "nx": self.nx, "ny": self.ny,
-        }, "values", self.values)
+        }
+
+    def json_chunks(self, meta=None):
+        """The text of `to_json(meta)` in chunks, one grid row of values at a
+        time, so a writer holds one row's text beyond the grid."""
+        return dumps_with_pairs(self._json_doc(meta), "values", self.values)
+
+    def _text(self, fmt, meta=None):
+        """The grid's text in `fmt` ("csv" or "json") as (head, rows, tail):
+        rows(start, stop) formats grid rows start:stop, so the text is the
+        head, the rows from 0 to nx in consecutive spans, then the tail.
+        CSV raises ValueError as `to_csv` documents."""
+        if fmt == "json":
+            return pairs_text(self._json_doc(meta), "values", self.values)
+        if not _distinct_nodes(self):
+            raise ValueError(f"the {self.nx} x {self.ny} nodes of bounds "
+                             f"{[self.x_min, self.x_max, self.y_min, self.y_max]} are not distinct")
+        head = "".join(f"# {line}\n" for line in _comment_lines(meta)) + "x,y,re,im\n"
+        xs = [repr(x) for x in self.xs.tolist()]
+        ys = [f",{y!r}," for y in self.ys.tolist()]
+        values = self.values
+
+        def rows(start, stop):
+            return "".join([f"{x}{y}{r},{i}\n"
+                            for x, row in zip(xs[start:stop], values[start:stop])
+                            for y, r, i in zip(ys, map(repr, row.real.tolist()),
+                                               map(repr, row.imag.tolist()))])
+
+        return head, rows, ""
+
+    def _write(self, out, text, fork=False):
+        """Write `text`, the (head, rows, tail) of `_text`, to the open
+        stream `out`, one grid row at a time.
+
+        With `fork`, which the caller sets only where no other thread runs,
+        a grid of _FORK_CELLS cells or more is formatted by two processes,
+        in blocks of _FORK_BLOCK_CELLS cells or more, where os.fork exists
+        and this process may run on two CPUs (see `_write_forked`).
+        Library writers never fork."""
+        head, rows, tail = text
+        out.write(head)
+        if (fork and self.nx * self.ny >= _FORK_CELLS and hasattr(os, "fork")
+                and _cpu_count() > 1):
+            block = -(-_FORK_BLOCK_CELLS // self.ny)
+            _write_forked(out, rows, [(i, min(i + block, self.nx))
+                                      for i in range(0, self.nx, block)])
+        else:
+            for i in range(self.nx):
+                out.write(rows(i, i + 1))
+        out.write(tail)
 
     def to_json(self, meta=None):
         return "".join(self.json_chunks(meta))

@@ -1,7 +1,11 @@
 import io
+import itertools
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
@@ -11,12 +15,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import catphase.cli
+from catphase import quasiprob
 from catphase.amplifier import AmplifierGain, amplified_p, amplify_q
 from catphase.cli import EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
 from catphase.quasiprob import Grid2D, p_cat_terms, p_regularized_eval, p_representation_grid, \
     q_function
 from catphase.reconstruct import RoundTripReport
 from catphase.states import CatStateSpec
+from test_package import fresh_env, run_fresh
 from test_quasiprob import assert_bitwise_equal, meshgrid_plane
 
 STATE = ["--alpha1", "1.5", "0", "--alpha2", "-1.5", "0", "--zeta", "1", "0"]
@@ -718,3 +725,261 @@ class TestConfigAndDeterminism:
         code, _, err = run_cli([], capsys)
         assert code == EXIT_USAGE
         assert "usage" in err
+
+
+# each field the CLI writes, its argv without the grid, --format and --out
+WRITTEN_FIELDS = {
+    "q": ["grid", "--field", "q", *STATE],
+    "p_regularized": ["grid", "--field", "p_regularized", "--sigma", "1.5", *STATE],
+    "wigner": ["grid", "--field", "wigner", "--fock-n", "3"],
+    "amplify-p": ["amplify", "--field", "p", "--gain", "1.7", *STATE],
+}
+WIDE_BOUNDS = ["--bounds", "-8", "8", "-7", "7.5"]
+
+
+def library_text(grid, fmt, written):
+    """What Grid2D's library writers write for `grid`, with the metadata of
+    the command's `written` text, and for CSV the command's footer."""
+    if fmt == "json":
+        return grid.to_json(json.loads(written)["meta"]) + "\n"
+    lines = itertools.takewhile(lambda line: line.startswith("# "), written.splitlines())
+    buf = io.StringIO()
+    grid.to_csv(buf, meta=[line[2:] for line in lines])
+    buf.write(f"# integral = {grid.integrate().real!r}\n")
+    if (w_min := float(np.min(grid.values.real))) < 0.0:
+        buf.write(f"# min = {w_min!r} (negative values present)\n")
+    return buf.getvalue()
+
+
+def forking_env():
+    """This process's environment without OPENBLAS_NUM_THREADS, so that a
+    fresh command may fork its writer."""
+    return {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def two_processes(monkeypatch):
+    """Forces the command's two-process write on grids of any size, in
+    blocks of 2 rows of 23 cells; yields the grids written and the pids
+    that forked."""
+    grids, forks = [], []
+    write, fork = Grid2D._write, os.fork
+    monkeypatch.setattr(catphase.cli, "_FORK_WRITES", True)
+    monkeypatch.setattr(quasiprob, "_FORK_CELLS", 0)
+    monkeypatch.setattr(quasiprob, "_FORK_BLOCK_CELLS", 46)
+    monkeypatch.setattr(quasiprob, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(Grid2D, "_write", lambda self, *a, **k: grids.append(self) or
+                        write(self, *a, **k))
+    monkeypatch.setattr(os, "fork", lambda: forks.append(os.getpid()) or fork())
+    yield grids, forks
+    assert_no_child_left()
+
+
+class FailingStream(io.StringIO):
+    """A stream whose write raises `error` once `writes` writes are done."""
+
+    def __init__(self, error, writes):
+        super().__init__()
+        self.error, self.writes = error, writes
+
+    def write(self, text):
+        if not self.writes:
+            raise self.error
+        self.writes -= 1
+        return super().write(text)
+
+
+class TestTwoProcessWrite:
+    # 37 rows in blocks of 2 are 19 blocks, 35 in blocks of 3 are 12; the last is partial
+    @pytest.mark.parametrize("nx, ny, block_cells", [(37, 23, 46), (35, 23, 69)],
+                             ids=["19-blocks", "12-blocks"])
+    @pytest.mark.parametrize("target", ["path", "-"])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("field", WRITTEN_FIELDS)
+    def test_two_processes_write_the_library_text(self, field, fmt, target, nx, ny,
+                                                   block_cells, two_processes, monkeypatch,
+                                                   tmp_path, capsys):
+        grids, forks = two_processes
+        monkeypatch.setattr(quasiprob, "_FORK_BLOCK_CELLS", block_cells)
+        path = tmp_path / f"field.{fmt}"
+        argv = [*WRITTEN_FIELDS[field], *WIDE_BOUNDS, "--nx", str(nx), "--ny", str(ny),
+                "--format", fmt, "--out", str(path) if target == "path" else target]
+        if target == "-":
+            argv += ["--timestamp", "2020-01-02T03:04:05Z"]
+        code, out, err = run_cli(argv, capsys)
+        written = path.read_text() if target == "path" else out
+        assert (code, err) == (EXIT_OK, "")
+        assert forks == [os.getpid()]
+        assert_no_child_left()
+        assert written == library_text(grids[0], fmt, written)
+        assert ("2020-01-02T03:04:05Z" in written) == (target == "-")
+
+    # BrokenPipeError is what `catphase grid ... | head -1` meets; the failing
+    # write is a block the worker sent (2 writes done) or one formatted here (3)
+    @pytest.mark.parametrize("writes", [2, 3])
+    @pytest.mark.parametrize("error", [BrokenPipeError(32, "Broken pipe"),
+                                       OSError(28, "No space left on device")],
+                             ids=["broken-pipe", "disk-full"])
+    def test_stream_that_fails_is_usage_error_and_the_worker_is_reaped(
+            self, error, writes, two_processes, capsys):
+        stream = FailingStream(error, writes)
+        with redirect_stdout(stream):
+            code = main([*WRITTEN_FIELDS["q"], *BOUNDS, "--nx", "37", "--ny", "23"])
+        assert (code, capsys.readouterr().err) == (EXIT_USAGE, f"usage error: {error}\n")
+        assert two_processes[1] == [os.getpid()]
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("writes", [2, 3])
+    def test_interrupt_reaps_the_worker(self, writes, two_processes):
+        with redirect_stdout(FailingStream(KeyboardInterrupt(), writes)):
+            with pytest.raises(KeyboardInterrupt):
+                main([*WRITTEN_FIELDS["q"], *BOUNDS, "--nx", "37", "--ny", "23"])
+        assert two_processes[1] == [os.getpid()]
+        assert_no_child_left()
+
+    # the worker fails before its first block, after some, or at its last
+    @pytest.mark.parametrize("fails_from", [0, 10, 34])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_worker_that_dies_leaves_its_blocks_to_the_parent(self, fmt, fails_from,
+                                                               two_processes, monkeypatch,
+                                                               capsys):
+        parent, text = os.getpid(), Grid2D._text
+
+        def failing_text(self, *args):
+            head, rows, tail = text(self, *args)
+
+            def worker_rows(start, stop):
+                if os.getpid() != parent and start >= fails_from:
+                    raise RuntimeError("the worker fails")
+                return rows(start, stop)
+
+            return head, worker_rows, tail
+
+        monkeypatch.setattr(Grid2D, "_text", failing_text)
+        code, out, err = run_cli([*WRITTEN_FIELDS["q"], *BOUNDS, "--nx", "37", "--ny", "23",
+                                  "--format", fmt], capsys)
+        assert (code, err) == (EXIT_OK, "")
+        assert out == library_text(two_processes[0][0], fmt, out)
+
+    def test_library_writers_never_fork(self, two_processes, tmp_path):
+        grid = Grid2D(-1.0, 1.0, -1.0, 1.0, 37, 23)
+        grid.to_csv(str(tmp_path / "grid.csv"))
+        grid.to_json()
+        with open(tmp_path / "grid.json", "w") as out:
+            out.writelines(grid.json_chunks())
+        assert two_processes[1] == []
+
+    def test_process_that_loaded_numpy_first_writes_in_one(self, two_processes, monkeypatch,
+                                                          capsys):
+        # as in this test process, where numpy was loaded before catphase.cli
+        monkeypatch.setattr(catphase.cli, "_FORK_WRITES", False)
+        assert run_cli([*WRITTEN_FIELDS["q"], *BOUNDS, "--nx", "37", "--ny", "23"],
+                       capsys)[0] == EXIT_OK
+        assert two_processes[1] == []
+
+    @pytest.mark.parametrize("first, threads, forks", [
+        ("", None, "True"), ("", "1", "True"), ("", "2", "False"), ("import numpy", None, "False")],
+        ids=["numpy-loaded-here", "one-thread-asked", "pool-asked", "numpy-loaded-first"])
+    def test_command_forks_only_where_numpy_loaded_here_on_one_thread(self, first, threads,
+                                                                       forks):
+        env = forking_env()
+        if threads is not None:
+            env["OPENBLAS_NUM_THREADS"] = threads
+        code = f"{first}\nimport catphase.cli\nprint(catphase.cli._FORK_WRITES)"
+        assert run_fresh(code, env=env) == forks
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_fresh_process_writes_the_library_text(self, fmt, tmp_path):
+        # 301 x 311 cells reach the fork threshold of the command's own gate
+        argv = [*WRITTEN_FIELDS["amplify-p"], *WIDE_BOUNDS, "--nx", "301", "--ny", "311",
+                "--format", fmt, "--out", str(tmp_path / "field")]
+        proc = subprocess.run([sys.executable, "-m", "catphase.cli", *argv],
+                              env=fresh_env(forking_env()), capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (EXIT_OK, "", "")
+        grid = Grid2D(-8.0, 8.0, -7.0, 7.5, 301, 311)
+        grid = grid.like(values=amplified_p(SPEC, AmplifierGain(1.7), meshgrid_plane(grid)))
+        written = (tmp_path / "field").read_text()
+        assert written == library_text(grid, fmt, written)
+
+    def test_fresh_process_into_a_closed_pipe_exits_usage_error(self):
+        # `catphase grid ... --nx 801 | head -1`: one line is read, then the pipe closes
+        code = ("import os, sys, catphase.cli\n"
+                "code = catphase.cli.main(sys.argv[1:])\n"
+                "try:\n"
+                "    os.waitpid(-1, os.WNOHANG)\n"
+                "    print('a child is left', file=sys.stderr)\n"
+                "except ChildProcessError:\n"
+                "    pass\n"
+                "sys.exit(code)\n")
+        argv = [*WRITTEN_FIELDS["q"], *BOUNDS, "--nx", "801"]
+        with subprocess.Popen([sys.executable, "-c", code, *argv],
+                              env=fresh_env(forking_env()),
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+            assert proc.stdout.readline() == b"# field = q\n"
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert proc.wait(timeout=120) == EXIT_USAGE
+        assert err == b"usage error: [Errno 32] Broken pipe\n"
+
+    def test_worker_leaves_no_buffer_of_the_caller_written(self, tmp_path):
+        # the caller holds unflushed text in a file and in stdout when the
+        # command forks; the worker fails at once, so the parent writes every block
+        code = ("import os, sys, catphase.cli\n"
+                "from catphase.quasiprob import Grid2D\n"
+                "parent, text = os.getpid(), Grid2D._text\n"
+                "def failing_text(self, *args):\n"
+                "    head, rows, tail = text(self, *args)\n"
+                "    def worker_rows(start, stop):\n"
+                "        if os.getpid() != parent:\n"
+                "            raise RuntimeError('the worker fails')\n"
+                "        return rows(start, stop)\n"
+                "    return head, worker_rows, tail\n"
+                "Grid2D._text = failing_text\n"
+                "log = open('log.txt', 'w')\n"
+                "log.write('caller text\\n')\n"
+                "sys.stdout.write('caller head\\n')\n"
+                "code = catphase.cli.main(sys.argv[1:])\n"
+                "log.close()\n"
+                "sys.exit(code)\n")
+        argv = [*WRITTEN_FIELDS["q"], *BOUNDS, "--nx", "301"]
+        proc = subprocess.run([sys.executable, "-c", code, *argv],
+                              env=fresh_env(forking_env()), cwd=tmp_path,
+                              capture_output=True, text=True)
+        assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
+        assert (tmp_path / "log.txt").read_text() == "caller text\n"
+        head, written = proc.stdout.split("\n", 1)
+        assert head == "caller head"
+        grid = Grid2D(-6.0, 6.0, -6.0, 6.0, 301, 301)
+        grid = grid.like(values=q_function(SPEC, meshgrid_plane(grid)))
+        assert written == library_text(grid, "csv", written)
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="reads /proc; ru_maxrss in kB")
+    def test_two_process_write_memory_bounded(self, tmp_path):
+        # the worker's peak resident set, which RUSAGE_CHILDREN reports once it
+        # is reaped, is what the parent held at the fork (the imports and the
+        # grid's plane) and a block: half a plane more covers the block and the
+        # heap, and excludes half a file's text (1.6 planes of CSV).  The
+        # baseline is the resident set after the imports, since the peak that
+        # RUSAGE_SELF reports would include that of the process that started it
+        code = ("import os, resource, sys\n"
+                "forks, fork = [], os.fork\n"
+                "os.fork = lambda: forks.append(1) or fork()\n"
+                "import catphase.cli, catphase.quasiprob\n"
+                "with open('/proc/self/statm') as fh:\n"
+                "    base = int(fh.read().split()[1]) * os.sysconf('SC_PAGE_SIZE') // 1024\n"
+                "for fmt in ('csv', 'json'):\n"
+                "    argv = [*sys.argv[1:], '--format', fmt, '--out', 'field.' + fmt]\n"
+                "    assert catphase.cli.main(argv) == 0\n"
+                "worker = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss\n"
+                "print(len(forks), base, worker)\n")
+        forks, base_kb, worker_kb = map(int, run_fresh(
+            code, env=forking_env(), cwd=tmp_path,
+            args=[*WRITTEN_FIELDS["q"], *BOUNDS, "--nx", "801"]).split())
+        assert forks == (2 if quasiprob._cpu_count() > 1 else 0)
+        plane = 801 * 801 * 16
+        assert (worker_kb - base_kb) * 1024 < 1.5 * plane

@@ -33,12 +33,18 @@ NAMES = [name for names in EXPORTS.values() for name in names]
 SRC = str(Path(catphase.__file__).resolve().parents[1])
 
 
-def run_fresh(code, env=None, cwd=None):
-    """stdout of `code` run by a fresh interpreter that imports catphase from SRC."""
+def fresh_env(env=None):
+    """`env`, by default this process's, with SRC first on PYTHONPATH."""
     env = dict(os.environ if env is None else env)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", code], env=env, cwd=cwd, check=True,
-                          capture_output=True, text=True)
+    return env
+
+
+def run_fresh(code, env=None, cwd=None, args=()):
+    """stdout of `code` run with `args` by a fresh interpreter that imports
+    catphase from SRC."""
+    proc = subprocess.run([sys.executable, "-c", code, *args], env=fresh_env(env), cwd=cwd,
+                          check=True, capture_output=True, text=True)
     return proc.stdout.strip()
 
 
@@ -90,3 +96,34 @@ def test_verify_leaves_numpy_random_unloaded(tmp_path):
             "assert catphase.cli.main(['verify']) == 3\n"  # sifting fails by design
             "print('numpy.random' in sys.modules)")
     assert run_fresh(code, cwd=tmp_path).splitlines()[-1] == "False"
+
+
+# the modules a fresh `import catphase.cli` loads beyond those of `import numpy`,
+# as listed on Python 3.11 with numpy 2.4
+CLI_MODULES = {"_json", "argparse", "catphase", "catphase.blas", "catphase.cli",
+               "catphase.numerics", "cmath", "copy", "dataclasses", "gettext", "glob", "json",
+               "json.decoder", "json.encoder", "json.scanner"}
+
+
+def test_cli_import_loads_no_module_beyond_its_own():
+    code = "import sys, {}; print(' '.join(sys.modules))"
+    numpy_modules = set(run_fresh(code.format("numpy")).split())
+    loaded = set(run_fresh(code.format("catphase.cli")).split()) - numpy_modules
+    assert loaded <= CLI_MODULES
+    assert {m for m in loaded if m.startswith("catphase")} == \
+        {m for m in CLI_MODULES if m.startswith("catphase")}
+
+
+def test_grid_writes_load_no_process_module(tmp_path):
+    # 301 x 301 cells reach the threshold from which the command forks a writer
+    code = ("import sys, catphase.cli\n"
+            "before = set(sys.modules)\n"
+            "state = ['--alpha1', '1.5', '0', '--alpha2', '-1.5', '0', '--zeta', '1', '0',\n"
+            "         '--bounds', '-6', '6', '-6', '6', '--nx', '301']\n"
+            "assert catphase.cli.main(['grid', '--field', 'q', *state, '--out', 'q.csv']) == 0\n"
+            "assert catphase.cli.main(['amplify', '--field', 'p', '--gain', '1.7', *state,\n"
+            "                          '--format', 'json', '--out', 'p.json']) == 0\n"
+            "print(sorted(set(sys.modules) - before))")
+    loaded = eval(run_fresh(code, cwd=tmp_path))
+    assert not {"multiprocessing", "concurrent.futures", "tempfile", "subprocess"} & set(loaded)
+    assert (tmp_path / "q.csv").stat().st_size > 0 and (tmp_path / "p.json").stat().st_size > 0
