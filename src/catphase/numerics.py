@@ -162,6 +162,34 @@ def _loads_fast(text, key):
     return data
 
 
+# The bytes _pairs_shaped locates: '[', ',' and ']', and the 'l' of false
+# and null and the 'r' of true.  No number, NaN or Infinity holds an 'l' or
+# an 'r', and numpy would take true and false for the numbers 1 and 0.
+_MARKS = b"[,]lr"
+_UNBRACKET = str.maketrans("[]", "  ")
+
+
+def _pairs_shaped(pairs):
+    """True when the text `pairs`, JSON whitespace aside, holds its '[',
+    ',' and ']' as a list of pairs does, '[,],' per pair and '[,]' for the
+    last, with something between each pair's brackets and its comma, and
+    holds no 'l' or 'r'.
+
+    Such text, its brackets made spaces, reads as a JSON list of numbers
+    exactly where the pairs read as one, to the same numbers: a number
+    outside its brackets, as in [1, ] 2, would leave a bracket side empty,
+    and one against a bracket, as in [1, 2]5, is parted from its
+    neighbour by the space."""
+    solid = np.frombuffer(pairs.encode().translate(None, b" \t\n\r"), np.uint8)
+    marked = solid == _MARKS[0]
+    for mark in _MARKS[1:]:
+        marked |= solid == mark
+    at = np.flatnonzero(marked)
+    filled = np.diff(at) > 1  # something stands between two marks
+    return (len(at) % 4 == 3 and solid[at].tobytes() == b"[,]," * (len(at) // 4) + b"[,]"
+            and filled[0::4].all() and filled[1::4].all())
+
+
 def _parse_pairs(text, start, end):
     """The flat complex array of the pairs from text[start], the first
     pair's '[', to the array's closing ']' at text[end - 1]; None unless
@@ -169,28 +197,32 @@ def _parse_pairs(text, start, end):
 
     json.loads reads slices of about _SLICE characters, each cut at a pair's
     '[' (inside the array a '[' only opens a pair), into the output sized
-    beforehand by the count of '['.  A slice must read as int64 or float64
-    pairs without true or false: numpy takes a bool for a number, and other
-    dtypes, such as uint64 for pairs of 2^63 alone, may convert integers
-    otherwise than the whole array's dtype would."""
+    beforehand by the count of '['.  Once `_pairs_shaped` has checked a
+    slice's brackets and commas, and refused true and false, which numpy
+    takes for numbers, json.loads reads it as one flat list, its brackets
+    made spaces.  The list must read as int64 or float64: other dtypes,
+    such as uint64 for 2^63 alone, may convert integers otherwise than the
+    whole array's dtype would."""
     out = np.empty(text.count("[", start, end), complex)
-    pairs = out.view(float).reshape(-1, 2)
-    row = 0
+    flat = out.view(float)
+    at = 0
     while True:
         cut = text.find("[", start + _SLICE, end)
         chunk = text[start:cut if cut >= 0 else end].rstrip(" \t\n\r")
         # a slice ends with the comma before the next one, the last with the array's ']'
         if not chunk.endswith("," if cut >= 0 else "]"):
             return None
+        pairs = chunk[:-1]
         try:
-            arr = np.asarray(json.loads(f"[{chunk[:-1]}]"))
+            if not _pairs_shaped(pairs):
+                return None
+            arr = np.asarray(json.loads(f"[{pairs.translate(_UNBRACKET)}]"))
         except (ValueError, RecursionError):
             return None
-        if (arr.dtype not in (np.int64, np.float64) or arr.shape[1:] != (2,)
-                or "true" in chunk or "false" in chunk):
+        if arr.dtype not in (np.int64, np.float64):
             return None
-        pairs[row:row + len(arr)] = arr
-        row += len(arr)
+        flat[at:at + len(arr)] = arr
+        at += len(arr)
         if cut < 0:
             return out
         start = cut
@@ -202,8 +234,10 @@ def loads_with_pairs(text, key):
 
     Where data[key] is an array of number pairs and the top-level object's
     last member, as dumps_with_pairs writes it, the array is cut out of the
-    text that json.loads reads, then read by json.loads in slices of 256 k
-    characters: beyond the text, memory is the array and one slice's lists.
+    text that json.loads reads, then read in slices of 256 k characters,
+    each checked for the brackets and commas of pairs and read by
+    json.loads as one flat list of numbers: beyond the text, memory is the
+    array and one slice's text and list.
     Any other text goes to json.loads whole, so it raises as json.loads
     does; its data[key] is a list, which complex_from_pairs reads."""
     data = _loads_fast(text, key) if isinstance(text, str) else None

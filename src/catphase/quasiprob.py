@@ -55,6 +55,7 @@ output maximum.  Elsewhere, as on 101-node axes of half-span above 2.375
 and 201-node ones above 5.5, it keeps the exact matrix (`_axis_kernel`).
 """
 
+import itertools
 import math
 import numbers
 import os
@@ -96,14 +97,6 @@ class PTerm:
     kappa: complex
     beta: complex
     gamma: complex
-
-    @property
-    def is_diagonal(self):
-        return bool(np.isclose(self.beta, self.gamma, rtol=0.0, atol=1e-14))
-
-    @property
-    def kind(self):
-        return "diagonal" if self.is_diagonal else "off_diagonal"
 
     @property
     def center_r(self):
@@ -382,6 +375,25 @@ def _comment_lines(meta):
     return meta
 
 
+# Path suffixes np.loadtxt opens as compressed files.  to_csv writes text
+# under any name, so from_csv reads a path with one of them as a stream.
+_COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
+
+
+def _csv_head(lines):
+    """(count, first): how many lines open the CSV iterator `lines` that
+    np.loadtxt skips (blank lines and '#' comments) or that are headers
+    (`x,` after leading whitespace), and the line after them, None when
+    none is left.  The head is read from `lines`, `first` included."""
+    count = 0
+    for line in lines:
+        if not (line.startswith("#") or line in ("", "\n", "\r\n", "\r")
+                or line.lstrip().startswith("x,")):
+            return count, line
+        count += 1
+    return count, None
+
+
 def _cells_in_order(rows):
     """(xs, ys, values) of CSV rows (x, y, re, im) listed as `to_csv` writes
     them: x-major, each x repeated over the same ys bit for bit, and both
@@ -586,18 +598,26 @@ class Grid2D:
         """Inverse of `to_csv`: rows may come in any order, but every
         (x, y) cell of the rectangle must appear exactly once.
 
+        Blank lines, '#' comments and `x,` header lines may open the file;
+        after the first data row only blank lines and comments may follow,
+        and a header-like line there is refused by np.loadtxt's ValueError.
+        From a path, np.loadtxt reads the lines after the head in blocks.
+
         Rows in `to_csv`'s order are copied into the grid as they stand, so
         memory beyond the parsed rows is the grid; rows in any other order
         are sorted by `np.unique`, which takes about two planes more."""
-        with opened(stream) as lines, warnings.catch_warnings():
-            # an empty file is reported below as 0 rows
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-            rows = np.loadtxt(
-                (line for line in lines if not line.lstrip().startswith("x,")),
-                delimiter=",", comments="#", ndmin=2)
-        if len(rows) and rows.shape[1] != 4:
+        with opened(stream) as lines:
+            lines = iter(lines)
+            skip, first = _csv_head(lines)
+            if first is None:
+                rows = np.empty((0, 4))
+            elif isinstance(stream, str) and not stream.endswith(_COMPRESSED):
+                rows = np.loadtxt(stream, delimiter=",", comments="#", ndmin=2, skiprows=skip)
+            else:
+                rows = np.loadtxt(itertools.chain([first], lines),
+                                  delimiter=",", comments="#", ndmin=2)
+        if rows.shape[1] != 4:
             raise ValueError(f"rows have {rows.shape[1]} fields, expected 4 (x,y,re,im)")
-        rows = rows.reshape(-1, 4)  # an empty file loads as shape (0, 1)
         xs, ys, values = _cells_in_order(rows) or _cells_sorted(rows)
         grid = cls(float(xs[0]), float(xs[-1]), float(ys[0]), float(ys[-1]),
                    len(xs), len(ys), values=values, axis_semantics=axis_semantics)

@@ -223,6 +223,33 @@ def outcome(read, text):
     return [repr(getattr(grid, a)) for a in axes], grid.values.tobytes()
 
 
+def csv_outcomes(text, directory, axis_semantics="alpha"):
+    """outcome() of Grid2D.from_csv on `text` read from a StringIO and from
+    a file at a path (its bytes as they stand), in that order."""
+    path = directory / "grid.csv"
+    path.write_bytes(text.encode())
+    return [outcome(lambda src: Grid2D.from_csv(src, axis_semantics=axis_semantics), src)
+            for src in (io.StringIO(text), str(path))]
+
+
+# A 2 x 3 grid's rows, and CSV layouts of them that the per-line reference
+# parser and Grid2D.from_csv both read: the head (blank lines, '#' comments
+# and `x,` headers) comes before the first row, comments and blank lines
+# anywhere after it
+CSV_ROWS = "".join(f"{x},{y},{x + y / 4},{-y}\n" for x in (-1.0, 1.0) for y in (0.0, 0.5, 1.0))
+CSV_LAYOUTS = {
+    "comments-before-header": "# field = q\n# alpha1 = (1.5+0j)\nx,y,re,im\n" + CSV_ROWS,
+    "blank-lines-before-header": "\n\n# field = q\n\nx,y,re,im\n\n" + CSV_ROWS,
+    "header-after-comments-and-again": "# a\nx,y,re,im\n# b\nx,y,re,im\n" + CSV_ROWS,
+    "indented-header": "  x,y,re,im\n" + CSV_ROWS,
+    "no-header": CSV_ROWS,
+    "crlf": ("# field = q\nx,y,re,im\n" + CSV_ROWS).replace("\n", "\r\n"),
+    "footer-comments": "x,y,re,im\n" + CSV_ROWS + "# integral = 0.25\n# note = done\n",
+    "comments-and-blank-lines-between-rows": "x,y,re,im\n" + CSV_ROWS.replace("\n", "\n# c\n\n", 2),
+    "no-final-newline": "x,y,re,im\n" + CSV_ROWS[:-1],
+}
+
+
 # the 3 x 3 grid of GOOD_PAIRS, and its text with one edit
 GOOD_JSON = json.dumps({"meta": {"field": "q"},
                         "axes": {"x_min": -1.0, "x_max": 1.0, "y_min": -1.0, "y_max": 1.0},
@@ -345,6 +372,17 @@ def integers_before(last):
     return edit
 
 
+def replace_pairs(*news, count=1):
+    """An edit that puts each of `news` in place of the `count` pairs that
+    open at the cut, one edited text each."""
+    def edit(text, cut):
+        end = cut
+        for _ in range(count):
+            end = text.index("]", end) + 1
+        return [text[:cut] + new + text[end:] for new in news]
+    return edit
+
+
 # edits made at a slice cut: each returns the edited texts for one cut
 SLICE_EDITS = {
     "pair-without-comma": lambda text, cut: [text[:cut] + text[cut:].replace(",", "", 1)],
@@ -363,6 +401,22 @@ SLICE_EDITS = {
     "numpy-only-number": replace_numbers("nan"),
     "newline": lambda text, cut: [text[:text.rindex(",", 0, cut)] + " \n,\r\n\t" + text[cut:]],
     "vertical-tab": lambda text, cut: [text[:text.rindex(",", 0, cut)] + ",\v" + text[cut:]],
+    # pairs of another shape: only their brackets and commas tell them from pairs
+    "pair-of-one-pair-of-three-pair-empty": replace_pairs("[1.5]", "[1.5, 2.5, 3.5]", "[]"),
+    "ragged-pairs-with-two-numbers-each": replace_pairs(
+        "[1.5, 2.5, 3.5], [4.5]", "[1.5], [2.5, 3.5, 4.5]", "[], [1.5, 2.5, 3.5, 4.5]",
+        "[1.5, 2.5, 3.5, 4.5], []", count=2),
+    "pair-in-a-pair": replace_pairs("[[1.5, 2.5]]", "[[1.5, 2.5], [3.5, 4.5]]"),
+    "number-outside-its-pair": replace_pairs("[1.5, ] 2.5", "1.5 [, 2.5]", "[1.5,\n] 2.5",
+                                             "1.5 [ , 2.5]", "[1.5, 2.5], 3.5 [, 4.5]", count=2),
+    "number-against-a-bracket": replace_pairs("[1.5, 2.5]5", "[1.5, 2.5], 5[3.5, 4.5]",
+                                              "[1.5, 2]5, [3.5, 4.5]", count=2),
+    "string-holding-a-mark": replace_pairs('["[", 2.5]', '[1.5, "]"]', '[",", 2.5]',
+                                           '["[1.5, 2.5]", 2.5]', '["a", "b"]'),
+    "false": replace_numbers("false"),
+    "null": replace_numbers("null"),
+    "string": replace_numbers('"1"'),
+    "pair-spaced": replace_pairs("[ 1.5 ,\n\t2.5\r\n]", "[\n  1.5,\n  2.5\n]"),
 }
 
 
@@ -427,8 +481,6 @@ class TestConventions:
 class TestPTerm:
     def test_diagonal_centers_are_the_amplitude(self):
         t = PTerm(kappa=0.5, beta=1.0 - 2.0j, gamma=1.0 - 2.0j)
-        assert t.is_diagonal
-        assert t.kind == "diagonal"
         assert t.center_r == pytest.approx(1.0)
         assert t.center_i == pytest.approx(-2.0)
         assert t.weight == pytest.approx(0.5)
@@ -437,7 +489,6 @@ class TestPTerm:
         # |gamma><beta| with beta = -gamma = a real: centers (0, i a)
         a = 2.0
         t = PTerm(kappa=1.0, beta=a, gamma=-a)
-        assert not t.is_diagonal
         assert t.center_r == pytest.approx(0.0)
         assert t.center_i == pytest.approx(1j * a)
 
@@ -450,8 +501,8 @@ class TestPCatTerms:
     def test_four_terms_and_kinds(self):
         rep = p_cat_terms(SKEW_CAT)
         assert len(rep.terms) == 4
-        kinds = [t.kind for t in rep.terms]
-        assert kinds == ["diagonal", "diagonal", "off_diagonal", "off_diagonal"]
+        # diagonal terms first, by the exact test the evaluator pairs terms with
+        assert [t.beta == t.gamma for t in rep.terms] == [True, True, False, False]
 
     def test_off_diagonal_terms_are_conjugate_partners(self):
         rep = p_cat_terms(SKEW_CAT)
@@ -463,7 +514,7 @@ class TestPCatTerms:
         rep = p_cat_terms(CatStateSpec(alpha1=0.8, alpha2=-0.8, zeta=0.0))
         assert len(rep.terms) == 1
         (t,) = rep.terms
-        assert t.is_diagonal and t.beta == 0.8
+        assert t.beta == t.gamma == 0.8
         assert t.kappa == pytest.approx(1.0)
 
     def test_weights_sum_to_trace(self):
@@ -637,7 +688,8 @@ class TestGaussianTerms:
         rep = p_cat_terms(SKEW_CAT)
         terms = gaussian_terms(rep, alpha, 0.7, 1.3)
         for term, (values, peak) in zip(rep.terms, terms, strict=True):
-            assert values.dtype == (float if term.is_diagonal and kind == "grid" else complex)
+            diagonal = term.beta == term.gamma
+            assert values.dtype == (float if diagonal and kind == "grid" else complex)
             total, peak_sum = _sum_terms(PRepresentation((term,)), alpha, 0.7, 1.3)
             assert_bitwise_equal(values, total)
             assert peak == peak_sum
@@ -932,9 +984,9 @@ class TestGrid2D:
         with pytest.raises(ValueError, match=match):
             Grid2D.from_csv(io.StringIO(text))
 
-    @given(csv_grids())
+    @given(grid=csv_grids())
     @settings(max_examples=80, deadline=None, derandomize=True)
-    def test_csv_matches_per_cell_reference(self, grid):
+    def test_csv_matches_per_cell_reference(self, grid, tmp_path_factory):
         meta = ["field = q", "alpha1 = (1.5+0j)"]
         want = io.StringIO()
         reference_to_csv(grid, want, meta=meta)
@@ -942,27 +994,65 @@ class TestGrid2D:
         grid.to_csv(got, meta=meta)
         assert got.getvalue() == want.getvalue()
 
+        # read back from a stream and from a path
         semantics = grid.axis_semantics
         ref = reference_from_csv(io.StringIO(want.getvalue()), axis_semantics=semantics)
+        reads = csv_outcomes(want.getvalue(), tmp_path_factory.mktemp("csv"), semantics)
+        assert reads == [outcome(lambda _: ref, None)] * 2  # geometry, and signed zeros too
         back = Grid2D.from_csv(io.StringIO(want.getvalue()), axis_semantics=semantics)
-        assert back.values.tobytes() == ref.values.tobytes()  # signed zeros too
         assert np.array_equal(back.values, grid.values)
-        axes = ("x_min", "x_max", "y_min", "y_max", "nx", "ny", "axis_semantics")
-        assert [repr(getattr(back, a)) for a in axes] == [repr(getattr(ref, a)) for a in axes]
 
-    def test_csv_read_memory_bounded(self, tmp_path):
+    @pytest.mark.parametrize("layout", CSV_LAYOUTS)
+    def test_csv_layouts_read_as_the_reference_reads_them(self, layout, tmp_path):
+        text = CSV_LAYOUTS[layout]
+        want = outcome(reference_from_csv, io.StringIO(text))
+        assert not isinstance(want[0], type), want
+        assert csv_outcomes(text, tmp_path) == [want, want]
+
+    @pytest.mark.parametrize("text,message", [
+        ("x,y,re,im\n", "0 rows do not fill a 0 x 0 grid"),
+        ("# field = q\n\nx,y,re,im\n# integral = 0.0\n", "0 rows do not fill a 0 x 0 grid"),
+        ("", "0 rows do not fill a 0 x 0 grid"),
+        # a behaviour change: such a line was dropped, and is now refused as any other
+        # line that is not numbers
+        (CSV_ROWS.replace("\n", "\nx,y,re,im\n", 1),
+         "could not convert string 'x' to float64 at row 1, column 1"),
+        (CSV_ROWS + "  x,y,re,im\n", "could not convert string '  x' to float64 at row 6"),
+        # loadtxt skips neither an indented comment nor a line of spaces
+        ("  # field = q\n" + CSV_ROWS, "could not convert string '  ' to float64 at row 0"),
+        ("x,y,re,im\n \n" + CSV_ROWS, "could not convert string ' ' to float64 at row 0"),
+    ], ids=["header-only", "comments-and-header-only", "empty", "header-inside-the-rows",
+            "header-after-the-rows", "indented-comment-first", "spaces-line-first"])
+    def test_csv_head_only_or_header_among_rows_refused(self, text, message, tmp_path):
+        (got_type, got_message), path_read = csv_outcomes(text, tmp_path)
+        assert path_read == (got_type, got_message)
+        assert got_type is ValueError and got_message.startswith(message), got_message
+
+    @pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
+    def test_csv_path_named_as_compressed_reads_back(self, suffix, tmp_path):
+        # to_csv writes text under any name; np.loadtxt, given such a path,
+        # would open it as compressed
+        grid = Grid2D(-1.0, 1.0, -2.0, 2.0, 3, 4)
+        grid.values = np.arange(12).reshape(3, 4) * (0.5 - 0.25j)
+        path = str(tmp_path / f"grid.csv{suffix}")
+        grid.to_csv(path, meta=["field = test"])
+        assert Grid2D.from_csv(path).values.tobytes() == grid.values.tobytes()
+
+    @pytest.mark.parametrize("source", ["path", "stream"])
+    def test_csv_read_memory_bounded(self, source, tmp_path):
         # a few float64 columns per cell, not Python objects per field (~190 B)
         n = 201
         grid = Grid2D(-5.0, 5.0, -4.0, 4.0, n, n)
         grid.values = np.random.default_rng(3).normal(size=(n, n)) * (1 - 2j)
         path = str(tmp_path / "grid.csv")
-        grid.to_csv(path)
-        tracemalloc.start()
-        try:
-            back = Grid2D.from_csv(path)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        grid.to_csv(path, meta=["field = test"])
+        with open(path) if source == "stream" else nullcontext(path) as src:
+            tracemalloc.start()
+            try:
+                back = Grid2D.from_csv(src)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
         np.testing.assert_array_equal(back.values, grid.values)
         # the parsed rows (32 B per cell) and the grid (16 B): no sort, no inverse index
         assert peak < 50 * n * n
@@ -1127,7 +1217,7 @@ class TestGrid2D:
                 want = outcome(reference_from_json, edited_text)
                 assert outcome(Grid2D.from_json, edited_text) == want
                 if edit in ("newline", "integer", "negative-integer-zero", "integer-slice",
-                            "integer-slice-beyond-int64"):
+                            "integer-slice-beyond-int64", "pair-spaced"):
                     assert not isinstance(want[0], type), "json.loads reads this text"
                     values = loads_with_pairs(edited_text, "values")["values"]
                     assert isinstance(values, np.ndarray)
