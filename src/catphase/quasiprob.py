@@ -376,7 +376,8 @@ def _comment_lines(meta):
 
 
 # Path suffixes np.loadtxt opens as compressed files.  to_csv writes text
-# under any name, so from_csv reads a path with one of them as a stream.
+# under any name, so from_csv reads a path with one of them as a stream, as
+# it does a path that is not a regular file: a pipe cannot be opened twice.
 _COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
 
 
@@ -601,7 +602,8 @@ class Grid2D:
         Blank lines, '#' comments and `x,` header lines may open the file;
         after the first data row only blank lines and comments may follow,
         and a header-like line there is refused by np.loadtxt's ValueError.
-        From a path, np.loadtxt reads the lines after the head in blocks.
+        From the path of a regular file, np.loadtxt reads the lines after the
+        head in blocks, opening the file again.
 
         Rows in `to_csv`'s order are copied into the grid as they stand, so
         memory beyond the parsed rows is the grid; rows in any other order
@@ -611,7 +613,8 @@ class Grid2D:
             skip, first = _csv_head(lines)
             if first is None:
                 rows = np.empty((0, 4))
-            elif isinstance(stream, str) and not stream.endswith(_COMPRESSED):
+            elif (isinstance(stream, str) and os.path.isfile(stream)
+                  and not stream.endswith(_COMPRESSED)):
                 rows = np.loadtxt(stream, delimiter=",", comments="#", ndmin=2, skiprows=skip)
             else:
                 rows = np.loadtxt(itertools.chain([first], lines),

@@ -2,7 +2,9 @@ import cmath
 import io
 import json
 import math
+import os
 import re
+import threading
 import tracemalloc
 from contextlib import nullcontext
 
@@ -1037,6 +1039,27 @@ class TestGrid2D:
         path = str(tmp_path / f"grid.csv{suffix}")
         grid.to_csv(path, meta=["field = test"])
         assert Grid2D.from_csv(path).values.tobytes() == grid.values.tobytes()
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    def test_csv_path_to_a_pipe_reads_every_row(self, tmp_path):
+        # a pipe can be read once: the head read must not be lost to a second
+        # open, here past the first read buffer of the file object
+        grid = Grid2D(-1.0, 1.0, -2.0, 2.0, 40, 30)
+        grid.values = np.arange(1200).reshape(40, 30) * (0.5 - 0.25j)
+        text = io.StringIO()
+        grid.to_csv(text, meta=["field = test"])
+        assert len(text.getvalue()) > 4 * io.DEFAULT_BUFFER_SIZE
+        path = str(tmp_path / "grid.csv")
+        os.mkfifo(path)
+
+        def write():
+            with open(path, "w") as out:
+                out.write(text.getvalue())
+        writer = threading.Thread(target=write, daemon=True)
+        writer.start()
+        back = Grid2D.from_csv(path)
+        writer.join(timeout=10)
+        assert back.values.tobytes() == grid.values.tobytes()
 
     @pytest.mark.parametrize("source", ["path", "stream"])
     def test_csv_read_memory_bounded(self, source, tmp_path):
