@@ -70,10 +70,12 @@ def chebyshev_lagrange(nodes, m):
     points = nodes[0] + half * (1.0 + np.cos(theta))
     # gaps to the rounded points, in half-spans: no nonzero gap is small enough
     # for its reciprocal to overflow
-    gap = np.subtract.outer(nodes, points) / half
+    gap = np.subtract.outer(nodes, points)
+    gap /= half
     hit = gap == 0.0
     gap[hit] = 1.0
-    lagrange = (-1.0) ** np.arange(m) * np.sin(theta) / gap
+    # in place, so the gaps and the matrix share one (nodes, m) array
+    lagrange = np.divide((-1.0) ** np.arange(m) * np.sin(theta), gap, out=gap)
     lagrange /= lagrange.sum(axis=1, keepdims=True)
     # a node on a point takes that point's value alone
     on_point = hit.any(axis=1)

@@ -806,19 +806,26 @@ def _axis_kernel(out_axis, src_axis, weights):
         kernel *= weights
         return (kernel,)
     points, lagrange = chebyshev_lagrange(src_axis, m)
-    return _gauss_kernel(out_axis, points), lagrange.T * weights
+    lagrange *= weights[:, None]
+    return _gauss_kernel(out_axis, points), lagrange.T
 
 
 def _gauss_kernel(out_axis, src_axis):
     """The (out, src) matrix e^{-2 (out - src)^2}, its entries below e^{-72}
     (|out - src| > 6) exactly 0: far below any output's rounding, they would
     only make the products multiply subnormals, which runs many times slower.
-    Built in place on the exponent."""
+    Built in place on the exponent.  Far exponents are raised to -73 before
+    exp, so that exp meets neither -inf nor an argument whose result
+    underflows (both take its slow path, and the second signals underflow);
+    their e^{-73} is then overwritten with an exact 0."""
     expo = np.subtract.outer(out_axis, src_axis)
     expo *= expo
     expo *= -2.0
-    expo[expo < -72.0] = -np.inf
-    return np.exp(expo, out=expo)
+    far = expo < -72.0
+    np.maximum(expo, -73.0, out=expo)
+    np.exp(expo, out=expo)
+    np.copyto(expo, 0.0, where=far)
+    return expo
 
 
 def _gaussian_convolve(src, out_grid, method="separable"):

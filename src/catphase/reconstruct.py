@@ -8,6 +8,10 @@ axes and combines the moments by one real table K of (n_max + 1)^2
 (2 n_max + 1) entries, the coefficients of (1-s)^j (1+s)^k: with u = -iy,
 (x+iy)^j (x-iy)^k = (x-u)^j (x+u)^k = sum_a K[j,k,a] x^(j+k-a) u^a.  It
 demonstrates the sifting mechanism behind strict cancellation guards.
+The 2 m axes of m terms are sifted together: while the moments are formed,
+their nodes and weights, two 2 m x node_count arrays, are held beside one
+node_count x (2 n_max + 1) complex Vandermonde and a group of the real
+powers it is copied from.
 """
 
 import json
@@ -17,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blas import single_blas_thread
-from .gendelta import cancellation_factor, sifting_axis
-from .numerics import log_factorial, require_count
+from .gendelta import cancellation_factor, delta_kernel, sifting_axis
+from .numerics import log_factorial, require_count, trapezoid_weights
 from .states import FockDensityMatrix, _coherent_column, cat_density_matrix
 from .quasiprob import PRepresentation, p_cat_terms
 
@@ -61,14 +65,59 @@ def _axis_moments(center, sigma, quad, order):
         return (w * np.exp(-x * x)) @ np.vander(x, order + 1, increasing=True)
 
 
+# bytes of x^k that one group of _batched_axis_moments' axes may hold at once:
+# the eight axes of a four-term cat at 301 nodes and n_max 12 take 0.48 MB
+POWERS_GROUP_BYTES = 1 << 19
+
+
+def _batched_axis_moments(centers, sigma, quad, order):
+    """_axis_moments of each of the 1-d array `centers`, one row each, bit for
+    bit, in a few array operations.
+
+    np.linspace with array endpoints gives every sifting_axis window at
+    once, and the kernel weights and e^{-x^2} follow for all of them.  The
+    powers x^k = x^(k-1) x are formed for a group of axes at a time (at most
+    POWERS_GROUP_BYTES of them, at least one axis).  Each axis's moments are
+    then one vector-Vandermonde product, all in one BLAS section: the
+    complex Vandermonde it takes is the one matmul would cast
+    np.vander(x, order + 1, increasing=True) to, and one buffer serves every
+    axis."""
+    n = quad.node_count
+    x = np.ascontiguousarray(np.linspace(centers.real - quad.halfwidth,
+                                         centers.real + quad.halfwidth, n, axis=-1))
+    spacing = x[:, 1:2] - x[:, :1]
+    # trapezoid weights 0.5 h and h, as trapezoid_weights(n, h) makes them
+    w = delta_kernel(x - centers[:, None], sigma) * (trapezoid_weights(n, 1.0) * spacing)
+    w *= np.exp(-x * x)
+    moments = np.empty((len(w), order + 1), dtype=complex)
+    vander = np.empty((n, order + 1), dtype=complex)
+    group = max(1, min(len(w), POWERS_GROUP_BYTES // (8 * (order + 1) * n)))
+    group_powers = np.empty((order + 1, group, n))
+    group_powers[0] = 1.0
+    with single_blas_thread():
+        for start in range(0, len(w), group):
+            xs = x[start:start + group]
+            powers = group_powers[:, :len(xs)]
+            for k in range(1, order + 1):
+                np.multiply(powers[k - 1], xs, out=powers[k])
+            for i in range(len(xs)):
+                vander[...] = powers[:, i].T
+                np.matmul(w[start + i], vander, out=moments[start + i])
+    return moments
+
+
 def _binomial_table(n_max):
-    """K[j, k, a], the coefficient of s^a in (1 - s)^j (1 + s)^k, over sqrt(j! k!)."""
+    """K[j, k, a], the coefficient of s^a in (1 - s)^j (1 + s)^k, over sqrt(j! k!).
+
+    Pascal's rule on slices: times (1 + s) along k, then times (1 - s) along j
+    for every k at once.  Every coefficient is an integer below 2^53 up to
+    n_max = 40, so the table is exact before the factorials."""
     table = np.zeros((n_max + 1, n_max + 1, 2 * n_max + 1))
-    table[0, 0, 0] = 1.0
-    for m in range(1, n_max + 1):  # times (1 + s) along k
-        table[0, m] = table[0, m - 1] + np.roll(table[0, m - 1], 1)
-    for m in range(1, n_max + 1):  # times (1 - s) along j
-        table[m] = table[m - 1] - np.roll(table[m - 1], 1, axis=1)
+    table[:, :, 0] = 1.0
+    for k in range(1, n_max + 1):
+        np.add(table[0, k - 1, 1:], table[0, k - 1, :-1], out=table[0, k, 1:])
+    for j in range(1, n_max + 1):
+        np.subtract(table[j - 1, :, 1:], table[j - 1, :, :-1], out=table[j, :, 1:])
     inv_sqrt_fact = np.exp(-0.5 * np.array([log_factorial(k) for k in range(n_max + 1)]))
     table *= np.multiply.outer(inv_sqrt_fact, inv_sqrt_fact)[:, :, None]
     return table
@@ -85,8 +134,11 @@ def reconstruct_rho_numeric(rep, sigma, n_max, quad):
 
         G_jk = sum_a K[j,k,a] H[j+k,a],  H[s,a] = sum of weight Mx[s-a] (-i)^a My[a]
 
-    over a sliding window of H.  K is built once per call, after the moments:
-    memory is the larger of K and one node_count x (2 n_max + 1) Vandermonde.
+    over a sliding window of H.  The moments of all 2 m axes of the m terms
+    come from one _batched_axis_moments call, and K is built after them:
+    memory is the 2 m x node_count nodes and weights of the axes, one
+    group's powers and one node_count x (2 n_max + 1) complex Vandermonde,
+    or K where that is larger.
     Raises when e^{|Im center|^2 / 2 sigma^2} exceeds the amplification guard,
     and warns when n_max exceeds 12 (polynomial moment growth dominates the
     quadrature error there).
@@ -97,8 +149,8 @@ def reconstruct_rho_numeric(rep, sigma, n_max, quad):
             f"numeric path is only certified for n_max <= {NUMERIC_MOMENT_ORDER_MAX}; "
             f"the entries of n_max = {n_max} carry larger quadrature error",
             stacklevel=2)
-    factor = max((cancellation_factor(c, sigma)
-                  for t in rep.terms for c in (t.center_r, t.center_i)), default=1.0)
+    centers = [c for t in rep.terms for c in (t.center_r, t.center_i)]
+    factor = max((cancellation_factor(c, sigma) for c in centers), default=1.0)
     if factor > NUMERIC_AMPLIFICATION_GUARD:
         raise OverflowError(
             f"regularization too small: cancellation factor {factor:.3e} exceeds "
@@ -107,9 +159,13 @@ def reconstruct_rho_numeric(rep, sigma, n_max, quad):
     orders = np.arange(2 * n_max + 1)
     i_pow = np.array([1, -1j, -1, 1j])[orders % 4]  # exact; numpy's (-1j) ** a is not from 100
     h = np.zeros((orders.size, orders.size), dtype=complex)
-    for t in rep.terms:  # tril zeros the wrapped Mx[s - a] of a > s
-        mx, my = (_axis_moments(c, sigma, quad, 2 * n_max) for c in (t.center_r, t.center_i))
-        h += t.weight * np.tril(mx[np.subtract.outer(orders, orders)]) * i_pow * my
+    if centers:
+        moments = _batched_axis_moments(np.array(centers, dtype=complex), sigma, quad,
+                                        2 * n_max)
+        # tril zeros the wrapped Mx[s - a] of a > s
+        shifted = np.tril(moments[0::2, np.subtract.outer(orders, orders)])
+        for t, mx, my in zip(rep.terms, shifted, moments[1::2]):
+            h += t.weight * mx * i_pow * my
     window = np.lib.stride_tricks.sliding_window_view(h, n_max + 1, axis=0)  # [j,a,k]: h[j+k,a]
     return FockDensityMatrix(n_max, np.einsum("jka,jak->jk", _binomial_table(n_max), window))
 

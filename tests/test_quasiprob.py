@@ -6,6 +6,7 @@ import os
 import re
 import threading
 import tracemalloc
+import warnings
 from contextlib import nullcontext
 
 import mpmath
@@ -1410,7 +1411,68 @@ class TestWignerFock:
         assert np.abs(w.values.real).max() <= 1.0 / math.pi + wigner_rounding(n)
 
 
+def reference_axis_kernel(out_axis, src_axis, weights):
+    """_axis_kernel's factors built the direct way: far exponents set to -inf
+    before exp, the Lagrange matrix in an array of its own, and the second
+    factor a new product with the weights."""
+    def gauss(out_axis, src_axis):
+        expo = np.subtract.outer(out_axis, src_axis)
+        expo *= expo
+        expo *= -2.0
+        expo[expo < -72.0] = -np.inf
+        return np.exp(expo, out=expo)
+
+    n_out, n_src = len(out_axis), len(src_axis)
+    m = math.ceil(min(16.0 * (src_axis[-1] - src_axis[0]) / 2.0, n_src)) + 12
+    if m * (n_out + n_src) >= n_out * n_src:
+        kernel = gauss(out_axis, src_axis)
+        kernel *= weights
+        return (kernel,)
+    half = (src_axis[-1] - src_axis[0]) / 2.0
+    theta = (np.arange(m) + 0.5) * (math.pi / m)
+    points = src_axis[0] + half * (1.0 + np.cos(theta))
+    gap = np.subtract.outer(src_axis, points) / half
+    hit = gap == 0.0
+    gap[hit] = 1.0
+    lagrange = (-1.0) ** np.arange(m) * np.sin(theta) / gap
+    lagrange /= lagrange.sum(axis=1, keepdims=True)
+    on_point = hit.any(axis=1)
+    lagrange[on_point] = hit[on_point]
+    return gauss(out_axis, points), lagrange.T * weights
+
+
+# the benchmark's square axes (101, 201 and 401 nodes at field_bound half-spans
+# 6.5..10) and verify's padded 321-node source for its 161-node output
+KERNEL_AXES = [*((np.linspace(-half, half, n), np.linspace(-half, half, n))
+                 for n in (101, 201, 401) for half in (6.5, 8.0, 9.9, 10.0)),
+               (np.linspace(-6.0, 6.0, 161), np.linspace(-12.0, 12.0, 321))]
+
+
 class TestConvolutionTransforms:
+    @pytest.mark.parametrize("out_axis, src_axis", KERNEL_AXES)
+    def test_axis_kernel_equals_reference_build(self, out_axis, src_axis):
+        # bit for bit, whatever the factors' memory order
+        weights = trapezoid_weights(len(src_axis), src_axis[1] - src_axis[0])
+        got = _axis_kernel(out_axis, src_axis, weights)
+        want = reference_axis_kernel(out_axis, src_axis, weights)
+        assert [f.shape for f in got] == [f.shape for f in want]
+        assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
+
+    @pytest.mark.parametrize("half", [9.9, 24.0])
+    @pytest.mark.parametrize("nodes", [101, 401, 1601])
+    def test_axis_kernel_signals_no_floating_point_error(self, half, nodes):
+        # far entries become exact zeros without exp underflowing on them
+        axis = np.linspace(-half, half, nodes)
+        with np.errstate(all="raise"):
+            _axis_kernel(axis, axis, trapezoid_weights(nodes, axis[1] - axis[0]))
+
+    def test_convolution_raises_no_warning(self):
+        grid = alpha_grid(half=9.9, n=401)
+        p = p_representation_grid(p_cat_terms(SKEW_CAT), 0.3, grid)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _gaussian_convolve(_gaussian_convolve(p, grid), grid)
+
     def test_coherent_projector_wigner_closed_form(self):
         # P of width sigma centered at b convolves to a Gaussian of
         # per-axis variance sigma^2 + 1/4

@@ -13,8 +13,8 @@ from catphase.numerics import QuadratureSpec, gaussian_moment_integral, log_fact
     trapezoid_weights
 from catphase.quasiprob import PRepresentation, PTerm, p_cat_terms
 from catphase.reconstruct import NUMERIC_AMPLIFICATION_GUARD, NUMERIC_MOMENT_ORDER_MAX, \
-    _axis_moments, _term_factors, reconstruct_rho, reconstruct_rho_numeric, rho_from_pterm, \
-    roundtrip_report
+    _axis_moments, _batched_axis_moments, _binomial_table, _term_factors, reconstruct_rho, \
+    reconstruct_rho_numeric, rho_from_pterm, roundtrip_report
 from catphase.states import CatStateSpec, FockDensityMatrix, _coherent_column, \
     cat_density_matrix, coherent_fock_coeffs, recommended_n_max
 
@@ -67,6 +67,15 @@ def reference_reconstruct_numeric(rep, sigma, n_max, quad):
             g += w * ((u_pow.T * wi) @ u_pow.conj())
         total = total + term.weight * g * np.outer(inv_sqrt_fact, inv_sqrt_fact)
     return FockDensityMatrix(n_max=n_max, entries=total)
+
+
+def benchmark_axes(spec):
+    """The sifting centres, width and window the benchmark gives a cat."""
+    rep = p_cat_terms(spec)
+    worst = max(max(abs(np.imag(t.center_r)), abs(np.imag(t.center_i))) for t in rep.terms)
+    sigma = max(0.2, worst / math.sqrt(2.0 * math.log(1e6)))
+    centers = np.array([c for t in rep.terms for c in (t.center_r, t.center_i)], dtype=complex)
+    return centers, sigma, 10.0 * sigma
 
 
 @st.composite
@@ -249,6 +258,53 @@ class TestNumericReconstruction:
         finally:
             tracemalloc.stop()
         assert peak < 6e6
+
+    def test_memory_of_many_nodes_stays_near_one_vandermonde(self):
+        # at 20001 nodes one axis's complex Vandermonde is 8 MB and its real
+        # powers 4 MB; the eight axes' nodes and weights add 3.8 MB
+        rep = p_cat_terms(SPECS[2])
+        quad = QuadratureSpec(center=0.0, halfwidth=3.0, node_count=20001)
+        tracemalloc.start()
+        try:
+            reconstruct_rho_numeric(rep, 0.4, 12, quad)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16.7e6
+
+    @pytest.mark.parametrize("nodes", [201, 301, 601])
+    @pytest.mark.parametrize("n_max", [0, 12, 40])
+    @pytest.mark.parametrize("group_bytes", [0, None], ids=["one-axis-groups", "default-groups"])
+    def test_batched_moments_equal_each_axis_alone(self, nodes, n_max, group_bytes, monkeypatch):
+        # bit for bit: every row of the batched moments is its axis's own _axis_moments
+        if group_bytes is not None:
+            monkeypatch.setattr("catphase.reconstruct.POWERS_GROUP_BYTES", group_bytes)
+        for spec in SPECS:
+            centers, sigma, halfwidth = benchmark_axes(spec)
+            quad = QuadratureSpec(center=0.0, halfwidth=halfwidth, node_count=nodes)
+            got = _batched_axis_moments(centers, sigma, quad, 2 * n_max)
+            assert got.shape == (len(centers), 2 * n_max + 1)
+            for c, row in zip(centers, got):
+                assert row.tobytes() == _axis_moments(c, sigma, quad, 2 * n_max).tobytes()
+
+    @pytest.mark.parametrize("n_max", range(41))
+    def test_binomial_table_is_exact(self, n_max):
+        # the coefficients of (1 - s)^j (1 + s)^k, from math.comb in integers,
+        # over sqrt(j! k!) as the table scales them
+        exact = [[[sum((-1) ** i * math.comb(j, i) * math.comb(k, a - i) for i in range(a + 1))
+                   for a in range(2 * n_max + 1)]
+                  for k in range(n_max + 1)] for j in range(n_max + 1)]
+        inv_sqrt_fact = np.exp(-0.5 * np.array([log_factorial(k) for k in range(n_max + 1)]))
+        want = np.array(exact, dtype=float) * np.multiply.outer(inv_sqrt_fact,
+                                                                 inv_sqrt_fact)[:, :, None]
+        assert _binomial_table(n_max).tobytes() == want.tobytes()
+
+    def test_raises_no_warning(self):
+        rep = p_cat_terms(SPECS[2])
+        quad = QuadratureSpec(center=0.0, halfwidth=4.0, node_count=301)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            reconstruct_rho_numeric(rep, 0.4, 12, quad)
 
     def test_axis_moments_sift_monomials_to_closed_form(self):
         # x^m e^{-x^2} against the kernel at the complex centre c:
