@@ -106,12 +106,21 @@ def pairs_text(doc, key, values):
     byte, as (head, rows, tail): rows(start, stop) is the text of the pairs
     of rows start:stop of `values` (indices of its first axis), so head, the
     rows of consecutive spans from 0 to len(values), and tail join to the
-    whole text.  `key` must not be in `doc`, so that the pairs come last."""
-    values = np.asarray(values, dtype=complex)
+    whole text.  `key` must not be in `doc`, so that the pairs come last.
+    Real `values` (any that are not complex) are read as floats, and each
+    pair's imaginary part is written as the constant 0.0."""
+    values = np.asarray(values, dtype=complex if np.iscomplexobj(values) else float)
     head = json.dumps({**doc, key: None})
 
     def rows(start, stop):
-        return (", " if start else "") + json.dumps(complex_pairs(values[start:stop]))[1:-1]
+        block = values[start:stop]
+        if np.iscomplexobj(values):
+            pairs = json.dumps(complex_pairs(block))[1:-1]
+        else:
+            # json.dumps spells each real as in a pair ([re, 0.0]), NaN and Infinity included
+            reals = json.dumps(block.ravel().tolist())[1:-1]
+            pairs = "[" + ", 0.0], [".join(reals.split(", ")) + ", 0.0]" if reals else ""
+        return (", " if start else "") + pairs
 
     return head[:-len("null}")] + "[", rows, "]}"
 

@@ -47,7 +47,9 @@ of `wigner_from_p`.
 
 That convolution, and `q_from_wigner`'s, is (2/pi) kx @ V @ ky.T for the
 axis kernels e^{-2 (x - x')^2} times the trapezoid weights, their entries
-below e^{-72} set to 0 (`_gauss_kernel`).  Where it saves
+below e^{-72} set to 0 (`_gauss_kernel`).  The real fields (a cat's P, W
+and Q) live on real grids, so V is one real plane and so is the output; a
+complex field's real and imaginary parts run through it apart.  Where it saves
 flops an axis kernel is two factors, the kernel on ceil(16 L) + 12
 Chebyshev points of the source's half-span L and the barycentric Lagrange
 matrix from them to the source nodes: within 4e-15 of the exact product's
@@ -345,10 +347,17 @@ def p_regularized_eval(rep, sigma, alpha):
     t = 2 sigma^2 row of the module table.  Complex-valued in general for
     off-diagonal terms; raises FloatingPointError when a value overflows.
     """
+    total = _regularized_sum(rep, sigma, alpha)
+    return np.asarray(total, dtype=complex) if total.shape else complex(total)
+
+
+def _regularized_sum(rep, sigma, alpha):
+    """The regularized P-function's `_sum_terms` total, real where the terms
+    pair off into conjugates (module docstring), behind its guards."""
     require_positive(sigma, "sigma")
     total = _sum_terms(rep, alpha, 2.0 * sigma * sigma)[0]
     _require_finite(total, f"regularized P at sigma = {sigma}")
-    return np.asarray(total, dtype=complex) if total.shape else complex(total)
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -511,10 +520,13 @@ def _received(pipe):
 
 @dataclass
 class Grid2D:
-    """Uniformly sampled complex field over a rectangle.
+    """Uniformly sampled real or complex field over a rectangle.
 
     values[i, j] is the sample at (xs[i], ys[j]).  axis_semantics records
     whether the axes are (Re alpha, Im alpha) or the (x, p) quadratures.
+    Values given as a complex array are stored as complex128, any other
+    (float, int or bool) as float64, an array already of that dtype without
+    a copy; no values are complex zeros.  The readers return complex grids.
     """
 
     x_min: float
@@ -544,7 +556,8 @@ class Grid2D:
         if self.values is None:
             self.values = np.zeros((self.nx, self.ny), dtype=complex)
         else:
-            self.values = np.asarray(self.values, dtype=complex)
+            dtype = complex if np.iscomplexobj(self.values) else float
+            self.values = np.asarray(self.values, dtype=dtype)
             if self.values.shape != (self.nx, self.ny):
                 raise ValueError(
                     f"values shape {self.values.shape} != {(self.nx, self.ny)}")
@@ -574,11 +587,15 @@ class Grid2D:
                       axis_semantics=self.axis_semantics)
 
     def integrate(self):
-        """2D trapezoid integral of the field over the rectangle."""
+        """2D trapezoid integral of the field over the rectangle.  The sum
+        runs in complex arithmetic for a real grid too, on a complex copy of
+        its values, so that it is bit for bit its complex twin's: real and
+        complex products add in different orders."""
         wx = trapezoid_weights(self.nx, self.dx)
         wy = trapezoid_weights(self.ny, self.dy)
+        values = self.values.astype(complex, copy=False)
         with single_blas_thread():
-            return complex(wx @ self.values @ wy)
+            return complex(wx @ values @ wy)
 
     # -- serialization ------------------------------------------------------
 
@@ -666,7 +683,13 @@ class Grid2D:
                             for y, r, i in zip(ys, map(repr, row.real.tolist()),
                                                map(repr, row.imag.tolist()))])
 
-        return head, rows, ""
+        def real_rows(start, stop):
+            # the imaginary column of a real grid: the repr of +0.0, written once
+            return "".join([f"{x}{y}{r},0.0\n"
+                            for x, row in zip(xs[start:stop], values[start:stop])
+                            for y, r in zip(ys, map(repr, row.tolist()))])
+
+        return head, rows if np.iscomplexobj(values) else real_rows, ""
 
     def _write(self, out, text, fork=False):
         """Write `text`, the (head, rows, tail) of `_text`, to the open
@@ -754,7 +777,7 @@ def wigner_fock(n, grid, q_halfwidth=10.0, q_nodes=2001):
 
     one real product cols.T @ rows of the axis factors (`_laguerre_axis`),
     (-1)^n / pi folded into cols and rows in reverse order, on one BLAS
-    thread.  The values are real, so the imaginary part is exactly 0.  n must
+    thread.  The values are real, and so is the grid that holds them.  n must
     be an integer in [0, HERMITE_N_MAX]; a grid not reaching |x|, |p| >=
     2 sqrt(n) + 4 misses part of the state and draws a warning.
 
@@ -843,12 +866,13 @@ def _gaussian_convolve(src, out_grid, method="separable"):
     matrix's output maximum at half-spans 2..16 and 61..801 nodes; the chain
     kx @ . @ ky.T runs over whatever the kernels are, in the cheapest order
     (`np.linalg.multi_dot`).  One kernel serves both axes when the two grids
-    are square (equal x and y axes on each side).  The real part of the
-    field runs through the chain; the imaginary part runs through it only
-    when it has a nonzero (or NaN) cell; the real fields the library
-    convolves have an imaginary part of exactly 0, and then the output's is
-    exactly 0 too.  The products run on one BLAS thread (see catphase.blas),
-    so their time does not hang on a second core being free.
+    are square (equal x and y axes on each side).  A real source, as every
+    field the library convolves is, runs through the chain as it is stored
+    and gives a real output.  Of a complex source, the real part runs
+    through the chain, and the imaginary part only when it has a nonzero
+    (or NaN) cell; the output is complex, its imaginary part exactly 0 when
+    the source's is.  The products run on one BLAS thread (see
+    catphase.blas), so their time does not hang on a second core being free.
     """
     if method == "direct":
         wx = trapezoid_weights(src.nx, src.dx)
@@ -856,7 +880,7 @@ def _gaussian_convolve(src, out_grid, method="separable"):
         dx_out = np.subtract.outer(out_grid.xs, src.xs)
         dy_out = np.subtract.outer(out_grid.ys, src.ys)
         weighted = src.values * np.outer(wx, wy)
-        vals = np.empty((out_grid.nx, out_grid.ny), dtype=complex)
+        vals = np.empty((out_grid.nx, out_grid.ny), dtype=src.values.dtype)
         for i in range(out_grid.nx):
             for j in range(out_grid.ny):
                 kern = np.exp(-2.0 * (dx_out[i][:, None] ** 2 + dy_out[j][None, :] ** 2))
@@ -865,6 +889,7 @@ def _gaussian_convolve(src, out_grid, method="separable"):
     if method != "separable":
         raise ValueError(f"unknown method {method!r}")
     values = src.values
+    complex_src = np.iscomplexobj(values)
     kx = _axis_kernel(out_grid.xs, src.xs, trapezoid_weights(src.nx, src.dx))
     square = all((g.x_min, g.x_max, g.nx) == (g.y_min, g.y_max, g.ny) for g in (src, out_grid))
     ky = kx if square else _axis_kernel(out_grid.ys, src.ys, trapezoid_weights(src.ny, src.dy))
@@ -872,10 +897,13 @@ def _gaussian_convolve(src, out_grid, method="separable"):
     with single_blas_thread():
         real = np.linalg.multi_dot([*kx, values.real, *kyt])
         # NaN is nonzero, so a NaN imaginary cell still reaches the output
-        imag = np.linalg.multi_dot([*kx, values.imag, *kyt]) if values.imag.any() else None
-    # the output is made only once the kernels and the chains' temporaries are freed
-    del kx, ky, kyt
+        imag = (np.linalg.multi_dot([*kx, values.imag, *kyt])
+                if complex_src and values.imag.any() else None)
     real *= 2.0 / math.pi
+    if not complex_src:
+        return out_grid.like(values=real)
+    # the complex output is made only once the kernels and the chains' temporaries are freed
+    del kx, ky, kyt
     vals = real.astype(complex)
     if imag is not None:
         imag *= 2.0 / math.pi
@@ -885,11 +913,13 @@ def _gaussian_convolve(src, out_grid, method="separable"):
 
 def p_representation_grid(rep, sigma, grid):
     """Sample the regularized P-function of `rep` on an alpha-plane grid,
-    warning when sigma is too small for the grid spacing to resolve."""
+    warning when sigma is too small for the grid spacing to resolve.  The
+    grid is real when the terms pair off into conjugates, as a cat's do,
+    and complex otherwise; the values are p_regularized_eval's."""
     if sigma < 2.0 * max(grid.dx, grid.dy):
         warnings.warn(f"P width sigma = {sigma} below 2 grid spacings "
                       f"({grid.dx:.3g}, {grid.dy:.3g}); field is aliased", stacklevel=2)
-    return grid.like(values=p_regularized_eval(rep, sigma, grid))
+    return grid.like(values=_regularized_sum(rep, sigma, grid))
 
 
 def wigner_from_p(p_field, grid):

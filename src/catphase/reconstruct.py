@@ -22,7 +22,7 @@ import numpy as np
 
 from .blas import single_blas_thread
 from .gendelta import cancellation_factor, delta_kernel, sifting_axis
-from .numerics import log_factorial, require_count, trapezoid_weights
+from .numerics import log_factorial, require_count, require_positive, trapezoid_weights
 from .states import FockDensityMatrix, _coherent_column, cat_density_matrix
 from .quasiprob import PRepresentation, p_cat_terms
 
@@ -141,8 +141,10 @@ def reconstruct_rho_numeric(rep, sigma, n_max, quad):
     or K where that is larger.
     Raises when e^{|Im center|^2 / 2 sigma^2} exceeds the amplification guard,
     and warns when n_max exceeds 12 (polynomial moment growth dominates the
-    quadrature error there).
+    quadrature error there).  A sigma that is not positive is refused first,
+    with or without terms.
     """
+    require_positive(sigma, "sigma")
     n_max = require_count(n_max, "n_max")
     if n_max > NUMERIC_MOMENT_ORDER_MAX:
         warnings.warn(

@@ -24,7 +24,7 @@ from catphase.quasiprob import Grid2D, p_cat_terms, p_regularized_eval, p_repres
 from catphase.reconstruct import RoundTripReport
 from catphase.states import CatStateSpec
 from test_package import fresh_env, run_fresh
-from test_quasiprob import assert_bitwise_equal, meshgrid_plane
+from test_quasiprob import assert_bitwise_equal, meshgrid_plane, spelled_real_values
 
 STATE = ["--alpha1", "1.5", "0", "--alpha2", "-1.5", "0", "--zeta", "1", "0"]
 SPEC = CatStateSpec(1.5, -1.5, 1.0)
@@ -865,6 +865,26 @@ class TestTwoProcessWrite:
                                   "--format", fmt], capsys)
         assert (code, err) == (EXIT_OK, "")
         assert out == library_text(two_processes[0][0], fmt, out)
+
+    # 301 x 300 cells reach the command's own fork threshold, 7 x 6 do not
+    @pytest.mark.parametrize("nx, ny, fork", [(301, 300, True), (301, 300, False),
+                                              (7, 6, True)])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_real_grid_writes_the_bytes_of_its_complex_twin(self, fmt, nx, ny, fork,
+                                                            monkeypatch):
+        forks, fork_call = [], os.fork
+        monkeypatch.setattr(quasiprob, "_cpu_count", lambda: 2)
+        monkeypatch.setattr(os, "fork", lambda: forks.append(os.getpid()) or fork_call())
+        real = Grid2D(-1.0, 1.0, -2.0, 3.0, nx, ny, values=spelled_real_values(nx, ny))
+        twin = real.like(values=real.values.astype(complex))
+        texts = []
+        for grid in (real, twin):
+            out = io.StringIO()
+            grid._write(out, grid._text(fmt, ["field = test"] if fmt == "csv" else {}), fork)
+            texts.append(out.getvalue())
+        assert real.values.dtype == float and texts[0] == texts[1]
+        assert len(forks) == (2 if fork and nx * ny >= quasiprob._FORK_CELLS else 0)
+        assert_no_child_left()
 
     def test_library_writers_never_fork(self, two_processes, tmp_path):
         grid = Grid2D(-1.0, 1.0, -1.0, 1.0, 37, 23)

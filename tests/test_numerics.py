@@ -13,7 +13,7 @@ from catphase.cli import build_parser, cmd_sift
 from catphase.gendelta import AnalyticTestFunction, RegularizedDelta, cancellation_factor, \
     delta_kernel, delta_kernel_fourier, delta_moment
 from catphase.numerics import QuadratureSpec, complex_from_pairs, complex_pairs, \
-    gaussian_moment_integral, hermite_poly, quad_real_line
+    gaussian_moment_integral, hermite_poly, pairs_text, quad_real_line
 from catphase.quasiprob import Grid2D, PTerm, p_cat_terms, p_regularized_eval, wigner_fock
 from catphase.reconstruct import reconstruct_rho, reconstruct_rho_numeric, rho_from_pterm, \
     roundtrip_report
@@ -323,6 +323,17 @@ class TestComplexPairs:
             a, b = getattr(got, part), getattr(want, part)
             np.testing.assert_array_equal(a, b)  # NaN positions included
             np.testing.assert_array_equal(np.signbit(a[b == 0]), np.signbit(b[b == 0]))
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(values=hnp.arrays(st.sampled_from([float, int, bool]),
+                             hnp.array_shapes(min_dims=2, max_dims=2, max_side=6)),
+           cut=st.integers(0, 6))
+    def test_pairs_text_of_real_values_is_json_dumps_of_their_pairs(self, values, cut):
+        # the imaginary part, written as a constant, is the 0.0 of the values stored complex
+        head, rows, tail = pairs_text({"n": 1}, "values", values)
+        cut = min(cut, len(values) - 1)
+        text = head + rows(0, cut) + rows(cut, len(values)) + tail
+        assert text == json.dumps({"n": 1, "values": complex_pairs(values)})
 
     @pytest.mark.parametrize("pairs", [[[True, 1.5], [0.0, 2.0]], [[1, 2], [3, False]],
                                        [[True, False]]], ids=["float", "integer", "bool"])

@@ -1303,6 +1303,137 @@ class TestGrid2D:
         assert stream.closed
 
 
+# reals whose spelling a writer must keep: signed zeros, subnormals, the
+# largest magnitudes and the non-finite values (json.dumps writes NaN and Infinity)
+SPELLED_REALS = [-0.0, 0.0, 5e-324, -1e-310, 2.2250738585072014e-308, 1e308, -1e308,
+                 1.7976931348623157e308, math.nan, math.inf, -math.inf, 1.0 / 3.0]
+
+
+def spelled_real_values(nx, ny):
+    """An (nx, ny) float array of SPELLED_REALS at seeded cells among normals
+    scaled by 1e-300 to 1e300."""
+    rng = np.random.default_rng(nx * 1000 + ny)
+    values = rng.normal(size=(nx, ny)) * 10.0 ** rng.integers(-300, 300, size=(nx, ny))
+    values.flat[rng.permutation(nx * ny)[:len(SPELLED_REALS)]] = SPELLED_REALS
+    return values
+
+
+class TestRealGrid:
+    """A real field is stored as float64, and its text, integral and
+    convolutions are those of its complex twin (the same values stored as
+    complex128)."""
+
+    @pytest.mark.parametrize("values, dtype", [
+        (np.ones((3, 4)), np.float64), (np.ones((3, 4), dtype=np.float32), np.float64),
+        (np.arange(12).reshape(3, 4), np.float64), (np.eye(3, 4, dtype=bool), np.float64),
+        ([[1.0] * 4] * 3, np.float64), (np.ones((3, 4)) * 1j, np.complex128),
+        (np.ones((3, 4), dtype=np.complex64), np.complex128), ([[1j] * 4] * 3, np.complex128)],
+        ids=["float64", "float32", "int", "bool", "float-list", "complex128", "complex64",
+             "complex-list"])
+    def test_values_keep_their_kind(self, values, dtype):
+        grid = Grid2D(-1.0, 1.0, -1.0, 1.0, 3, 4, values=values)
+        assert grid.values.dtype == dtype
+        np.testing.assert_array_equal(grid.values, np.asarray(values))
+        # an array already of the stored dtype is held without a copy
+        assert (grid.values is values) == (getattr(values, "dtype", None) == dtype)
+
+    def test_no_values_are_complex_zeros(self):
+        grid = Grid2D(-1.0, 1.0, -1.0, 1.0, 3, 4)
+        assert grid.values.dtype == np.complex128 and not grid.values.any()
+        assert grid.like().values.dtype == np.complex128
+
+    @pytest.mark.parametrize("nx, ny", [(7, 6), (6, 7), (5, 5), (8, 8)])
+    def test_library_writers_write_the_complex_twins_text(self, nx, ny):
+        real = Grid2D(-1.0, 1.0, -2.0, 3.0, nx, ny, values=spelled_real_values(nx, ny))
+        twin = real.like(values=real.values.astype(complex))
+        assert (real.values.dtype, twin.values.dtype) == (np.float64, np.complex128)
+        meta = ["field = test"]
+        texts = []
+        for grid in (real, twin):
+            buf = io.StringIO()
+            grid.to_csv(buf, meta=meta)
+            texts.append((buf.getvalue(), grid.to_json({"field": "test"}),
+                          "".join(grid.json_chunks({"field": "test"}))))
+        assert texts[0] == texts[1]
+        csv_text, json_text, chunks = texts[0]
+        oracle = io.StringIO()
+        reference_to_csv(twin, oracle, meta=meta)
+        assert csv_text == oracle.getvalue()
+        assert json_text == chunks == reference_to_json(twin, {"field": "test"})
+        for spelled in ("[NaN, 0.0]", "[Infinity, 0.0]", "[-Infinity, 0.0]", "[-0.0, 0.0]",
+                        "[5e-324, 0.0]", "[-1e-310, 0.0]", "[1.7976931348623157e+308, 0.0]"):
+            assert spelled in json_text
+        for spelled in (",nan,0.0\n", ",inf,0.0\n", ",-inf,0.0\n", ",-0.0,0.0\n"):
+            assert spelled in csv_text
+
+    # grids on which a real product's sum parts from a complex one's in the last bit
+    @pytest.mark.parametrize("spec, n", [(EVEN_CAT, 201), (SKEW_CAT, 401)])
+    def test_integral_is_the_complex_twins(self, spec, n):
+        # the CLI's CSV footer writes it
+        grid = alpha_grid(half=6.0, n=n)
+        real = grid.like(values=q_function(spec, grid))
+        twin = real.like(values=real.values.astype(complex))
+        assert real.integrate().real.hex() == twin.integrate().real.hex()
+        assert real.values.dtype == np.float64
+
+    def test_readers_return_complex_grids(self, tmp_path):
+        real = Grid2D(-1.0, 1.0, -2.0, 3.0, 5, 4, values=spelled_real_values(5, 4))
+        path = str(tmp_path / "grid.csv")
+        real.to_csv(path)
+        for back in (Grid2D.from_csv(path), Grid2D.from_json(real.to_json())):
+            assert back.values.dtype == np.complex128
+            assert_bitwise_equal(back.values, real.values.astype(complex))
+
+    def test_library_fields_are_real(self):
+        grid = alpha_grid(n=41)
+        xp = Grid2D(-8.0, 8.0, -8.0, 8.0, 41, 41, axis_semantics="xp")
+        assert p_representation_grid(p_cat_terms(SKEW_CAT), 0.6, grid).values.dtype == float
+        assert wigner_fock(3, xp).values.dtype == float
+        # a term without its conjugate partner keeps a complex grid; the
+        # pointwise regularized P stays complex for any terms
+        lone = PRepresentation((PTerm(kappa=1.0, beta=0.5, gamma=-0.5j),))
+        assert p_representation_grid(lone, 0.6, grid).values.dtype == complex
+        assert p_regularized_eval(p_cat_terms(SKEW_CAT), 0.6, grid).dtype == complex
+
+    @pytest.mark.parametrize("method", ["separable", "direct"])
+    def test_convolution_output_follows_its_source(self, method):
+        grid = alpha_grid(half=3.0, n=21)
+        real = p_representation_grid(p_cat_terms(SKEW_CAT), 0.6, grid)
+        twin = real.like(values=real.values.astype(complex))
+        out_real = _gaussian_convolve(real, grid, method)
+        out_twin = _gaussian_convolve(twin, grid, method)
+        assert (out_real.values.dtype, out_twin.values.dtype) == (np.float64, np.complex128)
+        # the twin's imaginary part is all 0, and so is its output's
+        assert not out_twin.values.imag.any()
+        if method == "separable":
+            assert_bitwise_equal(out_real.values, out_twin.values.real.copy())
+        else:
+            # the direct oracle's real and complex sums may part in the last bit
+            np.testing.assert_allclose(out_real.values, out_twin.values.real, rtol=1e-14)
+
+    def test_chain_is_its_complex_twins_real_part(self):
+        # P -> W -> Q of a real P, bit for bit the chain of its complex twin
+        grid = alpha_grid(half=7.0, n=201)
+        p = p_representation_grid(p_cat_terms(SKEW_CAT), 0.6, grid)
+        real = q_from_wigner(wigner_from_p(p, grid), grid)
+        twin = q_from_wigner(wigner_from_p(p.like(values=p.values.astype(complex)), grid), grid)
+        assert real.values.dtype == np.float64
+        assert_bitwise_equal(real.values, twin.values.real.copy())
+
+    def test_p_grid_memory_bounded(self):
+        # the real sum of the terms is the grid's values: about 1.13 real
+        # planes at 401^2, the rest being the axis factors
+        grid = alpha_grid(half=7.0, n=401)
+        rep = p_cat_terms(SKEW_CAT)
+        tracemalloc.start()
+        try:
+            p_representation_grid(rep, 0.6, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.15 * grid.nx * grid.ny * np.dtype(float).itemsize
+
+
 class TestWignerFock:
     @pytest.mark.parametrize("n", [0, 1, 2, 3])
     def test_matches_laguerre_closed_form(self, n):
@@ -1371,8 +1502,9 @@ class TestWignerFock:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the real product (8 B a cell) and the complex grid made from it (16)
-        assert peak < 26 * n * n
+        # the real product (8 B a cell) is the grid's values; the axis factors
+        # add (n + 1) rows per axis
+        assert peak < 1.05 * 8 * n * n
 
     @pytest.mark.parametrize("n", [0, 1, 2, 5, 10, 20, 40, HERMITE_N_MAX])
     def test_matches_mpmath_oracle(self, n):
@@ -1603,18 +1735,22 @@ class TestConvolutionTransforms:
         assert np.isnan(out.imag).all()
         assert np.isfinite(out.real).all()
 
-    def test_convolution_memory_bounded(self):
-        # the chain's real product, then the output reserved once the kernels and
-        # the chain's temporaries are freed: 1.5 planes
+    # in real planes of 401^2 (1.29 MB): a real source's chain ends in its real
+    # output, about 1.81 planes with the kernels and the chain's temporaries; a
+    # complex source's output (2 planes) is reserved once those are freed
+    @pytest.mark.parametrize("dtype, planes", [(float, 1.9), (complex, 3.1)],
+                             ids=["real", "complex"])
+    def test_convolution_memory_bounded(self, dtype, planes):
         grid = alpha_grid(n=401)
         src = p_representation_grid(p_cat_terms(SKEW_CAT), 0.6, grid)
+        src = src.like(values=src.values.astype(dtype))
         tracemalloc.start()
         try:
             _gaussian_convolve(src, grid)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.55 * src.values.nbytes
+        assert peak <= planes * grid.nx * grid.ny * np.dtype(float).itemsize
 
     def test_unknown_method_rejected(self):
         src = alpha_grid(n=11)

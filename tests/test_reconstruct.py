@@ -183,6 +183,15 @@ class TestFullReconstruction:
 
 
 class TestNumericReconstruction:
+    @pytest.mark.parametrize("rep", [PRepresentation(()),
+                                     p_cat_terms(CatStateSpec(1.0, -1.0, 1.0))],
+                             ids=["empty", "cat"])
+    @pytest.mark.parametrize("sigma", [-1.0, 0.0, math.nan])
+    def test_sigma_refused_with_or_without_terms(self, rep, sigma):
+        # an empty representation sifts nothing, so sigma is checked before the terms
+        with pytest.raises(ValueError, match="sigma must be positive"):
+            reconstruct_rho_numeric(rep, sigma, 2, QuadratureSpec(0.0, 3.0, 11))
+
     def test_diagonal_term_converges(self):
         rep = PRepresentation(terms=(PTerm(kappa=1.0, beta=0.7, gamma=0.7),))
         quad = QuadratureSpec(center=0.0, halfwidth=0.5, node_count=1001)
