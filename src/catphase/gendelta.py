@@ -198,17 +198,18 @@ def _check_cancellation(z0, sigma):
     return factor
 
 
-def _require_resolved(quad, sigma):
-    """Raise FloatingPointError unless the nodes of `quad` resolve a kernel of
-    width sigma: their spacing must not exceed sigma, and rounding at the
-    window's edge may move a node by at most sqrt(eps) sigma, so that the
-    sum keeps about half its digits."""
+def _require_resolved(quad, sigma, low, high):
+    """Raise FloatingPointError unless the nodes of `quad`, on windows centred
+    at real points from `low` to `high`, resolve a kernel of width sigma: their
+    spacing must not exceed sigma, and rounding at the windows' far edge may
+    move a node by at most sqrt(eps) sigma, so that the sum keeps about half
+    its digits."""
     require_positive(sigma, "sigma")
-    rounding = float(np.spacing(abs(quad.center) + quad.halfwidth))
+    rounding = float(np.spacing(max(abs(low), abs(high)) + quad.halfwidth))
     if not (quad.spacing <= sigma and rounding <= NODE_ROUNDING_TOL * sigma):
         raise FloatingPointError(
             f"sifting quadrature cannot resolve sigma = {sigma}: {quad.node_count} nodes on "
-            f"[{quad.center - quad.halfwidth:.6g}, {quad.center + quad.halfwidth:.6g}] are "
+            f"[{low - quad.halfwidth:.6g}, {high + quad.halfwidth:.6g}] are "
             f"{quad.spacing:.3g} apart and rounded by up to {rounding:.3g}")
 
 
@@ -225,7 +226,7 @@ def sift(f, z0, sigma, quad):
     z0 = complex(z0)
     if f.family == "monomial":
         return delta_moment(f.degree, z0, sigma)
-    _require_resolved(quad, sigma)
+    _require_resolved(quad, sigma, quad.center, quad.center)
     _check_cancellation(z0, sigma)
     return quad_real_line(lambda x: f(x) * delta_kernel(x - z0, sigma), quad)
 
@@ -239,18 +240,30 @@ def sift_shifted_line(f, z0, sigma, quad):
     z0 = complex(z0)
     if f.family == "monomial":
         return delta_moment(f.degree, z0, sigma)
-    _require_resolved(quad, sigma)
+    _require_resolved(quad, sigma, quad.center, quad.center)
     a, b = z0.real, z0.imag
     return quad_real_line(lambda x: f(x + 1j * b) * delta_kernel(x - a, sigma), quad)
 
 
-def sifting_axis(center, sigma, quad):
-    """Nodes and weights of one sifting axis: `quad`'s halfwidth and node count
-    centered at Re center (not at quad.center), each trapezoid weight times
-    delta_kernel(x - center, sigma)."""
-    a = np.real(center)
-    x = np.linspace(a - quad.halfwidth, a + quad.halfwidth, quad.node_count)
-    return x, delta_kernel(x - center, sigma) * trapezoid_weights(x.size, x[1] - x[0])
+def sifting_axis(centers, sigma, quad):
+    """Nodes x and weights w, each of shape (k, node_count), of the sifting
+    axes of the k entries of the 1-d array `centers`: row i has `quad`'s
+    halfwidth and node count centred at Re centers[i] (not at quad.center),
+    each trapezoid weight times delta_kernel(x - centers[i], sigma).  Memory
+    is these two arrays and the kernel's temporaries of their size.
+
+    Raises FloatingPointError, as sift does, when the nodes cannot resolve
+    sigma: a spacing above sigma, or rounding at max |Re center| + halfwidth
+    above sqrt(eps) sigma.
+    """
+    centers = np.asarray(centers, dtype=complex)
+    _require_resolved(quad, sigma, float(np.min(centers.real)), float(np.max(centers.real)))
+    n = quad.node_count
+    x = np.ascontiguousarray(np.linspace(centers.real - quad.halfwidth,
+                                         centers.real + quad.halfwidth, n, axis=-1))
+    # trapezoid weights 0.5 h and h, as trapezoid_weights(n, h) makes them
+    h = x[:, 1:2] - x[:, :1]
+    return x, delta_kernel(x - centers[:, None], sigma) * (trapezoid_weights(n, 1.0) * h)
 
 
 def delta2_sift(f, z, sigma, quad):
@@ -259,15 +272,16 @@ def delta2_sift(f, z, sigma, quad):
     of width sigma centered at (Re z, Im z).  f is a callable of two real
     array arguments; converges to f(Re z, Im z) as sigma -> 0.
 
-    Both axes come from sifting_axis, at the two center coordinates.
+    Both axes come from one sifting_axis call, at the two center
+    coordinates, and share its resolution guard; f is evaluated on their
+    node_count x node_count product grid.
     """
     z = complex(z)
     if quad.halfwidth < 8.0 * sigma:
         warnings.warn(
             f"quadrature halfwidth {quad.halfwidth} < 8 sigma = {8 * sigma}; "
             "window truncates the regularized delta", stacklevel=2)
-    xr, wr = sifting_axis(z.real, sigma, quad)
-    xi, wi = sifting_axis(z.imag, sigma, quad)
+    (xr, xi), (wr, wi) = sifting_axis([z.real, z.imag], sigma, quad)
     vals = np.asarray(f(xr[:, None], xi[None, :]), dtype=complex)
     with single_blas_thread():
         return complex(wr @ vals @ wi)

@@ -120,7 +120,7 @@ def pairs_text(doc, key, values):
             # json.dumps spells each real as in a pair ([re, 0.0]), NaN and Infinity included
             reals = json.dumps(block.ravel().tolist())[1:-1]
             pairs = "[" + ", 0.0], [".join(reals.split(", ")) + ", 0.0]" if reals else ""
-        return (", " if start else "") + pairs
+        return (", " if start and pairs else "") + pairs
 
     return head[:-len("null}")] + "[", rows, "]}"
 

@@ -915,7 +915,9 @@ def p_representation_grid(rep, sigma, grid):
     """Sample the regularized P-function of `rep` on an alpha-plane grid,
     warning when sigma is too small for the grid spacing to resolve.  The
     grid is real when the terms pair off into conjugates, as a cat's do,
-    and complex otherwise; the values are p_regularized_eval's."""
+    and complex otherwise; the values are p_regularized_eval's.  A sigma
+    that is not positive is refused before any warning."""
+    require_positive(sigma, "sigma")
     if sigma < 2.0 * max(grid.dx, grid.dy):
         warnings.warn(f"P width sigma = {sigma} below 2 grid spacings "
                       f"({grid.dx:.3g}, {grid.dy:.3g}); field is aliased", stacklevel=2)

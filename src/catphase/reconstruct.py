@@ -8,10 +8,10 @@ axes and combines the moments by one real table K of (n_max + 1)^2
 (2 n_max + 1) entries, the coefficients of (1-s)^j (1+s)^k: with u = -iy,
 (x+iy)^j (x-iy)^k = (x-u)^j (x+u)^k = sum_a K[j,k,a] x^(j+k-a) u^a.  It
 demonstrates the sifting mechanism behind strict cancellation guards.
-The 2 m axes of m terms are sifted together: while the moments are formed,
-their nodes and weights, two 2 m x node_count arrays, are held beside one
-node_count x (2 n_max + 1) complex Vandermonde and a group of the real
-powers it is copied from.
+The 2 m axes of m terms are sifted together, their windows from one
+gendelta.sifting_axis call, and the moments are running powers of the
+weights: memory is the axes' two 2 m x node_count arrays of nodes and
+weights, or K where that is larger.
 """
 
 import json
@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blas import single_blas_thread
-from .gendelta import cancellation_factor, delta_kernel, sifting_axis
-from .numerics import log_factorial, require_count, require_positive, trapezoid_weights
+from .gendelta import cancellation_factor, sifting_axis
+from .numerics import log_factorial, require_count, require_positive
 from .states import FockDensityMatrix, _coherent_column, cat_density_matrix
 from .quasiprob import PRepresentation, p_cat_terms
 
@@ -56,53 +56,19 @@ def rho_from_pterm(term, n_max):
     return reconstruct_rho(PRepresentation((term,)), n_max)
 
 
-def _axis_moments(center, sigma, quad, order):
-    """Sifted moments sum_x w(x) e^{-x^2} x^m, m = 0..order, on the
-    sifting_axis window of `center`: the paper's x^n -> z^n sifting of each
-    monomial against the complex-centred kernel, one Vandermonde product."""
-    x, w = sifting_axis(center, sigma, quad)
-    with single_blas_thread():
-        return (w * np.exp(-x * x)) @ np.vander(x, order + 1, increasing=True)
-
-
-# bytes of x^k that one group of _batched_axis_moments' axes may hold at once:
-# the eight axes of a four-term cat at 301 nodes and n_max 12 take 0.48 MB
-POWERS_GROUP_BYTES = 1 << 19
-
-
-def _batched_axis_moments(centers, sigma, quad, order):
-    """_axis_moments of each of the 1-d array `centers`, one row each, bit for
-    bit, in a few array operations.
-
-    np.linspace with array endpoints gives every sifting_axis window at
-    once, and the kernel weights and e^{-x^2} follow for all of them.  The
-    powers x^k = x^(k-1) x are formed for a group of axes at a time (at most
-    POWERS_GROUP_BYTES of them, at least one axis).  Each axis's moments are
-    then one vector-Vandermonde product, all in one BLAS section: the
-    complex Vandermonde it takes is the one matmul would cast
-    np.vander(x, order + 1, increasing=True) to, and one buffer serves every
-    axis."""
-    n = quad.node_count
-    x = np.ascontiguousarray(np.linspace(centers.real - quad.halfwidth,
-                                         centers.real + quad.halfwidth, n, axis=-1))
-    spacing = x[:, 1:2] - x[:, :1]
-    # trapezoid weights 0.5 h and h, as trapezoid_weights(n, h) makes them
-    w = delta_kernel(x - centers[:, None], sigma) * (trapezoid_weights(n, 1.0) * spacing)
+def _axis_moments(centers, sigma, quad, order):
+    """Sifted moments sum_x w(x) e^{-x^2} x^m, m = 0..order, one row for each
+    of the 1-d array `centers`, on their sifting_axis windows: the paper's
+    x^n -> z^n sifting of each monomial against the complex-centred kernel.
+    The weights are multiplied by x once per order, in place, so memory is
+    sifting_axis's."""
+    x, w = sifting_axis(centers, sigma, quad)
     w *= np.exp(-x * x)
     moments = np.empty((len(w), order + 1), dtype=complex)
-    vander = np.empty((n, order + 1), dtype=complex)
-    group = max(1, min(len(w), POWERS_GROUP_BYTES // (8 * (order + 1) * n)))
-    group_powers = np.empty((order + 1, group, n))
-    group_powers[0] = 1.0
-    with single_blas_thread():
-        for start in range(0, len(w), group):
-            xs = x[start:start + group]
-            powers = group_powers[:, :len(xs)]
-            for k in range(1, order + 1):
-                np.multiply(powers[k - 1], xs, out=powers[k])
-            for i in range(len(xs)):
-                vander[...] = powers[:, i].T
-                np.matmul(w[start + i], vander, out=moments[start + i])
+    moments[:, 0] = w.sum(axis=1)
+    for k in range(1, order + 1):
+        w *= x
+        moments[:, k] = w.sum(axis=1)
     return moments
 
 
@@ -135,14 +101,14 @@ def reconstruct_rho_numeric(rep, sigma, n_max, quad):
         G_jk = sum_a K[j,k,a] H[j+k,a],  H[s,a] = sum of weight Mx[s-a] (-i)^a My[a]
 
     over a sliding window of H.  The moments of all 2 m axes of the m terms
-    come from one _batched_axis_moments call, and K is built after them:
-    memory is the 2 m x node_count nodes and weights of the axes, one
-    group's powers and one node_count x (2 n_max + 1) complex Vandermonde,
-    or K where that is larger.
-    Raises when e^{|Im center|^2 / 2 sigma^2} exceeds the amplification guard,
-    and warns when n_max exceeds 12 (polynomial moment growth dominates the
-    quadrature error there).  A sigma that is not positive is refused first,
-    with or without terms.
+    come from one _axis_moments call, on one sifting_axis call's windows,
+    and K is built after them: memory is the 2 m x node_count nodes and
+    weights of the axes, or K where that is larger.
+    Raises OverflowError when e^{|Im center|^2 / 2 sigma^2} exceeds the
+    amplification guard, and FloatingPointError when the nodes of `quad`
+    cannot resolve sigma (sifting_axis's guard); warns when n_max exceeds 12
+    (polynomial moment growth dominates the quadrature error there).  A sigma
+    that is not positive is refused first, with or without terms.
     """
     require_positive(sigma, "sigma")
     n_max = require_count(n_max, "n_max")
@@ -162,8 +128,7 @@ def reconstruct_rho_numeric(rep, sigma, n_max, quad):
     i_pow = np.array([1, -1j, -1, 1j])[orders % 4]  # exact; numpy's (-1j) ** a is not from 100
     h = np.zeros((orders.size, orders.size), dtype=complex)
     if centers:
-        moments = _batched_axis_moments(np.array(centers, dtype=complex), sigma, quad,
-                                        2 * n_max)
+        moments = _axis_moments(centers, sigma, quad, 2 * n_max)
         # tril zeros the wrapped Mx[s - a] of a > s
         shifted = np.tril(moments[0::2, np.subtract.outer(orders, orders)])
         for t, mx, my in zip(rep.terms, shifted, moments[1::2]):

@@ -163,10 +163,12 @@ def check_factorization():
 
 def weak_convergence_integral(term, gain):
     """Integral of e^{-|alpha|^2} against the amplified P term at `gain`: the
-    term's weight times each axis's zeroth sifted moment, 501 nodes on [-5, 5]."""
+    term's weight times the zeroth sifted moments of its two axes, both from
+    one _axis_moments call (one sifting_axis window each, 501 nodes of
+    halfwidth 5, refused when they cannot resolve the gain's sigma)."""
     quad = QuadratureSpec(0.0, 5.0, 501)
-    return term.weight * math.prod(_axis_moments(gain.g * c, gain.sigma, quad, 0)[0]
-                                   for c in (term.center_r, term.center_i))
+    centers = gain.g * np.array([term.center_r, term.center_i], dtype=complex)
+    return term.weight * math.prod(_axis_moments(centers, gain.sigma, quad, 0)[:, 0])
 
 
 def check_weak_convergence():

@@ -655,7 +655,11 @@ class TestConfigAndDeterminism:
                                        "--bounds", "1", "1.0000000000000004", "0", "1",
                                        "--nx", "9"],
                                       ["grid", "--field", "wigner", "--fock-n", "1",
-                                       "--bounds", "0", "1", "0", "5e-324", "--nx", "3"]])
+                                       "--bounds", "0", "1", "0", "5e-324", "--nx", "3"],
+                                      # a refused width draws no aliasing warning first
+                                      *(["grid", "--field", "p_regularized", "--sigma", sigma,
+                                         *STATE, *BOUNDS, "--nx", "21"]
+                                        for sigma in ("0", "-1"))])
     def test_unparsable_or_invalid_flag_is_usage_error(self, argv, capsys):
         code, out, err = run_cli(argv, capsys)
         assert code == EXIT_USAGE

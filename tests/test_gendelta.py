@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from catphase.gendelta import AnalyticTestFunction, DeltaRegion, RegularizedDelta, \
     cancellation_factor, classify_point, delta2_sift, delta_kernel, \
-    delta_kernel_fourier, delta_moment, min_safe_sigma, sift, sift_shifted_line
-from catphase.numerics import QuadratureSpec, quad_real_line
+    delta_kernel_fourier, delta_moment, min_safe_sigma, sift, sift_shifted_line, sifting_axis
+from catphase.numerics import QuadratureSpec, quad_real_line, trapezoid_weights
 
 WIDE = QuadratureSpec(center=0.0, halfwidth=12.0, node_count=12001)
 
@@ -213,11 +213,42 @@ class TestSifting:
         assert route(AnalyticTestFunction.monomial(1), z0, 0.2, quad) == z0
 
 
+class TestSiftingAxis:
+    def test_each_row_is_its_centres_window(self):
+        # quad.center plays no part: row i spans Re c_i +- halfwidth
+        centers = np.array([0.3, -1.0 + 0.5j, 2.0 - 0.2j])
+        quad = QuadratureSpec(center=5.0, halfwidth=2.0, node_count=401)
+        x, w = sifting_axis(centers, 0.1, quad)
+        assert x.shape == w.shape == (3, 401)
+        for c, xs, ws in zip(centers, x, w):
+            np.testing.assert_allclose(xs, np.linspace(c.real - 2.0, c.real + 2.0, 401),
+                                       rtol=0, atol=1e-15)
+            want = delta_kernel(xs - c, 0.1) * trapezoid_weights(401, 0.01)
+            np.testing.assert_allclose(ws, want, rtol=1e-12, atol=0)
+
+    # nodes wider apart than sigma; one centre far enough out that rounding at
+    # its window's edge exceeds sqrt(eps) sigma, though quad.center is 0
+    @pytest.mark.parametrize("centers,quad", [
+        ([1.0 + 0.4j], QuadratureSpec(center=1.0, halfwidth=12.0, node_count=81)),
+        ([0.0, 1e9 + 0.4j], QuadratureSpec(center=0.0, halfwidth=12.0, node_count=8001))],
+        ids=["spacing", "rounding"])
+    def test_unresolved_nodes_raise(self, centers, quad):
+        with pytest.raises(FloatingPointError, match="cannot resolve sigma = 0.2"):
+            sifting_axis(centers, 0.2, quad)
+
+
 class TestDelta2Sift:
     def test_window_below_eight_sigma_warns(self):
         quad = QuadratureSpec(center=0.0, halfwidth=0.5, node_count=101)
         with pytest.warns(UserWarning, match="window truncates the regularized delta"):
             delta2_sift(lambda x, y: x + 1j * y, 1.0, 0.1, quad)
+
+    def test_unresolved_quadrature_raises(self):
+        # nodes 0.1 apart cannot resolve sigma = 0.01: the sum would give 15.41 where
+        # f is 0.968
+        quad = QuadratureSpec(center=0.0, halfwidth=5.0, node_count=101)
+        with pytest.raises(FloatingPointError, match="cannot resolve sigma = 0.01"):
+            delta2_sift(lambda x, y: np.exp(-(x * x + y * y) / 4.0), 0.3 + 0.2j, 0.01, quad)
 
     def test_constant(self):
         quad = QuadratureSpec(center=0.0, halfwidth=2.0, node_count=801)

@@ -325,14 +325,16 @@ class TestComplexPairs:
             np.testing.assert_array_equal(np.signbit(a[b == 0]), np.signbit(b[b == 0]))
 
     @settings(max_examples=100, deadline=None, derandomize=True)
-    @given(values=hnp.arrays(st.sampled_from([float, int, bool]),
+    @given(values=hnp.arrays(st.sampled_from([float, int, bool, complex]),
                              hnp.array_shapes(min_dims=2, max_dims=2, max_side=6)),
            cut=st.integers(0, 6))
-    def test_pairs_text_of_real_values_is_json_dumps_of_their_pairs(self, values, cut):
-        # the imaginary part, written as a constant, is the 0.0 of the values stored complex
+    def test_pairs_text_of_real_or_complex_values_is_json_dumps_of_their_pairs(self, values,
+                                                                               cut):
+        # a real value's imaginary part, written as a constant, is the 0.0 of the values
+        # stored complex; an empty span, at the start, inside or at the end, adds no text
         head, rows, tail = pairs_text({"n": 1}, "values", values)
-        cut = min(cut, len(values) - 1)
-        text = head + rows(0, cut) + rows(cut, len(values)) + tail
+        cut = min(cut, len(values))
+        text = head + rows(0, cut) + rows(cut, cut) + rows(cut, len(values)) + tail
         assert text == json.dumps({"n": 1, "values": complex_pairs(values)})
 
     @pytest.mark.parametrize("pairs", [[[True, 1.5], [0.0, 2.0]], [[1, 2], [3, False]],

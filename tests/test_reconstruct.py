@@ -13,7 +13,7 @@ from catphase.numerics import QuadratureSpec, gaussian_moment_integral, log_fact
     trapezoid_weights
 from catphase.quasiprob import PRepresentation, PTerm, p_cat_terms
 from catphase.reconstruct import NUMERIC_AMPLIFICATION_GUARD, NUMERIC_MOMENT_ORDER_MAX, \
-    _axis_moments, _batched_axis_moments, _binomial_table, _term_factors, reconstruct_rho, \
+    _axis_moments, _binomial_table, _term_factors, reconstruct_rho, \
     reconstruct_rho_numeric, rho_from_pterm, roundtrip_report
 from catphase.states import CatStateSpec, FockDensityMatrix, _coherent_column, \
     cat_density_matrix, coherent_fock_coeffs, recommended_n_max
@@ -37,8 +37,8 @@ def reference_reconstruct_rho(rep, n_max):
 
 def reference_reconstruct_numeric(rep, sigma, n_max, quad):
     """The per-node oracle for reconstruct_rho_numeric: the real-part axis
-    is sifted first, then the imaginary-part axis, both on sifting_axis
-    windows, summed one real-part node at a time so memory stays
+    is sifted first, then the imaginary-part axis, both windows from one
+    sifting_axis call, summed one real-part node at a time so memory stays
     (n_max + 1) x node_count."""
     if n_max > NUMERIC_MOMENT_ORDER_MAX:
         warnings.warn(
@@ -56,8 +56,7 @@ def reference_reconstruct_numeric(rep, sigma, n_max, quad):
     inv_sqrt_fact = np.exp(-0.5 * np.array([log_factorial(k) for k in n]))
     total = np.zeros((n_max + 1, n_max + 1), dtype=complex)
     for term in rep.terms:
-        xr, wr = sifting_axis(term.center_r, sigma, quad)
-        xi, wi = sifting_axis(term.center_i, sigma, quad)
+        (xr, xi), (wr, wi) = sifting_axis([term.center_r, term.center_i], sigma, quad)
         # coherent-projector kernel e^{-x^2} e^{-y^2} (x+iy)^j (x-iy)^k / sqrt(j!k!)
         wr = wr * np.exp(-xr * xr)
         wi = wi * np.exp(-xi * xi)
@@ -67,15 +66,6 @@ def reference_reconstruct_numeric(rep, sigma, n_max, quad):
             g += w * ((u_pow.T * wi) @ u_pow.conj())
         total = total + term.weight * g * np.outer(inv_sqrt_fact, inv_sqrt_fact)
     return FockDensityMatrix(n_max=n_max, entries=total)
-
-
-def benchmark_axes(spec):
-    """The sifting centres, width and window the benchmark gives a cat."""
-    rep = p_cat_terms(spec)
-    worst = max(max(abs(np.imag(t.center_r)), abs(np.imag(t.center_i))) for t in rep.terms)
-    sigma = max(0.2, worst / math.sqrt(2.0 * math.log(1e6)))
-    centers = np.array([c for t in rep.terms for c in (t.center_r, t.center_i)], dtype=complex)
-    return centers, sigma, 10.0 * sigma
 
 
 @st.composite
@@ -215,6 +205,13 @@ class TestNumericReconstruction:
             reconstruct_rho_numeric(rep, 0.15, 2, quad)
         assert math.exp(1.5**2 / (2 * 0.15**2)) > NUMERIC_AMPLIFICATION_GUARD
 
+    def test_unresolved_quadrature_raises(self):
+        # nodes 0.1 apart cannot resolve sigma = 0.01: the sum would give rho_00 = 33.57
+        # where the closed form gives 0.527
+        rep = p_cat_terms(CatStateSpec(0.8, -0.8, 0))
+        with pytest.raises(FloatingPointError, match="cannot resolve sigma = 0.01"):
+            reconstruct_rho_numeric(rep, 0.01, 4, QuadratureSpec(0.0, 4.0, 41))
+
     def test_warns_beyond_certified_order(self):
         rep = PRepresentation(terms=(PTerm(kappa=1.0, beta=0.3, gamma=0.3),))
         quad = QuadratureSpec(center=0.0, halfwidth=4.0, node_count=101)
@@ -268,9 +265,10 @@ class TestNumericReconstruction:
             tracemalloc.stop()
         assert peak < 6e6
 
-    def test_memory_of_many_nodes_stays_near_one_vandermonde(self):
-        # at 20001 nodes one axis's complex Vandermonde is 8 MB and its real
-        # powers 4 MB; the eight axes' nodes and weights add 3.8 MB
+    def test_memory_of_many_nodes_stays_near_the_axes_nodes_and_weights(self):
+        # at 20001 nodes the eight axes' nodes take 1.3 MB and their complex
+        # weights 2.6 MB; with delta_kernel's temporaries of their size the
+        # call peaks at 10.25 MB
         rep = p_cat_terms(SPECS[2])
         quad = QuadratureSpec(center=0.0, halfwidth=3.0, node_count=20001)
         tracemalloc.start()
@@ -279,22 +277,7 @@ class TestNumericReconstruction:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 16.7e6
-
-    @pytest.mark.parametrize("nodes", [201, 301, 601])
-    @pytest.mark.parametrize("n_max", [0, 12, 40])
-    @pytest.mark.parametrize("group_bytes", [0, None], ids=["one-axis-groups", "default-groups"])
-    def test_batched_moments_equal_each_axis_alone(self, nodes, n_max, group_bytes, monkeypatch):
-        # bit for bit: every row of the batched moments is its axis's own _axis_moments
-        if group_bytes is not None:
-            monkeypatch.setattr("catphase.reconstruct.POWERS_GROUP_BYTES", group_bytes)
-        for spec in SPECS:
-            centers, sigma, halfwidth = benchmark_axes(spec)
-            quad = QuadratureSpec(center=0.0, halfwidth=halfwidth, node_count=nodes)
-            got = _batched_axis_moments(centers, sigma, quad, 2 * n_max)
-            assert got.shape == (len(centers), 2 * n_max + 1)
-            for c, row in zip(centers, got):
-                assert row.tobytes() == _axis_moments(c, sigma, quad, 2 * n_max).tobytes()
+        assert peak <= 10.6e6
 
     @pytest.mark.parametrize("n_max", range(41))
     def test_binomial_table_is_exact(self, n_max):
@@ -316,17 +299,23 @@ class TestNumericReconstruction:
             reconstruct_rho_numeric(rep, 0.4, 12, quad)
 
     def test_axis_moments_sift_monomials_to_closed_form(self):
-        # x^m e^{-x^2} against the kernel at the complex centre c:
-        # e^{-c^2 / 2 sigma^2} / (sqrt(2 pi) sigma) times the integral of
-        # x^m e^{-(1 + 1/2 sigma^2) x^2 + (c / sigma^2) x}
-        c, sigma = PTerm(kappa=1.0, beta=0.8 + 0.3j, gamma=-0.6 + 0.1j).center_i, 0.3
-        assert c.imag != 0
+        # x^m e^{-x^2} against the kernel at each centre c, real or complex, in
+        # one call: e^{-c^2 / 2 sigma^2} / (sqrt(2 pi) sigma) times the integral
+        # of x^m e^{-(1 + 1/2 sigma^2) x^2 + (c / sigma^2) x}
+        terms = [PTerm(kappa=1.0, beta=0.8 + 0.3j, gamma=-0.6 + 0.1j),
+                 PTerm(kappa=1.0, beta=-0.5 + 0.2j, gamma=0.4 - 0.3j)]
+        centers = np.array([0.7, -1.2, *(c for t in terms for c in (t.center_r, t.center_i))],
+                           dtype=complex)
+        assert np.count_nonzero(centers.imag) == 4
+        sigma = 0.3
         quad = QuadratureSpec(center=0.0, halfwidth=12.0 * sigma, node_count=2001)
-        got = _axis_moments(c, sigma, quad, 24)
-        scale = np.exp(-c * c / (2.0 * sigma * sigma)) / (math.sqrt(2.0 * math.pi) * sigma)
-        want = [scale * gaussian_moment_integral(m, 1.0 + 0.5 / sigma ** 2, c / sigma ** 2)
-                for m in range(25)]
-        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+        got = _axis_moments(centers, sigma, quad, 24)
+        assert got.shape == (len(centers), 25)
+        for c, row in zip(centers, got):
+            scale = np.exp(-c * c / (2.0 * sigma * sigma)) / (math.sqrt(2.0 * math.pi) * sigma)
+            want = [scale * gaussian_moment_integral(m, 1.0 + 0.5 / sigma ** 2, c / sigma ** 2)
+                    for m in range(25)]
+            np.testing.assert_allclose(row, want, rtol=1e-12, atol=0)
 
     @pytest.mark.filterwarnings("ignore:numeric path is only certified:UserWarning")
     @pytest.mark.parametrize("n_max", [12, 24])
