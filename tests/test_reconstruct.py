@@ -68,6 +68,15 @@ def reference_reconstruct_numeric(rep, sigma, n_max, quad):
     return FockDensityMatrix(n_max=n_max, entries=total)
 
 
+def benchmark_axes(spec):
+    """The sifting centres, width and window the benchmark gives a cat."""
+    rep = p_cat_terms(spec)
+    worst = max(max(abs(np.imag(t.center_r)), abs(np.imag(t.center_i))) for t in rep.terms)
+    sigma = max(0.2, worst / math.sqrt(2.0 * math.log(1e6)))
+    centers = np.array([c for t in rep.terms for c in (t.center_r, t.center_i)], dtype=complex)
+    return centers, sigma, 10.0 * sigma
+
+
 @st.composite
 def perfbench_like_cats(draw):
     """Cats drawn as the benchmark draws them: moduli in 0.5..4, roughly
@@ -278,6 +287,23 @@ class TestNumericReconstruction:
         finally:
             tracemalloc.stop()
         assert peak <= 10.6e6
+
+    @pytest.mark.parametrize("nodes", [201, 301, 601])
+    @pytest.mark.parametrize("n_max", [0, 12, 40])
+    @pytest.mark.parametrize("order", ["as-given", "reversed"])
+    def test_batched_moments_equal_each_axis_alone(self, nodes, n_max, order):
+        # bit for bit: every row of one call over all of a cat's axes, in either
+        # order, is its axis's own one-centre call
+        for spec in SPECS:
+            centers, sigma, halfwidth = benchmark_axes(spec)
+            if order == "reversed":
+                centers = centers[::-1]
+            quad = QuadratureSpec(center=0.0, halfwidth=halfwidth, node_count=nodes)
+            got = _axis_moments(centers, sigma, quad, 2 * n_max)
+            assert got.shape == (len(centers), 2 * n_max + 1)
+            for c, row in zip(centers, got):
+                assert row.tobytes() == _axis_moments(np.array([c]), sigma, quad,
+                                                      2 * n_max)[0].tobytes()
 
     @pytest.mark.parametrize("n_max", range(41))
     def test_binomial_table_is_exact(self, n_max):
