@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blas import single_blas_thread
-from .numerics import log_factorial, quad_real_line, require_order, require_positive, \
-    trapezoid_weights
+from .numerics import _gaussian_exponent, log_factorial, quad_real_line, require_order, \
+    require_positive, trapezoid_weights
 
 # exp() overflows double precision just above e^709
 OVERFLOW_EXPONENT = 700.0
@@ -36,28 +36,29 @@ def min_safe_sigma(z):
 
 
 def delta_kernel(z, sigma):
-    """Regularized delta kernel (1 / (sqrt(2 pi) sigma)) e^{-z^2 / 2 sigma^2}.
-
-    Computed through the split z = zr + i zi:
-        magnitude  e^{-(zr^2 - zi^2) / 2 sigma^2},
-        phase      e^{-i zr zi / sigma^2},
-    which makes the growth along the imaginary direction explicit.
-    Raises when the growth exponent zi^2 / 2 sigma^2 would overflow.
-    """
+    """Regularized delta kernel (1 / (sqrt(2 pi) sigma)) e^{-z^2 / 2 sigma^2}, by
+    `_kernel` on a copy of z, raising OverflowError where (Im z)^2 / 2 sigma^2 overflows."""
     require_positive(sigma, "sigma")
-    z = np.asarray(z, dtype=complex)
-    zr, zi = z.real, z.imag
-    growth = np.max(zi * zi) / (2.0 * sigma * sigma) if z.size else 0.0
-    if growth > OVERFLOW_EXPONENT:
+    val = _kernel(np.array(z, dtype=complex, ndmin=1), sigma)
+    return val.reshape(np.shape(z)) if np.ndim(z) else complex(val[0])
+
+
+def _kernel(z, sigma):
+    """delta_kernel(z, sigma) in place over the complex array z (at least 1-d):
+    the width-2 exponent of z / sigma, each part rounded once, so that a square
+    overflows only where the kernel underflows, then one exp.  Raises OverflowError,
+    naming the sigma that would do, where (Im z)^2 / 2 sigma^2 > OVERFLOW_EXPONENT."""
+    # max |Im z| without a temporary of z's size
+    reach = max(float(np.max(z.imag, initial=0.0)), -float(np.min(z.imag, initial=0.0)))
+    if reach * reach / (2.0 * sigma * sigma) > OVERFLOW_EXPONENT:
         raise OverflowError(
-            f"regularization too small: sigma = {sigma} with |Im z| = "
-            f"{float(np.max(np.abs(zi)))} overflows; need sigma >= "
-            f"{min_safe_sigma(1j * float(np.max(np.abs(zi)))):.6g}")
-    inv_two_sig_sq = 1.0 / (2.0 * sigma * sigma)
-    val = (np.exp(-(zr * zr - zi * zi) * inv_two_sig_sq)
-           * np.exp(-1j * zr * zi / (sigma * sigma))
-           / (math.sqrt(2.0 * math.pi) * sigma))
-    return val if val.shape else complex(val)
+            f"regularization too small: sigma = {sigma} with |Im z| = {reach} "
+            f"overflows; need sigma >= {min_safe_sigma(1j * reach):.6g}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.divide(z.view(float), sigma, out=z.view(float))
+        _gaussian_exponent([(z, 0.0)], 2.0, out=z)
+        np.exp(z, out=z)
+    return np.multiply(z, 1.0 / (math.sqrt(2.0 * math.pi) * sigma), out=z)
 
 
 def delta_kernel_fourier(z, sigma_prime, quad):
@@ -249,8 +250,8 @@ def sifting_axis(centers, sigma, quad):
     """Nodes x and weights w, each of shape (k, node_count), of the sifting
     axes of the k entries of the 1-d array `centers`: row i has `quad`'s
     halfwidth and node count centred at Re centers[i] (not at quad.center),
-    each trapezoid weight times delta_kernel(x - centers[i], sigma).  Memory
-    is these two arrays and the kernel's temporaries of their size.
+    each trapezoid weight times delta_kernel(x - centers[i], sigma), formed
+    in place in w by `_kernel` (with its guard): memory is these two arrays.
 
     Raises FloatingPointError, as sift does, when the nodes cannot resolve
     sigma: a spacing above sigma, or rounding at max |Re center| + halfwidth
@@ -261,9 +262,11 @@ def sifting_axis(centers, sigma, quad):
     n = quad.node_count
     x = np.ascontiguousarray(np.linspace(centers.real - quad.halfwidth,
                                          centers.real + quad.halfwidth, n, axis=-1))
+    w = _kernel(x - centers[:, None], sigma)
     # trapezoid weights 0.5 h and h, as trapezoid_weights(n, h) makes them
-    h = x[:, 1:2] - x[:, :1]
-    return x, delta_kernel(x - centers[:, None], sigma) * (trapezoid_weights(n, 1.0) * h)
+    w *= x[:, 1:2] - x[:, :1]
+    w *= trapezoid_weights(n, 1.0)
+    return x, w
 
 
 def delta2_sift(f, z, sigma, quad):

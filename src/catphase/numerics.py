@@ -1,6 +1,6 @@
-"""Shared numerical kernels: Hermite polynomials, Gaussian moment
-integrals, fixed-node quadrature and Chebyshev interpolation on the real
-line, and the one path-or-stream opener of the serializers.
+"""Shared numerical kernels: the one Gaussian exponent, Hermite polynomials,
+Gaussian moment integrals, fixed-node quadrature and Chebyshev interpolation
+on the real line, and the one path-or-stream opener of the serializers.
 
 All numerical routines are pure functions of their arguments and accept complex
 inputs wherever that makes sense.
@@ -58,6 +58,22 @@ def trapezoid_weights(n, h):
     w = np.full(n, h)
     w[0] = w[-1] = 0.5 * h
     return w
+
+
+def _gaussian_exponent(axes, t, out=None):
+    """-sum (u - c)^2 / t over the (u, c) pairs of `axes` (nodes u, complex or real
+    centres c) in one array of the full shape: `out`, else the first pair's u - c.
+    The squares are summed, then scaled, a complex sum on its real view, where the
+    0j of a complex factor cannot meet an overflowed square as inf * 0 = NaN."""
+    (u, c), *rest = axes
+    expo = np.subtract(u, c, out=out)
+    expo *= expo
+    for u, c in rest:
+        square = np.subtract(u, c)
+        expo += np.square(square, out=square)
+    parts = expo.view(float) if np.iscomplexobj(expo) else expo
+    parts *= -1.0 / t
+    return expo
 
 
 def chebyshev_lagrange(nodes, m):

@@ -7,7 +7,8 @@ alpha = (x + i p) / sqrt(2); `alpha_from_xp` and `xp_from_alpha` convert
 between the two planes.
 
 Every term kappa |gamma><beta| is one Gaussian with complex centres
-(Cahill and Glauber's s-ordered family), evaluated in one place, `_sum_terms`:
+(Cahill and Glauber's s-ordered family), evaluated in one place, `_sum_terms`,
+its exponent formed by numerics' `_gaussian_exponent`:
 
     kappa <beta|gamma> / (pi t) e^{-(alpha - g gamma)(conj(alpha) - g conj(beta)) / t}.
 
@@ -46,15 +47,16 @@ Wigner function is reached from its P-function by the Gaussian convolution
 of `wigner_from_p`.
 
 That convolution, and `q_from_wigner`'s, is (2/pi) kx @ V @ ky.T for the
-axis kernels e^{-2 (x - x')^2} times the trapezoid weights, their entries
-below e^{-72} set to 0 (`_gauss_kernel`).  The real fields (a cat's P, W
-and Q) live on real grids, so V is one real plane and so is the output; a
-complex field's real and imaginary parts run through it apart.  Where it saves
-flops an axis kernel is two factors, the kernel on ceil(16 L) + 12
-Chebyshev points of the source's half-span L and the barycentric Lagrange
-matrix from them to the source nodes: within 4e-15 of the exact product's
-output maximum.  Elsewhere, as on 101-node axes of half-span above 2.375
-and 201-node ones above 5.5, it keeps the exact matrix (`_axis_kernel`).
+axis kernels e^{-2 (x - x')^2} (the exponent at t = 1/2) times the trapezoid
+weights, their entries below e^{-72} set to 0 (`_gauss_kernel`).  The real
+fields (a cat's P, W and Q) live on real grids, so V is one real plane and so
+is the output; a complex field's real and imaginary parts run through it
+apart.  Where it saves flops an axis kernel is two factors, the kernel on
+ceil(16 L) + 12 Chebyshev points of the source's half-span L and the
+barycentric Lagrange matrix from them to the source nodes: within 4e-15 of
+the exact product's output maximum.  Elsewhere, as on 101-node axes of
+half-span above 2.375 and 201-node ones above 5.5, it keeps the exact matrix
+(`_axis_kernel`).
 """
 
 import itertools
@@ -68,9 +70,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blas import single_blas_thread
-from .numerics import chebyshev_lagrange, complex_from_pairs, dumps_with_pairs, hermite_poly, \
-    json_members, loads_with_pairs, log_factorial, opened, pairs_text, require_count, \
-    require_order, require_positive, trapezoid_weights
+from .numerics import _gaussian_exponent, chebyshev_lagrange, complex_from_pairs, \
+    dumps_with_pairs, hermite_poly, json_members, loads_with_pairs, log_factorial, opened, \
+    pairs_text, require_count, require_order, require_positive, trapezoid_weights
 from .states import coherent_overlap
 
 IMAG_RESIDUE_TOL = 1e-12
@@ -165,22 +167,6 @@ def _tensor_axes(alpha):
     return (x, y) if (alpha.real == x).all() and (alpha.imag == y).all() else None
 
 
-def _axis_square(u, centre, out=None):
-    """(u - centre)^2 into `out` (new if None), one axis's part of a term's exponent
-    (module docstring), complex even for a real centre to take the other's in place."""
-    d = np.subtract(u, complex(centre), out=out)
-    d *= d
-    return d
-
-
-def _scale(z, factor):
-    """z times a real factor in place, on its real view: in a complex product the
-    factor's 0j would meet an overflowed square (|u| > 1.3e154) as inf * 0 = NaN."""
-    parts = z.view(float)
-    parts *= factor
-    return z
-
-
 def _axis_factors(rep, x, y, t, g):
     """The factored terms of `rep` on the tensor grid of column x (nx, 1)
     and row y (1, ny): columns C (nx, m), rows R (m, ny) and the m peaks,
@@ -189,22 +175,20 @@ def _axis_factors(rep, x, y, t, g):
     that each factor peaks at the square root of the term's peak over
     |kappa|: a factor overflows only when its term's peak does.
     """
-    cols = np.empty((x.shape[0], len(rep.terms)), dtype=complex)
-    rows = np.empty((len(rep.terms), y.shape[1]), dtype=complex)
-    peaks = np.empty(len(rep.terms))
-    for k, term in enumerate(rep.terms):
-        ex = _scale(_axis_square(x[:, 0], g * term.center_r), -1.0 / t)
-        ey = _scale(_axis_square(y[0], g * term.center_i), -1.0 / t)
-        # a top of -inf, where every square overflowed, is clamped to keep the shift finite
-        top_x, top_y = ex.real.max(initial=_LOWEST), ey.real.max(initial=_LOWEST)
-        log_w = term.log_weight(t)
-        shift = (log_w + top_y - top_x) / 2.0
-        # every step is conjugation-symmetric, so partners get exact conjugate factors;
-        # kappa stays out of the log, so kappas an ulp apart do not (see _conjugate_paired)
-        cols[:, k] = term.kappa * np.exp(ex + shift)
-        rows[k] = np.exp(ey + (log_w - shift))
-        peaks[k] = abs(term.kappa) * np.exp(log_w.real + top_x + top_y)
-    return cols, rows, peaks
+    kappa = np.array([term.kappa for term in rep.terms], dtype=complex)
+    log_w = np.array([term.log_weight(t) for term in rep.terms], dtype=complex)
+    centres = g * np.array([(term.center_r, term.center_i) for term in rep.terms],
+                           dtype=complex).reshape(-1, 2)
+    ex = _gaussian_exponent([(x, centres[:, 0])], t)
+    ey = _gaussian_exponent([(y, centres[:, 1:])], t)
+    # a top of -inf, where every square overflowed, is clamped to keep the shift finite
+    top_x = ex.real.max(axis=0, initial=_LOWEST)
+    top_y = ey.real.max(axis=1, initial=_LOWEST)
+    shift = (log_w + top_y - top_x) / 2.0
+    # every step is conjugation-symmetric, so partners get exact conjugate factors;
+    # kappa stays out of the log, so kappas an ulp apart do not (see _conjugate_paired)
+    return (kappa * np.exp(ex + shift), np.exp(ey + (log_w - shift)[:, None]),
+            np.abs(kappa) * np.exp(log_w.real + top_x + top_y))
 
 
 def _conjugate_paired(cols, rows):
@@ -254,8 +238,8 @@ def _sum_terms(rep, alpha, t, g=1.0):
 
     On a tensor grid `_factor_sum` gives the sum, into an array reserved
     first so that a grid too large to hold fails before its factors are
-    built.  Elsewhere each term's exponents and log weight are summed in one
-    buffer pair, reused across the terms, before one exp per point.  A term
+    built.  Elsewhere each term's exponent and log weight are summed in one
+    buffer, reused across the terms, before one exp per point.  A term
     is non-finite only where its peak overflows; the guards refuse it.
     """
     axes = _tensor_axes(alpha)
@@ -266,12 +250,11 @@ def _sum_terms(rep, alpha, t, g=1.0):
             cols, rows, peaks = _axis_factors(rep, *axes, t, g)
             return _factor_sum(cols, rows, real), sum(peaks)
         points = np.atleast_1d(np.asarray(alpha, dtype=complex))
-        total, ex, ey = (np.zeros(points.shape, dtype=complex) for _ in range(3))
+        total, ex = np.zeros(points.shape, dtype=complex), np.empty(points.shape, dtype=complex)
         peak_sum = 0.0
         for term in rep.terms:
-            _axis_square(points.real, g * term.center_r, ex)
-            ex += _axis_square(points.imag, g * term.center_i, ey)
-            _scale(ex, -1.0 / t)
+            _gaussian_exponent([(points.real, g * term.center_r),
+                                (points.imag, g * term.center_i)], t, out=ex)
             ex += term.log_weight(t)
             peak_sum += abs(term.kappa) * np.exp(np.max(ex.real, initial=-np.inf))
             np.exp(ex, out=ex)
@@ -841,9 +824,7 @@ def _gauss_kernel(out_axis, src_axis):
     exp, so that exp meets neither -inf nor an argument whose result
     underflows (both take its slow path, and the second signals underflow);
     their e^{-73} is then overwritten with an exact 0."""
-    expo = np.subtract.outer(out_axis, src_axis)
-    expo *= expo
-    expo *= -2.0
+    expo = _gaussian_exponent([(out_axis[:, None], src_axis)], 0.5)
     far = expo < -72.0
     np.maximum(expo, -73.0, out=expo)
     np.exp(expo, out=expo)
@@ -875,15 +856,14 @@ def _gaussian_convolve(src, out_grid, method="separable"):
     catphase.blas), so their time does not hang on a second core being free.
     """
     if method == "direct":
-        wx = trapezoid_weights(src.nx, src.dx)
-        wy = trapezoid_weights(src.ny, src.dy)
-        dx_out = np.subtract.outer(out_grid.xs, src.xs)
-        dy_out = np.subtract.outer(out_grid.ys, src.ys)
-        weighted = src.values * np.outer(wx, wy)
+        weighted = src.values * np.outer(trapezoid_weights(src.nx, src.dx),
+                                         trapezoid_weights(src.ny, src.dy))
         vals = np.empty((out_grid.nx, out_grid.ny), dtype=src.values.dtype)
-        for i in range(out_grid.nx):
-            for j in range(out_grid.ny):
-                kern = np.exp(-2.0 * (dx_out[i][:, None] ** 2 + dy_out[j][None, :] ** 2))
+        kern = np.empty(src.values.shape)
+        for i, x in enumerate(out_grid.xs):
+            for j, y in enumerate(out_grid.ys):
+                np.exp(_gaussian_exponent([(src.xs[:, None], x), (src.ys, y)], 0.5, out=kern),
+                       out=kern)
                 vals[i, j] = (2.0 / math.pi) * np.sum(weighted * kern)
         return out_grid.like(values=vals)
     if method != "separable":

@@ -11,7 +11,7 @@ demonstrates the sifting mechanism behind strict cancellation guards.
 The 2 m axes of m terms are sifted together, their windows from one
 gendelta.sifting_axis call, and the moments are running powers of the
 weights: memory is the axes' two 2 m x node_count arrays of nodes and
-weights, or K where that is larger.
+weights and one real plane, or K where that is larger.
 """
 
 import json
@@ -22,7 +22,7 @@ import numpy as np
 
 from .blas import single_blas_thread
 from .gendelta import cancellation_factor, sifting_axis
-from .numerics import log_factorial, require_count, require_positive
+from .numerics import _gaussian_exponent, log_factorial, require_count, require_positive
 from .states import FockDensityMatrix, _coherent_column, cat_density_matrix
 from .quasiprob import PRepresentation, p_cat_terms
 
@@ -60,10 +60,11 @@ def _axis_moments(centers, sigma, quad, order):
     """Sifted moments sum_x w(x) e^{-x^2} x^m, m = 0..order, one row for each
     of the 1-d array `centers`, on their sifting_axis windows: the paper's
     x^n -> z^n sifting of each monomial against the complex-centred kernel.
-    The weights are multiplied by x once per order, in place, so memory is
-    sifting_axis's."""
+    The weights take e^{-x^2}, exponentiated in place, and then x once per
+    order, in place, so memory is sifting_axis's and one real plane."""
     x, w = sifting_axis(centers, sigma, quad)
-    w *= np.exp(-x * x)
+    gauss = _gaussian_exponent([(x, 0.0)], 1.0)
+    w *= np.exp(gauss, out=gauss)
     moments = np.empty((len(w), order + 1), dtype=complex)
     moments[:, 0] = w.sum(axis=1)
     for k in range(1, order + 1):
@@ -103,7 +104,7 @@ def reconstruct_rho_numeric(rep, sigma, n_max, quad):
     over a sliding window of H.  The moments of all 2 m axes of the m terms
     come from one _axis_moments call, on one sifting_axis call's windows,
     and K is built after them: memory is the 2 m x node_count nodes and
-    weights of the axes, or K where that is larger.
+    weights of the axes and a real plane, or K where that is larger.
     Raises OverflowError when e^{|Im center|^2 / 2 sigma^2} exceeds the
     amplification guard, and FloatingPointError when the nodes of `quad`
     cannot resolve sigma (sifting_axis's guard); warns when n_max exceeds 12

@@ -1,6 +1,8 @@
 import cmath
 import math
+import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -46,6 +48,44 @@ class TestDeltaKernel:
         with pytest.raises(OverflowError, match="need sigma >="):
             delta_kernel(3.0j, 0.01)
         assert min_safe_sigma(3.0j) == pytest.approx(3.0 / math.sqrt(1400.0))
+
+    def test_argument_whose_square_overflows(self):
+        # z / sigma is formed before its square: 2e154 squared overflows, 2 does not
+        assert delta_kernel(2e154, 1e154) == pytest.approx(
+            math.exp(-2.0) / (math.sqrt(2.0 * math.pi) * 1e154), rel=1e-13)
+        # a square that overflows is where the kernel underflows: an exact 0, and
+        # no RuntimeWarning (which the suite's filter makes an error)
+        assert delta_kernel(1e200, 1.0) == 0.0
+        # nor is 1 / sigma^2 formed, which overflows here
+        assert delta_kernel(0.0, 1e-160) == pytest.approx(1e160 / math.sqrt(2.0 * math.pi),
+                                                          rel=1e-15)
+
+    def test_accurate_up_to_large_growth(self):
+        # against 40 digits, over growth (Im z)^2 / 2 sigma^2 up to 650 and real
+        # parts up to 40 sigma; values that underflow double precision are skipped
+        rng = np.random.default_rng(11)
+        sigma = rng.uniform(0.05, 2.0, 1000)
+        re = rng.uniform(-40.0, 40.0, 1000)
+        im = np.sqrt(2.0 * rng.uniform(0.0, 650.0, 1000)) * rng.choice([-1, 1], 1000)
+        z = sigma * (re + 1j * im)
+        worst = 0.0
+        with mpmath.workdps(40):
+            for zk, sk, got in zip(z, sigma, map(delta_kernel, z, sigma)):
+                zm, sm = mpmath.mpc(zk), mpmath.mpf(sk)
+                want = mpmath.exp(-zm * zm / (2 * sm * sm)) / (mpmath.sqrt(2 * mpmath.pi) * sm)
+                if abs(want) > 1e-290:
+                    worst = max(worst, float(abs(got - want) / abs(want)))
+        assert worst <= 4e-13
+
+    def test_memory_is_its_output(self):
+        z = np.linspace(-3.0, 3.0, 100_000) + 0.5j
+        tracemalloc.start()
+        try:
+            out = delta_kernel(z, 0.7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * out.nbytes
 
     def test_normalized_over_real_axis(self):
         # RegularizedDelta invariant: +-12 sigma window integrates to 1
@@ -225,6 +265,12 @@ class TestSiftingAxis:
                                        rtol=0, atol=1e-15)
             want = delta_kernel(xs - c, 0.1) * trapezoid_weights(401, 0.01)
             np.testing.assert_allclose(ws, want, rtol=1e-12, atol=0)
+
+    def test_overflow_guard_names_safe_sigma(self):
+        # delta_kernel's guard, on the kernel that sifting_axis forms in place
+        with pytest.raises(OverflowError,
+                           match=r"\|Im z\| = 3\.0 overflows; need sigma >= 0\.0801784"):
+            sifting_axis([0.3 + 3j], 0.01, QuadratureSpec(0.0, 0.5, 201))
 
     # nodes wider apart than sigma; one centre far enough out that rounding at
     # its window's edge exceeds sqrt(eps) sigma, though quad.center is 0

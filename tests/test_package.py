@@ -91,6 +91,21 @@ def test_sift_loads_only_the_modules_it_uses(tmp_path):
     assert (tmp_path / "sift.json").stat().st_size > 0
 
 
+def test_grid_loads_only_the_modules_of_its_field(tmp_path):
+    # every module a fresh CLI process loads is compiled from source where
+    # PYTHONDONTWRITEBYTECODE is set
+    code = ("import sys, catphase.cli\n"
+            "argv = ['grid', '--field', 'q', '--alpha1', '1.5', '0', '--alpha2', '-1.5', '0',\n"
+            "        '--zeta', '1', '0', '--bounds', '-6', '6', '-6', '6', '--nx', '41',\n"
+            "        '--out', 'q.csv']\n"
+            "assert catphase.cli.main(argv) == 0\n"
+            "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'catphase'))")
+    assert eval(run_fresh(code, cwd=tmp_path)) == [
+        "catphase", "catphase.blas", "catphase.cli", "catphase.numerics", "catphase.quasiprob",
+        "catphase.states"]
+    assert (tmp_path / "q.csv").stat().st_size > 0
+
+
 def test_verify_leaves_numpy_random_unloaded(tmp_path):
     code = ("import sys, catphase.cli\n"
             "assert catphase.cli.main(['verify']) == 3\n"  # sifting fails by design

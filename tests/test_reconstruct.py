@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from catphase.gendelta import cancellation_factor, delta_kernel, sifting_axis
 from catphase.numerics import QuadratureSpec, gaussian_moment_integral, log_factorial, \
     trapezoid_weights
-from catphase.quasiprob import PRepresentation, PTerm, p_cat_terms
+from catphase.quasiprob import PRepresentation, PTerm, _hermitian_sum, p_cat_terms
 from catphase.reconstruct import NUMERIC_AMPLIFICATION_GUARD, NUMERIC_MOMENT_ORDER_MAX, \
     _axis_moments, _binomial_table, _term_factors, reconstruct_rho, \
     reconstruct_rho_numeric, rho_from_pterm, roundtrip_report
@@ -191,6 +191,25 @@ class TestNumericReconstruction:
         with pytest.raises(ValueError, match="sigma must be positive"):
             reconstruct_rho_numeric(rep, sigma, 2, QuadratureSpec(0.0, 3.0, 11))
 
+    # node spacing sigma / 10; the windows reach 10 sigma, 14 for the widest kernels
+    @pytest.mark.parametrize("amplitude, sigma, halfwidth", [
+        (0.8, 0.2, 2.0), (0.8, 0.3, 3.0), (1.5, 0.6, 6.0), (2.5, 1.0, 14.0)])
+    def test_husimi_function_is_the_smoothed_cats(self, amplitude, sigma, halfwidth):
+        # an oracle independent of the sifting: the Husimi function
+        # e^{-|a|^2} / pi sum rho_jk conj(a)^j a^k / sqrt(j! k!) of the matrix
+        # built from P smoothed to width sigma is the cat's Q-function smoothed
+        # the same way, the width-(1 + 2 sigma^2) Gaussian of every term
+        rep = p_cat_terms(CatStateSpec(amplitude, -amplitude, 1.0))
+        quad = QuadratureSpec(0.0, halfwidth, round(20 * halfwidth / sigma) + 1)
+        with pytest.warns(UserWarning, match="certified"):
+            rho = reconstruct_rho_numeric(rep, sigma, 40, quad).entries
+        a = np.array([0.0, 0.5 + 0.5j, -1.2 + 0.3j, 2.0 - 1.0j, -0.4 - 2.1j, 3.0, 2.1j])
+        inv_sqrt_fact = np.exp(-0.5 * np.array([log_factorial(k) for k in range(41)]))
+        v = a[:, None] ** np.arange(41) * inv_sqrt_fact
+        husimi = np.exp(-np.abs(a) ** 2) / math.pi * np.einsum("pj,jk,pk->p", v.conj(), rho, v)
+        want = _hermitian_sum(rep, a, 1.0 + 2.0 * sigma * sigma, 1.0, "smoothed Q")
+        assert np.max(np.abs(husimi - want)) <= 2e-13
+
     def test_diagonal_term_converges(self):
         rep = PRepresentation(terms=(PTerm(kappa=1.0, beta=0.7, gamma=0.7),))
         quad = QuadratureSpec(center=0.0, halfwidth=0.5, node_count=1001)
@@ -276,8 +295,8 @@ class TestNumericReconstruction:
 
     def test_memory_of_many_nodes_stays_near_the_axes_nodes_and_weights(self):
         # at 20001 nodes the eight axes' nodes take 1.3 MB and their complex
-        # weights 2.6 MB; with delta_kernel's temporaries of their size the
-        # call peaks at 10.25 MB
+        # weights 2.6 MB, the kernels formed in place in them; with the 1.3 MB
+        # real plane of e^{-x^2} the call peaks at 5.27 MB
         rep = p_cat_terms(SPECS[2])
         quad = QuadratureSpec(center=0.0, halfwidth=3.0, node_count=20001)
         tracemalloc.start()
@@ -286,7 +305,7 @@ class TestNumericReconstruction:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 10.6e6
+        assert peak <= 5.4e6
 
     @pytest.mark.parametrize("nodes", [201, 301, 601])
     @pytest.mark.parametrize("n_max", [0, 12, 40])
