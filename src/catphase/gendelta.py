@@ -190,13 +190,13 @@ def delta_moment(n, z, sigma):
     return total
 
 
-def _check_cancellation(z0, sigma):
-    factor = cancellation_factor(z0, sigma)
-    if factor > CANCELLATION_WARN_FACTOR:
-        warnings.warn(
-            f"direct sifting at z0 = {complex(z0)} with sigma = {sigma} amplifies "
-            f"cancellation by {factor:.3e}; result digits unreliable", stacklevel=3)
-    return factor
+def _check_window(quad, sigma, offset=0.0):
+    """Warn when a window of `quad`'s halfwidth, its centre `offset` from the
+    kernel's real centre, does not hold the kernel within 8 sigma of it."""
+    if quad.halfwidth < 8.0 * sigma + abs(offset):
+        off = f" + |Re z0 - center| = {abs(offset)}" if offset else ""
+        warnings.warn(f"quadrature halfwidth {quad.halfwidth} < 8 sigma = {8 * sigma}{off}; "
+                      "window truncates the regularized delta", stacklevel=3)
 
 
 def _require_resolved(quad, sigma, low, high):
@@ -222,13 +222,17 @@ def sift(f, z0, sigma, quad):
     Monomials never go through raw quadrature (their decay is carried by
     the kernel alone, and the finite window cannot certify it); they are
     evaluated by the closed-form moment instead.  Other functions raise
-    FloatingPointError when the nodes of `quad` cannot resolve sigma.
+    FloatingPointError when the nodes of `quad` cannot resolve sigma, and
+    warn when its window does not hold Re z0 +- 8 sigma.
     """
     z0 = complex(z0)
     if f.family == "monomial":
         return delta_moment(f.degree, z0, sigma)
     _require_resolved(quad, sigma, quad.center, quad.center)
-    _check_cancellation(z0, sigma)
+    _check_window(quad, sigma, z0.real - quad.center)
+    if (factor := cancellation_factor(z0, sigma)) > CANCELLATION_WARN_FACTOR:
+        warnings.warn(f"direct sifting at z0 = {z0} with sigma = {sigma} amplifies cancellation "
+                      f"by {factor:.3e}; result digits unreliable", stacklevel=2)
     return quad_real_line(lambda x: f(x) * delta_kernel(x - z0, sigma), quad)
 
 
@@ -236,12 +240,13 @@ def sift_shifted_line(f, z0, sigma, quad):
     """Shifted-line sifting: integral of f(x + ib) * delta_kernel(x - a, sigma)
     with a = Re z0, b = Im z0.  The Gaussian weight is real, so there is
     no cancellation blow-up; analytically equal to sift(), and guarded by
-    the same check of the nodes.
+    the same checks of the nodes and the window.
     """
     z0 = complex(z0)
     if f.family == "monomial":
         return delta_moment(f.degree, z0, sigma)
     _require_resolved(quad, sigma, quad.center, quad.center)
+    _check_window(quad, sigma, z0.real - quad.center)
     a, b = z0.real, z0.imag
     return quad_real_line(lambda x: f(x + 1j * b) * delta_kernel(x - a, sigma), quad)
 
@@ -280,11 +285,9 @@ def delta2_sift(f, z, sigma, quad):
     node_count x node_count product grid.
     """
     z = complex(z)
-    if quad.halfwidth < 8.0 * sigma:
-        warnings.warn(
-            f"quadrature halfwidth {quad.halfwidth} < 8 sigma = {8 * sigma}; "
-            "window truncates the regularized delta", stacklevel=2)
+    _check_window(quad, sigma)
     (xr, xi), (wr, wi) = sifting_axis([z.real, z.imag], sigma, quad)
-    vals = np.asarray(f(xr[:, None], xi[None, :]), dtype=complex)
+    vals = np.broadcast_to(np.asarray(f(xr[:, None], xi[None, :]), dtype=complex),
+                           (len(xr), len(xi)))
     with single_blas_thread():
         return complex(wr @ vals @ wi)

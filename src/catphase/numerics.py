@@ -346,12 +346,12 @@ def gaussian_moment_integral(n, a, b):
 
 def quad_real_line(f, spec):
     """Composite trapezoid approximation of the integral of f over the
-    window of `spec`.  f is called once on the full node array; a value
-    that overflows raises FloatingPointError, without a numpy warning.
+    window of `spec`.  f is called once on the full node array, its value
+    broadcast to them; a value that overflows raises FloatingPointError.
     """
     x = spec.nodes
     with np.errstate(over="ignore", invalid="ignore"):
-        y = np.asarray(f(x), dtype=complex)
+        y = np.broadcast_to(np.asarray(f(x), dtype=complex), x.shape)
     bad = ~np.isfinite(y)
     if bad.any():
         idx = int(np.argmax(bad))

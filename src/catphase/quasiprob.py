@@ -387,39 +387,30 @@ def _csv_head(lines):
     return count, None
 
 
-def _cells_in_order(rows):
-    """(xs, ys, values) of CSV rows (x, y, re, im) listed as `to_csv` writes
-    them: x-major, each x repeated over the same ys bit for bit, and both
-    node sets strictly increasing; None for rows in any other order."""
-    if not len(rows):
-        return None
-    ny = int(np.argmax(rows[:, 0] != rows[0, 0]))  # the first change of x
-    if ny < 2 or len(rows) % ny:
-        return None
-    cells = rows.reshape(-1, ny, 4)
-    xs, ys = cells[:, 0, 0], cells[0, :, 1]
-    bits = cells.view(np.int64)  # rows mixing -0.0 and 0.0 are left to np.unique
-    if not ((bits[:, :, 0] == bits[:, :1, 0]).all() and (bits[:, :, 1] == bits[:1, :, 1]).all()
-            and (xs[1:] > xs[:-1]).all() and (ys[1:] > ys[:-1]).all()):
-        return None
-    return xs, ys, rows[:, 2:].copy().view(complex).reshape(len(xs), ny)
-
-
-def _cells_sorted(rows):
-    """(xs, ys, values) of CSV rows (x, y, re, im) in any order, by sorting
-    each node set; ValueError unless every cell appears exactly once."""
+def _cells(rows):
+    """(xs, ys, values) of CSV rows (x, y, re, im).  Rows as `to_csv` writes
+    them, x-major, each x over the same ys and both node sets strictly
+    increasing, are copied into the grid as they stand; rows in any other
+    order are first sorted by x, then y, and go through the same check.
+    ValueError unless every cell then appears once."""
+    for sort in (False, True) if len(rows) else ():
+        order = np.lexsort((rows[:, 1], rows[:, 0])) if sort else slice(None)
+        x, y = rows[order, 0], rows[order, 1]
+        ny = int(np.argmax(x != x[0])) or len(x)  # the first change of x
+        nx = len(x) // ny
+        xs, ys = x[::ny], y[:ny]
+        if (nx * ny == len(x) and (x.reshape(nx, ny) == xs[:, None]).all()
+                and (y.reshape(nx, ny) == ys).all()
+                and (xs[1:] > xs[:-1]).all() and (ys[1:] > ys[:-1]).all()):
+            # the in-order view is copied; the sorted rows are a copy already
+            return xs, ys, np.ascontiguousarray(rows[order, 2:]).view(complex).reshape(nx, ny)
     xs, xi = np.unique(rows[:, 0], return_inverse=True)
     ys, yi = np.unique(rows[:, 1], return_inverse=True)
-    values = np.zeros((len(xs), len(ys)), dtype=complex)
-    values.real[xi, yi] = rows[:, 2]
-    values.imag[xi, yi] = rows[:, 3]
-    filled = np.zeros(values.shape, dtype=bool)
-    filled[xi, yi] = True
-    # a missing or repeated (x, y) would leave a cell a silent zero;
-    # a file without data rows is no grid
-    if not len(rows) or len(rows) != filled.size or not filled.all():
-        raise ValueError(f"{len(rows)} rows do not fill a {len(xs)} x {len(ys)} grid")
-    return xs, ys, values
+    # np.unique takes all NaNs for one node, as no comparison above does: rows
+    # that fill the grid but for that are refused by its NaN bound
+    if 0 < len(rows) == len(xs) * len(ys) == len(np.unique(xi * len(ys) + yi)):
+        Grid2D(float(xs[0]), float(xs[-1]), float(ys[0]), float(ys[-1]), len(xs), len(ys))
+    raise ValueError(f"{len(rows)} rows do not fill a {len(xs)} x {len(ys)} grid")
 
 
 # Cells from which the CLI formats a grid's text in two processes.  In
@@ -606,8 +597,8 @@ class Grid2D:
         head in blocks, opening the file again.
 
         Rows in `to_csv`'s order are copied into the grid as they stand, so
-        memory beyond the parsed rows is the grid; rows in any other order
-        are sorted by `np.unique`, which takes about two planes more."""
+        memory beyond the parsed rows is the grid; rows in any other order are
+        sorted by x, then y, by one `np.lexsort`: about 1.5 planes more."""
         with opened(stream) as lines:
             lines = iter(lines)
             skip, first = _csv_head(lines)
@@ -621,7 +612,7 @@ class Grid2D:
                                   delimiter=",", comments="#", ndmin=2)
         if rows.shape[1] != 4:
             raise ValueError(f"rows have {rows.shape[1]} fields, expected 4 (x,y,re,im)")
-        xs, ys, values = _cells_in_order(rows) or _cells_sorted(rows)
+        xs, ys, values = _cells(rows)
         grid = cls(float(xs[0]), float(xs[-1]), float(ys[0]), float(ys[-1]),
                    len(xs), len(ys), values=values, axis_semantics=axis_semantics)
         # cells sampled off the evenly spaced nodes would be relabelled onto them

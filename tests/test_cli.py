@@ -212,6 +212,48 @@ def test_sift_command_keeps_the_contract(argv):
     assert_contract(code, written, err.getvalue())
 
 
+@st.composite
+def roundtrip_argv(draw):
+    """argv of one roundtrip run, with --n-max from -1 to 60: amplitudes of at
+    most 8, one part perhaps from 5e-324 to 1e300, and a zeta of 0, of -1 (with
+    alpha2 = alpha1 a degenerate state) or any."""
+    pair = st.lists(st.floats(-8.0, 8.0).map(repr), min_size=2, max_size=2)
+    alpha1 = draw(pair)
+    alpha2 = draw(st.one_of(st.just(alpha1), pair))
+    zeta = draw(st.one_of(st.sampled_from([["0.0", "0.0"], ["-1.0", "0.0"]]), pair))
+    argv = ["roundtrip", "--alpha1", *alpha1, "--alpha2", *alpha2, "--zeta", *zeta,
+            "--n-max", str(draw(st.integers(-1, 60)))]
+    if draw(st.booleans()):
+        extreme = st.sampled_from([5e-324, 1e-300, 300.0, -300.0, 1e154, 1e200, -1e200, 1e300])
+        argv[draw(st.sampled_from([2, 3, 5, 6, 8, 9]))] = repr(draw(extreme))
+    return argv
+
+
+# size faults: test_size_that_cannot_be_allocated_is_numeric_error
+@settings(max_examples=200)
+@given(argv=roundtrip_argv())
+# a degenerate state; amplitudes whose squares overflow, and ones whose columns
+# hold none of their mass at n_max 60; a negative order
+@example(argv=["roundtrip", "--alpha1", "1", "0", "--alpha2", "1", "0", "--zeta", "-1", "0"])
+@example(argv=["roundtrip", "--alpha1", "1e200", "0", "--alpha2", "-1e200", "3", "--zeta", "0",
+               "0", "--n-max", "60"])
+@example(argv=["roundtrip", "--alpha1", "1e154", "0", "--alpha2", "-1e154", "3", "--zeta", "0",
+               "0", "--n-max", "60"])
+@example(argv=["roundtrip", *STATE, "--n-max", "-1"])
+def test_roundtrip_command_keeps_the_contract(argv):
+    # a report is written on exit 0 and on a failed check (exit 3), nothing otherwise
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    written = out.getvalue()
+    if code in (EXIT_OK, EXIT_VERIFY):
+        assert set(json.loads(written)) == {"n_max", "max_abs_deviation", "trace_deviation",
+                                            "per_term_checks"}
+    else:
+        assert written == ""
+    assert_contract(code, written, err.getvalue())
+
+
 class TestGridCommand:
     def test_q_csv_normalized_footer(self, capsys):
         code, out, _ = run_cli(
@@ -530,8 +572,25 @@ class TestSiftCommand:
                                   "--nodes", "2", "--halfwidth", "0.5", "--envelope-scale", "1"],
                                  capsys)
         assert (code, out) == (EXIT_NUMERIC, "")
-        assert err.startswith("numeric guard: the continuation f(z0) at z0 = 37.679j is ")
-        assert err.count("\n") == 1
+        # the window of halfwidth 0.5 is warned about first: it does not hold 8 sigma
+        warning, guard = err.splitlines()
+        assert warning == ("warning: quadrature halfwidth 0.5 < 8 sigma = 16.0; "
+                           "window truncates the regularized delta")
+        assert guard.startswith("numeric guard: the continuation f(z0) at z0 = 37.679j is ")
+        assert err.count("\n") == 2
+
+    def test_window_narrower_than_eight_sigma_warns_at_each_level(self, capsys):
+        # the direct and shifted sums, 0.367 and 0.362, are far from the continuation 0.948
+        argv = ["sift", "--z0", "1", "0.2", "--envelope-scale", "3", "--nodes", "801",
+                "--levels", "2", "--sigma0"]
+        code, out, err = run_cli([*argv, "1", "--halfwidth", "0.5"], capsys)
+        assert code == EXIT_OK
+        assert err == "".join(f"warning: quadrature halfwidth 0.5 < 8 sigma = {reach}; window "
+                              "truncates the regularized delta\n" for reach in (8.0, 4.0))
+        data = json.loads(out)
+        assert abs(complex(*data["shifted"][0]) - complex(*data["continuation"])) > 0.5
+        # the default halfwidth, 12, holds 8 sigma
+        assert run_cli([*argv, "0.4"], capsys)[::2] == (EXIT_OK, "")
 
     def test_non_finite_integrand_refusal_prints_plain_numbers(self, capsys):
         # the envelope's 1e-155 squared is subnormal, so the integrand is NaN at a node;

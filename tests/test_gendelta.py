@@ -1,6 +1,7 @@
 import cmath
 import math
 import tracemalloc
+import warnings
 
 import mpmath
 import numpy as np
@@ -252,6 +253,27 @@ class TestSifting:
         # a monomial takes the closed form, whatever the nodes
         assert route(AnalyticTestFunction.monomial(1), z0, 0.2, quad) == z0
 
+    # a window 30 from the kernel, and one narrower than 8 sigma: without the
+    # warning the sums, 0j and 0.383 against f(z0) = 0.956 and 1.0, pass for results
+    @pytest.mark.parametrize("route", [sift, sift_shifted_line])
+    @pytest.mark.parametrize("z0,sigma,quad,message", [
+        (30.0, 0.1, QuadratureSpec(0.0, 12.0, 8001),
+         "quadrature halfwidth 12.0 < 8 sigma = 0.8 + |Re z0 - center| = 30.0; "),
+        (0.0, 1.0, QuadratureSpec(0.0, 0.5, 801), "quadrature halfwidth 0.5 < 8 sigma = 8.0; ")],
+        ids=["off-centre", "narrow"])
+    def test_window_that_does_not_hold_the_kernel_warns(self, route, z0, sigma, quad, message):
+        f = AnalyticTestFunction.gaussian_envelope(100.0)
+        with pytest.warns(UserWarning) as record:
+            got = route(f, z0, sigma, quad)
+        assert [str(w.message) for w in record] == \
+            [message + "window truncates the regularized delta"]
+        assert abs(got - f(z0)) > 0.5
+        # a window centred at z0 that holds 8 sigma is quiet, and right
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            centred = route(f, z0, sigma, QuadratureSpec(z0, 12.0, 8001))
+        assert centred == pytest.approx(f(z0), rel=1e-4)
+
 
 class TestSiftingAxis:
     def test_each_row_is_its_centres_window(self):
@@ -316,6 +338,14 @@ class TestDelta2Sift:
             * smoothed_envelope_oracle(math.sqrt(2.0), 0.0, sigma)
         assert got == pytest.approx(want, rel=1e-10)
         assert got == pytest.approx(math.exp(-0.25), rel=5 * sigma**2)
+
+    # f's value broadcast to the product grid: a constant, and a function of x alone
+    @pytest.mark.parametrize("f,want", [(lambda x, y: 2.0, 2.0), (lambda x, y: x, 0.3),
+                                        (lambda x, y: x + 0 * y, 0.3)],
+                             ids=["constant", "x-only", "x-plus-zero-y"])
+    def test_integrand_that_broadcasts(self, f, want):
+        got = delta2_sift(f, 0.3 + 0.2j, 0.2, QuadratureSpec(0.0, 3.0, 301))
+        assert got == pytest.approx(want, rel=1e-12)
 
 
 class TestAnalyticTestFunction:

@@ -303,6 +303,13 @@ class TestQuadRealLine:
             warnings.simplefilter("error")
             quad_real_line(lambda x: np.exp(800.0 * (1.0 - x * x)) * (1.0 - 1j), spec)
 
+    def test_integrand_that_broadcasts(self):
+        # a constant is broadcast to the nodes, for the sum and for the guard
+        spec = QuadratureSpec(center=0.0, halfwidth=3.0, node_count=301)
+        assert quad_real_line(lambda x: 2.0, spec) == pytest.approx(12.0, rel=1e-14)
+        with pytest.raises(FloatingPointError, match=r"node 0 \(x = -3.0, value = \(inf\+0j\)\)"):
+            quad_real_line(lambda x: math.inf, spec)
+
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             QuadratureSpec(center=0.0, halfwidth=0.0, node_count=10)

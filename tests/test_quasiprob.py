@@ -1116,15 +1116,90 @@ class TestGrid2D:
         (lambda rows: rows + rows[-1:], "21 rows do not fill a 4 x 5 grid"),
         (lambda rows: rows[:5] * 2 + rows[10:], "20 rows do not fill a 3 x 5 grid"),
         (lambda rows: rows[:10] + rows[:5] + rows[15:], "20 rows do not fill a 3 x 5 grid"),
+        (lambda rows: rows + rows[-5:], "25 rows do not fill a 4 x 5 grid"),
         (lambda rows: rows[:5] + rows[10:], "not the evenly spaced nodes of a 3 x 5 grid"),
     ], ids=["missing-last", "missing-interior", "repeated-neighbour", "repeated-at-end",
-            "repeated-x", "repeated-x-apart", "missing-x"])
+            "repeated-x", "repeated-x-apart", "repeated-last-x", "missing-x"])
     def test_csv_in_order_with_a_missing_or_repeated_cell_is_refused(self, edit, message):
         buf = io.StringIO()
         Grid2D(-1.0, 1.0, -2.0, 2.0, 4, 5).to_csv(buf)
         head, *rows = buf.getvalue().splitlines(keepends=True)
         with pytest.raises(ValueError, match=re.escape(message)):
             Grid2D.from_csv(io.StringIO(head + "".join(edit(rows))))
+
+    @pytest.mark.parametrize("source", ["path", "stream"])
+    def test_csv_read_of_shuffled_rows_memory_bounded(self, source, tmp_path):
+        # the parsed rows (32 B per cell), lexsort's order (8 B), the sorted x
+        # and y columns (16 B) and the grid (16 B); np.unique's fill took 81 B
+        n = 201
+        grid = Grid2D(-5.0, 5.0, -4.0, 4.0, n, n)
+        grid.values = np.random.default_rng(3).normal(size=(n, n)) * (1 - 2j)
+        buf = io.StringIO()
+        grid.to_csv(buf, meta=["field = test"])
+        head, *rows = buf.getvalue().splitlines(keepends=True)[1:]
+        np.random.default_rng(9).shuffle(rows)
+        path = tmp_path / "grid.csv"
+        path.write_text(head + "".join(rows))
+        with open(path) if source == "stream" else nullcontext(str(path)) as src:
+            tracemalloc.start()
+            try:
+                back = Grid2D.from_csv(src)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert back.values.tobytes() == grid.values.tobytes()
+        assert peak < 76 * n * n
+
+    @given(grid=csv_grids(), data=st.data())
+    @settings(max_examples=60)
+    def test_csv_rows_in_any_order_read_as_in_to_csv_order(self, grid, data):
+        semantics = grid.axis_semantics
+        buf = io.StringIO()
+        grid.to_csv(buf, meta=["field = q"])
+        lines = buf.getvalue().splitlines(keepends=True)
+        head, rows = "".join(lines[:2]), lines[2:]
+        order = data.draw(st.permutations(range(len(rows))))
+        text = head + "".join(rows[i] for i in order)
+
+        def read(text):
+            return Grid2D.from_csv(io.StringIO(text), axis_semantics=semantics)
+
+        want = outcome(read, buf.getvalue())
+        assert not isinstance(want[0], type), want
+        assert outcome(read, text) == want  # bounds, sizes and value bits
+        assert outcome(lambda t: reference_from_csv(io.StringIO(t), semantics), text) == want
+
+    @given(grid=csv_grids(), data=st.data())
+    @settings(max_examples=60)
+    def test_csv_rows_with_one_dropped_or_repeated_are_refused_in_any_order(self, grid, data):
+        buf = io.StringIO()
+        grid.to_csv(buf)
+        head, *rows = buf.getvalue().splitlines(keepends=True)
+        i = data.draw(st.integers(0, len(rows) - 1))
+        rows = rows[:i] + rows[i + 1:] if data.draw(st.booleans()) else rows[:i + 1] + rows[i:]
+        order = data.draw(st.permutations(range(len(rows))))
+
+        def read(text):
+            return Grid2D.from_csv(io.StringIO(text))
+
+        message = f"{len(rows)} rows do not fill a {grid.nx} x {grid.ny} grid"
+        assert outcome(read, head + "".join(rows)) == (ValueError, message)
+        assert outcome(read, head + "".join(rows[k] for k in order)) == (ValueError, message)
+
+    # each fills its grid but for a count below 2 or a NaN node, which the grid
+    # itself refuses, in to_csv's order and in any other
+    @pytest.mark.parametrize("rows,message", [
+        ([(0.0, 0.0), (0.0, 1.0), (0.0, 2.0)], "nx must be an integer >= 2, got 1"),
+        ([(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)], "ny must be an integer >= 2, got 1"),
+        ([(0.0, 0.0), (0.0, 1.0), (math.nan, 0.0), (math.nan, 1.0)],
+         "bounds and the spans between them must be finite, got (0.0, nan, 0.0, 1.0)"),
+        ([(0.0, math.nan), (0.0, 1.0), (1.0, math.nan), (1.0, 1.0)],
+         "bounds and the spans between them must be finite, got (0.0, 1.0, 1.0, nan)"),
+    ], ids=["single-x", "single-y", "nan-x", "nan-y"])
+    def test_csv_of_a_degenerate_grid_is_refused_by_the_grid(self, rows, message, tmp_path):
+        for listed in (rows, rows[::-1]):
+            text = "x,y,re,im\n" + "".join(f"{x},{y},1.0,0.0\n" for x, y in listed)
+            assert csv_outcomes(text, tmp_path) == [(ValueError, message)] * 2
 
     def test_csv_write_memory_bounded_by_one_row(self):
         class Discard:
